@@ -3,7 +3,7 @@
 Run from a checkout of the repository (the package is imported from its
 ``src`` directory, never from an installed copy)::
 
-    python3 perfbench/run.py --workload dock-large --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload dock-large --seed 0 --seconds 25 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics. ``--trace 1`` spends the first
 half of the measured time untraced and the second half with span wrappers
@@ -46,6 +46,11 @@ from tracing import Tracer
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".perfbench_out"
 CRMSD_TOL = 1e-8  # A; in-memory pose invariance holds to ~1e-11
+# Proteins come from fixed generator streams [PROTEIN_STREAM, j], so every
+# seed does the same set-up and per-request work; the seed draws the input
+# poses, the request perturbations and the training order.
+PROTEIN_STREAM = 211107786
+REQUEST_SEEDS = 1_000_000  # dock request i of seed s perturbs with seed s * REQUEST_SEEDS + i
 # calibrate() on an unloaded 2-core x86_64 machine (Python 3.11, numpy 2.4).
 # Timings are rescaled to this machine speed; see calibrate().
 REFERENCE_CALIBRATION_S = 0.008
@@ -54,13 +59,11 @@ REFERENCE_CALIBRATION_S = 0.008
 def calibrate() -> float:
     """Seconds a fixed mix of interpreter and small-array numpy work takes now.
 
-    Shared machines drift by 15-30% in speed over seconds to minutes. The
-    benchmark times this fixed work around every set-up round and request
-    and divides the gated timings by the run's slowdown, the mean
-    calibration over REFERENCE_CALIBRATION_S, so they compare the program
-    across runs rather than the machine's load. The mean, not the median:
-    the machine flips between a fast and a slow state, and the median of a
-    run's calibrations jumps between the two.
+    Shared machines flip between fast and slow phases lasting seconds to
+    minutes, 15-80% apart. The benchmark times this fixed work before and
+    after every set-up round and request and rescales each one by the
+    slowdown around it (``at_reference``), so the gated timings compare
+    the program across runs rather than the machine's load at the time.
     """
     t0 = time.perf_counter()
     x = 0
@@ -101,31 +104,65 @@ class DockEntry:
     truth: object  # rigiddock.docking.RigidTransform
 
 
+def posed(rd, pair_id: str, bound_ligand, receptor, rng):
+    """A docking pair whose ligand input is ``bound_ligand`` moved by a random rigid motion."""
+    move = rd.training.random_se3(rng)
+    return rd.synthetic.DockingPair(pair_id, bound_ligand.transformed(move.R, move.t),
+                                    receptor, move.inverse())
+
+
+def bound_complex(pair):
+    """(bound ligand, receptor) of a generated pair, both as ResidueSets."""
+    return pair.ligand.transformed(pair.truth.R, pair.truth.t), pair.receptor
+
+
+def inputs_digest(pairs) -> str:
+    return fingerprint(a for p in pairs for a in (p.ligand.ca, p.receptor.ca, p.truth.R))
+
+
+def check_round(workload, r: int, digest: str) -> None:
+    """Every set-up round must build exactly the inputs the first one did."""
+    if workload.digest not in (None, digest):
+        raise RuntimeError(f"set-up round {r} built different inputs from the same seed")
+    workload.digest = digest
+
+
 class DockLarge:
     """Per-pair work of ``rigiddock eval`` on 1000-residue pairs.
 
-    Each set-up round generates one more pair into the request pool. A
-    request parses both PDB texts of the next pair and calls
-    ``training.evaluate`` on it from a fresh random pose (seeded by the
-    request index).
+    Set-up generates one 1000 x 1000 complex from a fixed stream and
+    poses it twice from the seed, each protein taking a turn as the
+    ligand; the two pairs are stored as PDB text. A request parses both PDB texts of the next pair
+    and calls ``training.evaluate`` on it from a fresh random pose.
     """
 
-    rounds = 2
+    rounds = 5
     items_per_request = 1
+    # A stream whose 1000-residue pair generates in three attempts (about
+    # 2.5 s on the 2-core reference machine); of the first six streams the
+    # others need 4 to 43 attempts (up to 32 s), which five set-up rounds
+    # per run cannot afford.
+    stream = 4
 
     def __init__(self, rd, seed: int, tiny: bool, tmp: str):
         self.rd = rd
         self.seed = seed
         self.residues = 60 if tiny else 1000
-        self.pool: list[DockEntry] = []
         self.crmsd: dict[str, float] = {}
+        self.digest = None
 
     def build_round(self, r: int) -> None:
-        rng = np.random.default_rng([self.seed, r])
-        pair = self.rd.synthetic.generate_pair(rng, f"large{r}", self.residues, self.residues)
-        fmt = self.rd.pdbio.format_ca_pdb
-        self.pool.append(DockEntry(pair.pair_id, fmt(pair.ligand, full_backbone=True),
-                                   fmt(pair.receptor, full_backbone=True), pair.truth))
+        rd = self.rd
+        rng = np.random.default_rng([PROTEIN_STREAM, self.stream])
+        ligand, receptor = bound_complex(
+            rd.synthetic.generate_pair(rng, "large", self.residues, self.residues))
+        rng = np.random.default_rng(self.seed)
+        pairs = [posed(rd, "large-a", ligand, receptor, rng),
+                 posed(rd, "large-b", receptor, ligand, rng)]
+        check_round(self, r, inputs_digest(pairs))
+        fmt = rd.pdbio.format_ca_pdb
+        self.pool = [DockEntry(p.pair_id, fmt(p.ligand, full_backbone=True),
+                               fmt(p.receptor, full_backbone=True), p.truth) for p in pairs]
 
     def start(self, model) -> None:
         self.model = model
@@ -137,7 +174,7 @@ class DockLarge:
         t0 = time.perf_counter()
         pair = rd.synthetic.DockingPair(entry.pair_id, rd.pdbio.parse_pdb(entry.ligand_pdb),
                                         rd.pdbio.parse_pdb(entry.receptor_pdb), entry.truth)
-        row = rd.training.evaluate(self.model, [pair], seed=i).rows[0]
+        row = rd.training.evaluate(self.model, [pair], seed=REQUEST_SEEDS * self.seed + i).rows[0]
         elapsed = time.perf_counter() - t0
         reference = self.crmsd.setdefault(entry.pair_id, row.crmsd)
         ok = (row.status == "ok" and math.isfinite(row.crmsd) and math.isfinite(row.irmsd)
@@ -180,13 +217,14 @@ class _SkipCounter(logging.Handler):
 class TrainToy:
     """One ``training.train`` call per request on CLI-default toy pairs.
 
-    Each set-up round generates the whole pair set from the seed; rounds
-    must agree exactly. The last pair is the validation set. Every request
+    Each set-up round builds the whole pair set: the complexes from the
+    fixed protein streams, the input poses from the seed; rounds must
+    agree exactly. The last pair is the validation set. Every request
     starts from the same checkpointed initial weights, so every request
     does identical work and must end on identical weights.
     """
 
-    rounds = 3
+    rounds = 7
     pairs = 16
     epochs = 1
 
@@ -197,19 +235,22 @@ class TrainToy:
             self.pairs = 2
         self.checkpoint = os.path.join(tmp, "train.ckpt")
         self.skips = _SkipCounter()
-        self.inputs_digest = None
+        self.digest = None
         self.final = None
 
-    def make_pair(self, rng, pair_id: str):
-        return self.rd.synthetic.generate_pair(rng, pair_id)
+    def make_complex(self, rng, pair_id: str):
+        """(bound ligand, receptor) of one complex."""
+        return bound_complex(self.rd.synthetic.generate_pair(rng, pair_id))
 
     def build_round(self, r: int) -> None:
         rng = np.random.default_rng(self.seed)
-        pairs = [self.make_pair(rng, f"pair{j}") for j in range(self.pairs)]
-        digest = fingerprint(a for p in pairs for a in (p.ligand.ca, p.receptor.ca, p.truth.R))
-        if self.inputs_digest not in (None, digest):
-            raise RuntimeError(f"set-up round {r} generated different inputs from the same seed")
-        self.inputs_digest = digest
+        pairs = []
+        for j in range(self.pairs):
+            pair_id = f"pair{j}"
+            bound, receptor = self.make_complex(np.random.default_rng([PROTEIN_STREAM, j]),
+                                                pair_id)
+            pairs.append(posed(self.rd, pair_id, bound, receptor, rng))
+        check_round(self, r, inputs_digest(pairs))
         self.train_pairs, self.val_pairs = pairs[:-1], pairs[-1:]
 
     def start(self, model) -> None:
@@ -248,15 +289,14 @@ class TrainInterface(TrainToy):
     """``TrainToy`` on dense-interface pairs: one ~80-residue protein cut in two.
 
     The cut is a random plane through the centroid, redrawn until the bound
-    halves have ``contacts`` contact pairs (the OT problem's S), and the
-    ligand half is moved by a random rigid motion.
+    halves have ``contacts`` contact pairs (the OT problem's S).
     """
 
     pairs = 6
     residues = 80
     contacts = (80, 90)
 
-    def make_pair(self, rng, pair_id: str):
+    def make_complex(self, rng, pair_id: str):
         rd = self.rd
         lo, hi = self.contacts
         for _ in range(20):
@@ -266,9 +306,7 @@ class TrainInterface(TrainToy):
                 side = rng.standard_normal(3) @ centered > 0
                 lig, rec = _subset(protein, side), _subset(protein, ~side)
                 if lo <= rd.losses.pocket_points(lig.ca, rec.ca).shape[1] <= hi:
-                    move = rd.training.random_se3(rng)
-                    return rd.synthetic.DockingPair(
-                        pair_id, lig.transformed(move.R, move.t), rec, move.inverse())
+                    return lig, rec
         raise RuntimeError(f"{pair_id}: no cut with {lo}-{hi} contacts")
 
 
@@ -296,16 +334,71 @@ def model_round_trip(rd, seed: int, path: str):
     return loaded
 
 
-def measure(workload, seconds: float, first: int, tracer=None) -> dict:
-    """Closed loop, one client: requests back to back until ``seconds`` pass.
+def at_reference(seconds: float, before: float, after: float) -> float:
+    """``seconds`` rescaled to the reference machine speed.
 
-    A calibration runs before the first request and after each one.
+    ``before`` and ``after`` are the calibrations that bracket the timed
+    interval; their mean over REFERENCE_CALIBRATION_S is how much slower
+    than the reference the machine ran at that moment.
     """
-    latencies, done, attempted, failed = [], 0, 0, 0
+    return seconds * 2 * REFERENCE_CALIBRATION_S / (before + after)
+
+
+class SetUp:
+    """Set-up rounds: the workload's inputs, then the model's checkpoint round trip.
+
+    Every round rebuilds the same inputs and model from the seed (the
+    workload checks that the inputs match). A dock-large round lasts
+    seconds, so each round is bracketed by the mean of CALIBRATIONS
+    calibrations on each side, and kept as (seconds, calibration before,
+    calibration after).
+    """
+
+    CALIBRATIONS = 3
+
+    def __init__(self, rd, workload, seed: int, tmp: str, tracer=None):
+        self.rd, self.workload, self.seed, self.tmp, self.tracer = rd, workload, seed, tmp, tracer
+        self.rounds: list[tuple[float, float, float]] = []
+
+    def __call__(self):
+        r = len(self.rounds)
+        if self.tracer is not None:
+            self.tracer.op = f"setup{r}"
+        before = statistics.fmean(calibrate() for _ in range(self.CALIBRATIONS))
+        t0 = time.perf_counter()
+        self.workload.build_round(r)
+        model = model_round_trip(self.rd, self.seed, os.path.join(self.tmp, f"init{r}.ckpt"))
+        elapsed = time.perf_counter() - t0
+        after = statistics.fmean(calibrate() for _ in range(self.CALIBRATIONS))
+        self.rounds.append((elapsed, before, after))
+        return model
+
+
+def measure(workload, seconds: float, first: int, tracer=None, set_up=None,
+            rounds: int = 0) -> dict:
+    """Closed loop, one client: requests back to back for ``seconds`` of request time.
+
+    A calibration runs before the first request and after each request
+    and set-up round; a request's time is rescaled by the two around it.
+    When ``set_up`` is given, ``rounds`` more set-up rounds run between
+    requests, spread evenly over the run, so that set-up time samples the
+    machine's speed over the whole run as the requests do; their time is
+    not request time.
+    """
+    latencies, reference, done, attempted, failed = [], [], 0, 0, 0
     calibrations = [calibrate()]
     i = first
-    deadline = time.perf_counter() + seconds
+    start = time.perf_counter()
+    marks = [start + seconds * (k + 0.5) / rounds for k in range(rounds)]
+    deadline = start + seconds
     while not latencies or time.perf_counter() < deadline:
+        if marks and time.perf_counter() >= marks[0]:
+            t0 = time.perf_counter()
+            set_up()
+            calibrations.append(calibrate())
+            pause = time.perf_counter() - t0
+            marks = [m + pause for m in marks[1:]]
+            deadline += pause
         if tracer is not None:
             tracer.op = i
         try:
@@ -315,14 +408,17 @@ def measure(workload, seconds: float, first: int, tracer=None) -> dict:
             n = workload.items_per_request
             elapsed, n_done, n_attempted, n_failed = math.nan, 0, n, n
         calibrations.append(calibrate())
+        if math.isfinite(elapsed):
+            reference.append(at_reference(elapsed, calibrations[-2], calibrations[-1]))
         latencies.append(elapsed)
         done += n_done
         attempted += n_attempted
         failed += n_failed
         i += 1
-    timed = [x for x in latencies if math.isfinite(x)]
-    return {"latencies": timed, "done": done, "attempted": attempted, "failed": failed,
-            "busy_s": sum(timed), "calibrations": calibrations, "next": i}
+    for _ in marks:  # rounds the last request ran past
+        set_up()
+    return {"latencies": latencies, "reference": reference, "done": done,
+            "attempted": attempted, "failed": failed, "calibrations": calibrations, "next": i}
 
 
 def tail(latencies: list[float]) -> dict:
@@ -365,24 +461,17 @@ def run(name: str, seed: int, seconds: float, trace: bool, tiny: bool) -> dict:
     with tempfile.TemporaryDirectory(dir=OUT_DIR) as tmp:
         workload = WORKLOADS[name](rd, seed, tiny, tmp)
         rounds = 2 if tiny else workload.rounds
-        if tracer is not None:
-            tracer.install()
-        traced_s = 0.0
-        t0 = time.perf_counter()
-        round_s, calibrations = [], [calibrate()]
-        for r in range(rounds):
-            ts = time.perf_counter()
-            if tracer is not None:
-                tracer.op = f"setup{r}"
-            workload.build_round(r)
-            model = model_round_trip(rd, seed, os.path.join(tmp, f"init{r}.ckpt"))
-            round_s.append(time.perf_counter() - ts)
-            calibrations.append(calibrate())
-        workload.start(model)
-        traced_s += time.perf_counter() - t0
+        set_up = SetUp(rd, workload, seed, tmp, tracer)
         if tracer is None:
-            phases = [measure(workload, seconds, 0)]
+            workload.start(set_up())
+            phases = [measure(workload, seconds, 0, set_up=set_up, rounds=rounds - 1)]
         else:
+            # Set-up is traced too; all its rounds run before the requests.
+            tracer.install()
+            t0 = time.perf_counter()
+            models = [set_up() for _ in range(rounds)]
+            workload.start(models[0])
+            traced_s = time.perf_counter() - t0
             tracer.uninstall()
             untraced = measure(workload, seconds / 2, 0)
             tracer.install()
@@ -394,26 +483,29 @@ def run(name: str, seed: int, seconds: float, trace: bool, tiny: bool) -> dict:
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         digest, finish_failed = workload.finish()
 
-    latencies = [x for p in phases for x in p["latencies"]]
-    calibrations += [c for p in phases for c in p["calibrations"]]
-    slowdown = statistics.fmean(calibrations) / REFERENCE_CALIBRATION_S
+    latencies = [x for p in phases for x in p["latencies"] if math.isfinite(x)]
     attempted = sum(p["attempted"] for p in phases)
     failed = sum(p["failed"] for p in phases) + finish_failed
+    calibrations = ([c for r in set_up.rounds for c in r[1:]]
+                    + [c for p in phases for c in p["calibrations"]])
+    p = phases[0]
     record = {
         "workload": name, "seed": seed, "seconds": seconds, "trace": int(trace), "tiny": tiny,
-        "environment": environment(), "setup_rounds_s": round_s,
-        "slowdown": slowdown,
-        "wall_items_per_s": sum(p["done"] for p in phases) / sum(p["busy_s"] for p in phases),
-        "calibrations_ms": [1e3 * c for c in calibrations],
+        "environment": environment(),
+        "setup_rounds_s": [r[0] for r in set_up.rounds],
+        "slowdown": statistics.fmean(calibrations) / REFERENCE_CALIBRATION_S,
+        "wall_items_per_s": p["done"] / sum(x for x in p["latencies"] if math.isfinite(x)),
         "requests": len(latencies), "p50_ms": 1e3 * statistics.median(latencies),
         "tail": tail(latencies), "fingerprint": digest,
+        "setup_calibrations_ms": [[1e3 * c for c in r[1:]] for r in set_up.rounds],
+        "calibrations_ms": [1e3 * c for c in calibrations],
         "latencies_ms": [1e3 * x for x in latencies],
+        "reference_ms": [1e3 * x for p in phases for x in p["reference"]],
     }
     if tracer is None:
-        p = phases[0]
         metrics = {
-            "setup_s": (statistics.median(round_s) / slowdown, "s"),
-            "items_per_s": (p["done"] / p["busy_s"] * slowdown, "1/s"),
+            "setup_s": (statistics.median(at_reference(*r) for r in set_up.rounds), "s"),
+            "items_per_s": (p["done"] / sum(p["reference"]), "1/s"),
             "peak_rss_mb": (peak_rss_mb, "MB"),
         }
     else:
@@ -423,8 +515,9 @@ def run(name: str, seed: int, seconds: float, trace: bool, tiny: bool) -> dict:
                    for key, value in per_layer.items()}
         untraced, traced = phases
         metrics["trace.wall_s"] = (traced_s, "s")
-        metrics["trace.overhead_ms"] = (1e3 * (statistics.median(traced["latencies"])
-                                               - statistics.median(untraced["latencies"])), "ms")
+        # Rescaled request times, so the machine's speed phases cancel.
+        metrics["trace.overhead_ms"] = (1e3 * (statistics.median(traced["reference"])
+                                               - statistics.median(untraced["reference"])), "ms")
         metrics["failed_ratio"] = (failed / attempted, "ratio")
         spans_path = OUT_DIR / f"{name}-seed{seed}-spans.jsonl"
         tracer.write(spans_path)
@@ -448,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
     with open(OUT_DIR / f"{args.workload}-seed{args.seed}-trace{args.trace}.json", "w") as fh:
         json.dump(record, fh, indent=1)
     result = record.pop("result")
-    del record["latencies_ms"], record["calibrations_ms"]
+    for key in ("latencies_ms", "reference_ms", "calibrations_ms", "setup_calibrations_ms"):
+        del record[key]
     print(json.dumps(record))
     print(json.dumps(result))
     return 0
