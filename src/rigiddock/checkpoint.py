@@ -69,23 +69,33 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: malformed header: {e}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported format_version {header.get('format_version')!r}"
             )
         payload = fh.read()
 
-    names = header["names"]
-    shapes = header["shapes"]
-    offsets = header["offsets"]
+    lists = [header.get(key) for key in ("names", "shapes", "offsets")]
+    if not all(isinstance(value, list) for value in lists):
+        raise CheckpointError(f"{path}: header needs names, shapes and offsets lists")
+    names, shapes, offsets = lists
     if not (len(names) == len(shapes) == len(offsets)):
         raise CheckpointError(f"{path}: header lists have mismatched lengths")
     tensors: dict[str, np.ndarray] = {}
     for name, shape, off in zip(names, shapes, offsets):
+        if not (isinstance(shape, list) and all(_is_count(d) for d in shape) and _is_count(off)):
+            raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or offset")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
-        if off < 0 or off + nbytes > len(payload):
+        if off + nbytes > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} extends past payload end")
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
         tensors[name] = flat.reshape(shape).astype(np.float64)
     return tensors, header.get("extra", {})
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (booleans excluded)."""
+    return type(value) is int and value >= 0

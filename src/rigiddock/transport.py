@@ -9,6 +9,16 @@ is normally the most negative reduced cost (fast in practice); after a
 long run of zero-volume pivots the rule switches to Bland's, whose
 first-improving choice provably cannot cycle, until volume moves again.
 
+The basis is a spanning tree over the S + K nodes (rows 0..S-1, columns
+S..S+K-1) rooted at row 0, kept in node-indexed lists: parent, depth, the
+integer flow on the edge to the parent, and children. A pivot walks both
+ends of the entering cell up to their lowest common ancestor to find the
+cycle, pushes the flow around it and re-hangs the subtree cut off by the
+leaving cell under the other end. Only that subtree's potentials (u_0 = 0
+at the root, u_i + v_j = c_ij on basic cells) and depths change. Each is
+recomputed from its parent edge, which is the arithmetic of solving all
+potentials afresh from the root: reduced costs and pivots match it exactly.
+
 The returned plan is a vertex of the transport polytope with at most
 S+K-1 nonzero entries.
 """
@@ -33,22 +43,21 @@ def solve_uniform_transport(cost: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError("solve_uniform_transport: cost has non-finite entries")
     s, k = cost.shape
 
-    alloc, row_adj, col_adj = _northwest_corner(s, k)
+    tree = _Basis(cost, s, k)
     eps = 1e-12 * (1.0 + float(np.abs(cost).max()))
     max_pivots = _MAX_PIVOTS_FACTOR * (s + k) * max(s, k)
     zero_streak = 0
     bland = False
     for _ in range(max_pivots):
-        u, v = _tree_duals(cost, row_adj, col_adj, s, k)
-        reduced = cost - u[:, None] - v[None, :]
+        pot = np.array(tree.pot)
+        reduced = cost - pot[:s, None] - pot[None, s:]
         if bland:
-            entering = _first_negative_reduced_cost(reduced, alloc, eps)
+            entering = _first_negative_reduced_cost(reduced, eps, tree)
         else:
             entering = _most_negative_reduced_cost(reduced, eps)
         if entering is None:
             break
-        theta = _pivot(alloc, row_adj, col_adj, entering)
-        if theta == 0:
+        if tree.pivot(*entering) == 0:
             zero_streak += 1
             bland = bland or zero_streak > s + k + 4
         else:
@@ -57,68 +66,112 @@ def solve_uniform_transport(cost: np.ndarray) -> tuple[np.ndarray, float]:
     else:
         raise RuntimeError("transportation simplex failed to converge")
 
+    alloc = np.zeros((s, k), dtype=np.int64)
+    for node in range(1, s + k):  # every node but the root holds one basic cell
+        alloc[tree.cell(node)] = tree.flow[node]
     plan = alloc.astype(np.float64) / float(s * k)
     return plan, float(np.sum(plan * cost))
 
 
-def _northwest_corner(s: int, k: int):
-    """Integer NW-corner start: supplies of k per row, demands of s per column."""
-    alloc = np.zeros((s, k), dtype=np.int64)
-    row_adj: list[set[int]] = [set() for _ in range(s)]
-    col_adj: list[set[int]] = [set() for _ in range(k)]
-    supply = [k] * s
-    demand = [s] * k
-    i = j = 0
-    while True:
-        amount = min(supply[i], demand[j])
-        alloc[i, j] = amount
-        row_adj[i].add(j)
-        col_adj[j].add(i)
-        supply[i] -= amount
-        demand[j] -= amount
-        if i == s - 1 and j == k - 1:
-            break
-        if supply[i] == 0 and demand[j] == 0:
-            # Degenerate step: advance one pointer only; the next cell enters
-            # the basis with a zero allocation, keeping the basis tree intact.
-            if j < k - 1:
-                j += 1
-            else:
+class _Basis:
+    """Basis tree with node-indexed parent, depth, flow, children and potentials."""
+
+    def __init__(self, cost: np.ndarray, s: int, k: int):
+        """Integer NW-corner start: supplies of k per row, demands of s per column."""
+        self.s = s
+        self.cost = cost.tolist()
+        n = s + k
+        self.parent = [-1] * n
+        self.depth = [0] * n
+        self.flow = [0] * n
+        self.children: list[list[int]] = [[] for _ in range(n)]
+        self.pot = [0.0] * n
+        supply = [k] * s
+        demand = [s] * k
+        i = j = 0
+        node, up = s, 0  # the first cell (0, 0) hangs column 0 under row 0
+        while True:
+            amount = min(supply[i], demand[j])
+            self.parent[node], self.flow[node] = up, amount
+            self.children[up].append(node)
+            self._refresh(node)
+            supply[i] -= amount
+            demand[j] -= amount
+            if i == s - 1 and j == k - 1:
+                break
+            # A degenerate step (both exhausted) advances one pointer only;
+            # the next cell enters with a zero allocation, keeping a tree.
+            if supply[i] == 0 and (demand[j] != 0 or j == k - 1):
                 i += 1
-        elif supply[i] == 0:
-            i += 1
-        else:
-            j += 1
-    return alloc, row_adj, col_adj
+                node, up = i, s + j
+            else:
+                j += 1
+                node, up = s + j, i
+
+    def _refresh(self, top: int) -> None:
+        """Recompute depth and potential of ``top`` and its subtree from their parents."""
+        s, cost, parent, depth, pot = self.s, self.cost, self.parent, self.depth, self.pot
+        children = self.children
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            pot[node] = (cost[node][up - s] if node < s else cost[up][node - s]) - pot[up]
+            stack += children[node]
+
+    def pivot(self, ei: int, ej: int) -> int:
+        """Push flow around the entering cell's cycle; returns the moved volume."""
+        s, parent, depth, flow = self.s, self.parent, self.depth, self.flow
+        # Going around the cycle from the entering cell (+), the tree edge
+        # from a node to its parent gives back flow (-) when the node is a
+        # row on the row's side of the cycle, or a column on the column's.
+        minus, plus = [], []
+        a, b = ei, s + ej
+        while a != b:
+            if depth[a] >= depth[b]:
+                (minus if a < s else plus).append(a)
+                a = parent[a]
+            else:
+                (minus if b >= s else plus).append(b)
+                b = parent[b]
+        # Ties on the smallest flow go to the lexicographically smallest cell.
+        leaving = min(minus, key=lambda x: (flow[x], self.cell(x)))
+        theta = flow[leaving]
+        for x in minus:
+            flow[x] -= theta
+        for x in plus:
+            flow[x] += theta
+
+        # Re-hang the subtree cut off by the leaving edge under the other end
+        # of the entering cell, reversing the parent pointers up to ``leaving``.
+        # Rows give back flow only on the row's side, so a row leaves from there.
+        node, up = (ei, s + ej) if leaving < s else (s + ej, ei)
+        top, carried = node, theta
+        while True:
+            old_up, old_flow = parent[node], flow[node]
+            self.children[old_up].remove(node)
+            parent[node] = up
+            flow[node] = carried
+            self.children[up].append(node)
+            if node == leaving:
+                break
+            node, up, carried = old_up, node, old_flow
+        self._refresh(top)
+        return theta
+
+    def cell(self, node: int) -> tuple[int, int]:
+        """The basic cell (row, column) on the edge from ``node`` to its parent."""
+        up = self.parent[node]
+        return (node, up - self.s) if node < self.s else (up, node - self.s)
 
 
-def _tree_duals(cost, row_adj, col_adj, s, k):
-    """Solve u_i + v_j = c_ij over the basis tree, anchored at u_0 = 0."""
-    u = np.full(s, np.nan)
-    v = np.full(k, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, idx = stack.pop()
-        if kind == "r":
-            for j in row_adj[idx]:
-                if np.isnan(v[j]):
-                    v[j] = cost[idx, j] - u[idx]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[idx]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, idx] - v[idx]
-                    stack.append(("r", i))
-    return u, v
-
-
-def _first_negative_reduced_cost(reduced, alloc, eps):
+def _first_negative_reduced_cost(reduced, eps, tree):
     """Bland's entering rule: first cell in row-major order that improves."""
-    candidates = np.argwhere(reduced < -eps)
-    for i, j in candidates:
-        if alloc[i, j] == 0:  # basic cells have zero reduced cost anyway
-            return int(i), int(j)
+    for i, j in np.argwhere(reduced < -eps).tolist():
+        # Basic cells have zero reduced cost anyway; skip any that carry flow.
+        if not any(tree.cell(x) == (i, j) and tree.flow[x] for x in (i, tree.s + j)):
+            return i, j
     return None
 
 
@@ -129,58 +182,3 @@ def _most_negative_reduced_cost(reduced, eps):
     if reduced[i, j] < -eps:
         return i, j
     return None
-
-
-def _cycle_path(row_adj, col_adj, start_row, target_col):
-    """Path of basic cells from start_row to target_col through the tree."""
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {("r", start_row): None}
-    stack = [("r", start_row)]
-    while stack:
-        node = stack.pop()
-        kind, idx = node
-        if kind == "r":
-            neighbors = (("c", j) for j in row_adj[idx])
-        else:
-            neighbors = (("r", i) for i in col_adj[idx])
-        for nxt in neighbors:
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            if nxt == ("c", target_col):
-                cells = []
-                cur = nxt
-                while parent[cur] is not None:
-                    prev = parent[cur]
-                    if cur[0] == "c":
-                        cells.append((prev[1], cur[1]))
-                    else:
-                        cells.append((cur[1], prev[1]))
-                    cur = prev
-                cells.reverse()
-                return cells
-            stack.append(nxt)
-    raise RuntimeError("basis is not a spanning tree")
-
-
-def _pivot(alloc, row_adj, col_adj, entering) -> int:
-    """Push flow around the entering cell's cycle; returns the moved volume."""
-    ei, ej = entering
-    path = _cycle_path(row_adj, col_adj, ei, ej)
-    # Around the cycle [entering, path...] signs alternate starting with +
-    # on the entering cell, so odd path positions (0-based even) give back flow.
-    minus = path[0::2]
-    plus = path[1::2]
-    theta = min(alloc[c] for c in minus)
-    leaving = min(c for c in minus if alloc[c] == theta)
-
-    alloc[ei, ej] += theta
-    row_adj[ei].add(ej)
-    col_adj[ej].add(ei)
-    for c in plus:
-        alloc[c] += theta
-    for c in minus:
-        alloc[c] -= theta
-    li, lj = leaving
-    row_adj[li].discard(lj)
-    col_adj[lj].discard(li)
-    return int(theta)

@@ -77,3 +77,24 @@ def test_overwrite_replaces_whole_file(tmp_path):
     loaded, _ = ckpt.load_named_tensors(str(path))
     assert list(loaded.keys()) == ["y"]
     assert loaded["y"][0] == 2.0
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"[1]", "not a JSON object"),
+    (b'"names"', "not a JSON object"),
+    (b'{"format_version": 1}', "names, shapes and offsets"),
+    (b'{"format_version": 1, "names": "x", "shapes": [[1]], "offsets": [0]}',
+     "names, shapes and offsets"),
+    (b'{"format_version": 1, "names": ["x"], "shapes": [["a"]], "offsets": [0]}',
+     "malformed shape"),
+    (b'{"format_version": 1, "names": ["x"], "shapes": [[-1]], "offsets": [0]}',
+     "malformed shape"),
+    (b'{"format_version": 1, "names": ["x"], "shapes": [[1]], "offsets": ["0"]}',
+     "malformed shape"),
+], ids=["array", "string", "no-lists", "names-not-list", "dim-not-int", "negative-dim",
+        "offset-not-int"])
+def test_malformed_header_fields_rejected(tmp_path, header, message):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header + b"\n" + np.ones(4).tobytes())
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_named_tensors(str(path))

@@ -290,6 +290,14 @@ class TestExitCodes:
                      "--receptor", str(receptor_pdb), "--model", str(bare)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("header", [b"[1]", b'{"format_version": 1}'])
+    def test_malformed_checkpoint_header(self, workdir, ligand_pdb, receptor_pdb, header):
+        bad = workdir / "bad.ckpt"
+        bad.write_bytes(header + b"\n")
+        code = main(["dock", "--ligand", str(ligand_pdb),
+                     "--receptor", str(receptor_pdb), "--model", str(bad)])
+        assert code == EXIT_PARSE
+
     def test_malformed_train_config(self, workdir, dataset):
         cfg = workdir / "mangled.json"
         cfg.write_text("{not json")

@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
+from rigiddock import transport
 from rigiddock.transport import solve_uniform_transport
 
 
@@ -62,6 +66,14 @@ def linprog_objective(cost):
     return res.fun
 
 
+def pocket_cost(rng, s, k):
+    """Cost as ot_pocket_loss builds it: two 3-D squared-distance matrices, summed."""
+    p1, p2 = rng.normal(size=(2, s, 3))
+    y1, y2 = rng.normal(size=(2, k, 3))
+    return (((p1[:, None] - y1[None]) ** 2).sum(axis=2)
+            + ((p2[:, None] - y2[None]) ** 2).sum(axis=2))
+
+
 def test_single_cell():
     plan, objective = solve_uniform_transport(np.array([[3.7]]))
     assert plan.shape == (1, 1)
@@ -93,8 +105,12 @@ def test_matches_brute_force_small_shapes():
 
 def test_matches_linprog_rectangular():
     rng = np.random.default_rng(7)
-    for s, k in [(3, 7), (7, 3), (5, 5), (2, 9), (11, 4)]:
-        cost = rng.uniform(0.0, 5.0, size=(s, k))
+    costs = [rng.uniform(0.0, 5.0, size=(s, k))
+             for s, k in [(3, 7), (7, 3), (5, 5), (2, 9), (11, 4)]]
+    # Workload sizes: an 85-contact interface and the 5-contact toy ring.
+    rng = np.random.default_rng(8)
+    costs += [pocket_cost(rng, s, k) for s, k in [(85, 50), (5, 50)]]
+    for cost in costs:
         _, objective = solve_uniform_transport(cost)
         assert objective == pytest.approx(linprog_objective(cost), abs=1e-9)
 
@@ -145,3 +161,46 @@ def test_rejects_bad_input():
         solve_uniform_transport(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         solve_uniform_transport(np.zeros(4))
+
+
+def test_bland_fallback_solves_permutation_cost(monkeypatch):
+    # A 0/1 cost with a zero-cost perfect matching is highly degenerate; on
+    # this permutation the Dantzig rule makes a long run of zero-volume
+    # pivots, so Bland's rule takes over (66 selections).
+    bland_calls = []
+    bland = transport._first_negative_reduced_cost
+
+    def counting_bland(*args):
+        bland_calls.append(args)
+        return bland(*args)
+
+    monkeypatch.setattr(transport, "_first_negative_reduced_cost", counting_bland)
+    n = 50
+    perm = np.random.default_rng(2).permutation(n)
+    cost = np.ones((n, n))
+    cost[np.arange(n), perm] = 0.0
+    plan, objective = solve_uniform_transport(cost)
+    expected = np.zeros((n, n))
+    expected[np.arange(n), perm] = 1.0 / n
+    np.testing.assert_array_equal(plan, expected)
+    assert objective == 0.0
+    assert bland_calls
+
+
+@st.composite
+def small_integer_costs(draw):
+    s = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 10))
+    return draw(arrays(np.float64, (s, k), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_integer_costs())
+def test_property_optimal_sparse_vertex(cost):
+    # Few distinct costs make ties and degenerate bases common.
+    s, k = cost.shape
+    plan, objective = solve_uniform_transport(cost)
+    assert objective == pytest.approx(linprog_objective(cost), abs=1e-9)
+    assert np.max(np.abs(plan.sum(axis=1) - 1.0 / s)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= 1e-9
+    assert np.count_nonzero(plan) <= s + k - 1
