@@ -137,8 +137,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a C-ordered copy: g may alias another buffer or be a transposed view
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -353,19 +355,30 @@ def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
     return _emit(y, (a,), backward)
 
 
+def _sum_into_columns(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """out[:, j] = sum of values[:, e] over idx[e] == j, added in column order.
+
+    One flat bincount over row * n + idx; it sums each bucket sequentially,
+    in the same order as ``np.add.at``.
+    """
+    rows = values.shape[0]
+    flat = (np.arange(rows)[:, None] * n + idx).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=rows * n).reshape(rows, n)
+
+
 def take_columns(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather columns of a 2-D tensor; backward scatter-adds."""
+    """Gather columns of a 2-D tensor; backward sums gradients per source column."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_columns: shape {a.data.shape}, expected 2-D")
     idx = np.asarray(idx, dtype=np.intp)
+    out_data = a.data[:, idx]
+    idx = idx % a.data.shape[1]  # negative indices wrap, as in the gather
 
     def backward(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga.T, idx, g.T)
-            _accumulate(a, ga)
+            _accumulate(a, _sum_into_columns(g, idx, a.data.shape[1]))
 
-    return _emit(a.data[:, idx], (a,), backward)
+    return _emit(out_data, (a,), backward)
 
 
 def segment_sum_columns(a: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
@@ -377,13 +390,13 @@ def segment_sum_columns(a: Tensor, segments: np.ndarray, num_segments: int) -> T
         raise ShapeError(
             f"segment_sum_columns: {segments.shape[0]} segment ids for {a.data.shape[1]} columns"
         )
-    out_data = np.zeros((a.data.shape[0], num_segments))
-    np.add.at(out_data.T, segments, a.data.T)
+    if segments.size and (segments.min() < 0 or segments.max() >= num_segments):
+        raise ShapeError(f"segment_sum_columns: segment ids outside [0, {num_segments})")
 
     def backward(g):
         _accumulate(a, g[:, segments])
 
-    return _emit(out_data, (a,), backward)
+    return _emit(_sum_into_columns(a.data, segments, num_segments), (a,), backward)
 
 
 def pairwise_sqdist(x: Tensor, y: Tensor) -> Tensor:

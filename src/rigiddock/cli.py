@@ -72,8 +72,11 @@ def _load_model(path: str) -> DockingModel:
     tensors, extra = load_named_tensors(path)
     if not isinstance(extra, dict) or "config" not in extra:
         raise CheckpointError(f"{path}: missing model configuration")
-    model = DockingModel(ModelConfig.from_dict(extra["config"]), seed=0)
-    model.load_state_arrays(tensors)
+    try:
+        model = DockingModel(ModelConfig.from_dict(extra["config"]), seed=0)
+        model.load_state_arrays(tensors)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint does not fit its configuration: {exc}") from None
     return model
 
 
@@ -183,12 +186,8 @@ def _cmd_features(args) -> int:
             for i in range(graph.n_nodes)
         ],
         "edges": [
-            {
-                "src": int(graph.src[e]),
-                "dst": int(graph.dst[e]),
-                "f": graph.edge_feats[:, e].tolist(),
-            }
-            for e in range(graph.n_edges)
+            {"src": int(src), "dst": int(dst), "f": feats.tolist()}
+            for src, dst, feats in zip(graph.src, graph.dst, graph.edge_feats.T)
         ],
     }
     text = json.dumps(payload, indent=2) + "\n"

@@ -28,8 +28,9 @@ class ProteinGraph:
     """Immutable featurized protein.
 
     X: 3 x n CA coordinates. types: n residue-type indices. rho: n x 5
-    surface features. src/dst: directed edges src->dst. edge_feats:
-    27 x E, column order matching src/dst. residues: the source ResidueSet
+    surface features. neighbors: n x k source nodes of the k in-edges of
+    each node, nearest first. edge_feats: 27 x (n * k), column i * k + j
+    describing edge neighbors[i, j] -> i. residues: the source ResidueSet
     (kept so the graph can be rebuilt after rigid motions). k: effective
     neighbor count.
     """
@@ -37,8 +38,7 @@ class ProteinGraph:
     X: np.ndarray
     types: np.ndarray
     rho: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
+    neighbors: np.ndarray
     edge_feats: np.ndarray
     residues: ResidueSet
     k: int
@@ -49,31 +49,85 @@ class ProteinGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.src.shape[0]
+        return self.neighbors.size
+
+    @property
+    def src(self) -> np.ndarray:
+        """Edge sources, edges ordered by destination node."""
+        return self.neighbors.reshape(-1)
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Edge destinations: each node repeated k times."""
+        return np.repeat(np.arange(self.n_nodes), self.k)
+
+
+def _squared_distances(X: np.ndarray) -> np.ndarray:
+    """n x n squared CA distances, accumulated one axis at a time."""
+    d2 = np.subtract.outer(X[0], X[0])
+    np.multiply(d2, d2, out=d2)
+    d = np.empty_like(d2)
+    for axis in (1, 2):
+        np.subtract.outer(X[axis], X[axis], out=d)
+        np.multiply(d, d, out=d)
+        d2 += d
+    return d2
 
 
 def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed edge lists (src, dst): each dst receives its k nearest nodes.
 
-    Brute-force O(n^2) distances; ties resolved toward lower node index.
+    Edges are grouped by dst in node order, so ``src.reshape(n, k)`` is the
+    neighbor array, each row ordered by (distance, node index). Brute-force
+    O(n^2) distances; ties resolved toward lower node index.
     """
     n = X.shape[1]
-    diff = X[:, :, None] - X[:, None, :]
-    d2 = np.sum(diff * diff, axis=0)
+    d2 = _squared_distances(X)
     np.fill_diagonal(d2, np.inf)
-    src = np.empty(n * k, dtype=np.intp)
-    dst = np.empty(n * k, dtype=np.intp)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, d2[i]))
-        src[i * k:(i + 1) * k] = order[:k]
-        dst[i * k:(i + 1) * k] = i
-    return src, dst
+    nbrs = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, nbrs, axis=1)
+    kth = dist[:, -1:]  # the partition puts each row's k-th smallest last
+    # Rows whose k-th distance is shared beyond the k slots: the partition
+    # picked arbitrary tied nodes, so keep the lowest-index ones instead.
+    rows = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+    if rows.size:
+        sub, cut = d2[rows], kth[rows]
+        tied = sub == cut
+        keep = sub < cut
+        free = k - np.count_nonzero(keep, axis=1)
+        keep |= tied & (np.cumsum(tied, axis=1) <= free[:, None])
+        nbrs[rows] = np.nonzero(keep)[1].reshape(rows.size, k)
+        dist[rows] = np.take_along_axis(sub, nbrs[rows], axis=1)
+    order = np.lexsort((nbrs, dist), axis=1)
+    nbrs = np.take_along_axis(nbrs, order, axis=1)
+    return nbrs.reshape(-1), np.repeat(np.arange(n), k)
+
+
+def _neighbor_groups(neighbors, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, m x c neighbor array) for each neighbor count c.
+
+    An n x k array is a single group; a ragged list is grouped by length.
+    """
+    if isinstance(neighbors, np.ndarray) and neighbors.ndim == 2:
+        lengths = np.full(n, neighbors.shape[1])
+        flat = neighbors.reshape(-1)
+    else:
+        lengths = np.array([len(nb) for nb in neighbors], dtype=np.intp)
+        flat = np.concatenate(neighbors).astype(np.intp)
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        raise ValueError(f"surface_features: node {empty[0]} has no neighbors")
+    starts = np.cumsum(lengths) - lengths
+    groups = []
+    for c in np.unique(lengths):
+        nodes = np.flatnonzero(lengths == c)
+        groups.append((nodes, flat[starts[nodes, None] + np.arange(c)]))
+    return groups
 
 
 def surface_features(
     X: np.ndarray,
-    neighbor_lists: list[np.ndarray],
+    neighbor_lists: np.ndarray | list[np.ndarray],
     lambdas: tuple[float, ...] = SURFACE_LAMBDAS,
 ) -> np.ndarray:
     """Per-node surface scores in [0, 1], one column per length scale.
@@ -82,24 +136,24 @@ def surface_features(
     -d^2/lambda; the score is the norm of that average divided by the
     weighted average of the offset norms. Interior nodes see offsets that
     cancel (score near 0); surface nodes see one-sided offsets (near 1).
+    ``neighbor_lists`` is an n x k neighbor array or one index list per node.
     """
     n = X.shape[1]
+    lam = np.asarray(lambdas, dtype=np.float64)[:, None, None]
     out = np.zeros((n, len(lambdas)))
-    for i in range(n):
-        nbrs = np.asarray(neighbor_lists[i], dtype=np.intp)
-        if nbrs.size == 0:
-            raise ValueError(f"surface_features: node {i} has no neighbors")
-        offsets = X[:, i][:, None] - X[:, nbrs]
-        d2 = np.sum(offsets * offsets, axis=0)
+    for nodes, nbrs in _neighbor_groups(neighbor_lists, n):
+        offsets = X[:, nodes, None] - X[:, nbrs]                   # 3 x m x c
+        d2 = np.sum(offsets * offsets, axis=0)                     # m x c
         norms = np.sqrt(d2)
-        for col, lam in enumerate(lambdas):
-            logits = -d2 / lam
-            logits -= logits.max()
-            w = np.exp(logits)
-            w /= w.sum()
-            numer = np.linalg.norm(offsets @ w)
-            denom = np.dot(w, norms)
-            out[i, col] = numer / denom if denom > 0 else 0.0
+        logits = -d2 / lam                                         # L x m x c
+        logits -= logits.max(axis=2, keepdims=True)
+        w = np.exp(logits)
+        w /= w.sum(axis=2, keepdims=True)
+        mean = np.einsum("amc,lmc->lam", offsets, w)               # L x 3 x m
+        numer = np.sqrt(np.sum(mean * mean, axis=1))               # L x m
+        denom = np.sum(w * norms, axis=2)
+        score = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
+        out[nodes] = score.T
     return out
 
 
@@ -140,16 +194,15 @@ def build_graph(rs: ResidueSet, k: int = DEFAULT_K) -> ProteinGraph:
         log.info("build_graph: lowering k from %d to %d for %d residues", k, k_eff, n)
     X = rs.ca
     src, dst = knn_edges(X, k_eff)
+    neighbors = src.reshape(n, k_eff)
     frames = local_frames(rs)
     feats = _edge_feature_block(X, frames, src, dst)
-    neighbor_lists = [src[dst == i] for i in range(n)]
-    rho = surface_features(X, neighbor_lists)
+    rho = surface_features(X, neighbors)
     return ProteinGraph(
         X=X.copy(),
         types=rs.types.copy(),
         rho=rho,
-        src=src,
-        dst=dst,
+        neighbors=neighbors,
         edge_feats=feats,
         residues=rs,
         k=k_eff,

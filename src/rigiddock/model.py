@@ -139,24 +139,23 @@ class DockingModel:
 
     def _intra_messages(self, prefix: str, Z: ad.Tensor, H: ad.Tensor, g: ProteinGraph):
         """Mean-aggregated edge messages and the gated coordinate increment."""
-        n = g.n_nodes
-        Hs = ad.take_columns(H, g.src)
-        Hd = ad.take_columns(H, g.dst)
-        Zs = ad.take_columns(Z, g.src)
-        Zd = ad.take_columns(Z, g.dst)
+        n, src, dst = g.n_nodes, g.src, g.dst
+        Hs = ad.take_columns(H, src)
+        Hd = ad.take_columns(H, dst)
+        Zs = ad.take_columns(Z, src)
+        Zd = ad.take_columns(Z, dst)
         diff = ad.sub(Zd, Zs)
         sqd = ad.reduce_sum(ad.mul(diff, diff), axis=0, keepdims=True)
         radial = ad.exp(ad.scale(sqd, -1.0 / self.config.sigma_msg))
         m_edge = self._mlp(prefix + "phi_e",
                            ad.concat([Hd, Hs, radial, ad.constant(g.edge_feats)], axis=0))
-        inv_deg = ad.constant(
-            1.0 / np.maximum(np.bincount(g.dst, minlength=n), 1)[None, :]
-        )
-        m_node = ad.mul(ad.segment_sum_columns(m_edge, g.dst, n), inv_deg)
+        # every node has exactly k in-edges
+        inv_deg = 1.0 / g.k
+        m_node = ad.scale(ad.segment_sum_columns(m_edge, dst, n), inv_deg)
         gate = self._mlp(prefix + "phi_x", m_edge)
-        shift = ad.segment_sum_columns(ad.mul(diff, gate), g.dst, n)
+        shift = ad.segment_sum_columns(ad.mul(diff, gate), dst, n)
         if self.config.mean_coord_update:
-            shift = ad.mul(shift, inv_deg)
+            shift = ad.scale(shift, inv_deg)
         return m_node, shift
 
     def _cross_values(self, prefix: str, H_other: ad.Tensor, Z_other: ad.Tensor) -> ad.Tensor:

@@ -10,6 +10,7 @@ the first occurrence wins for duplicated atoms (altloc conformers).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,24 +67,6 @@ class ResidueSet:
             skipped=self.skipped,
         )
 
-    def with_ca(self, ca: np.ndarray) -> "ResidueSet":
-        """Same residues with replaced CA coordinates (N/C moved by per-residue offset)."""
-        ca = np.asarray(ca, dtype=np.float64)
-        if ca.shape != self.ca.shape:
-            raise ValueError(f"with_ca: shape {ca.shape}, expected {self.ca.shape}")
-        shift = ca - self.ca
-        return ResidueSet(
-            ca=ca,
-            n_atom=self.n_atom + shift,
-            c_atom=self.c_atom + shift,
-            types=self.types.copy(),
-            names=list(self.names),
-            chains=list(self.chains),
-            seq_ids=list(self.seq_ids),
-            icodes=list(self.icodes),
-            skipped=self.skipped,
-        )
-
 
 @dataclass
 class _ResidueAtoms:
@@ -97,9 +80,12 @@ class _ResidueAtoms:
 def _parse_coord(line: str, lo: int, hi: int, lineno: int) -> float:
     text = line[lo:hi].strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise PdbParseError(f"line {lineno}: malformed coordinate field {text!r}") from None
+    if not math.isfinite(value):
+        raise PdbParseError(f"line {lineno}: non-finite coordinate {text!r}")
+    return value
 
 
 def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:

@@ -298,6 +298,55 @@ class TestExitCodes:
                      "--receptor", str(receptor_pdb), "--model", str(bad)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("change", [
+        {"dropout": 0.1},   # unknown key
+        {"layers": 0},      # rejected by ModelConfig validation
+        {"eta": 2.0},
+    ])
+    def test_checkpoint_config_rejected(self, workdir, ligand_pdb, receptor_pdb, change, capsys):
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
+        path = workdir / "bad-config.npz"
+        save_named_tensors(str(path), model.state_arrays(),
+                           extra={"config": {**model.config.to_dict(), **change}})
+        code = main(["dock", "--ligand", str(ligand_pdb),
+                     "--receptor", str(receptor_pdb), "--model", str(path)])
+        assert code == EXIT_PARSE
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["rename", "reshape"])
+    def test_checkpoint_tensors_do_not_fit_config(self, workdir, ligand_pdb, receptor_pdb,
+                                                  tamper, capsys):
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
+        arrays = model.state_arrays()
+        if tamper == "rename":
+            arrays["renamed"] = arrays.pop("embed.table")
+        else:
+            arrays["embed.table"] = arrays["embed.table"][:, :-1]
+        path = workdir / f"tampered-{tamper}.npz"
+        save_named_tensors(str(path), arrays, extra={"config": model.config.to_dict()})
+        code = main(["dock", "--ligand", str(ligand_pdb),
+                     "--receptor", str(receptor_pdb), "--model", str(path)])
+        assert code == EXIT_PARSE
+        assert "embed.table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["features", "dock"])
+    def test_non_finite_coordinates(self, workdir, ligand_pdb, receptor_pdb, model_path,
+                                    command, capsys):
+        lines = ligand_pdb.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line[12:16].strip() == "CA")
+        lines[row] = lines[row][:30] + "     nan" + lines[row][38:]
+        bad = workdir / "nan.pdb"
+        bad.write_text("".join(lines))
+        out = workdir / "nan-features.json"
+        if command == "features":
+            argv = ["features", "--input", str(bad), "--out", str(out)]
+        else:
+            argv = ["dock", "--ligand", str(bad), "--receptor", str(receptor_pdb),
+                    "--model", str(model_path)]
+        assert main(argv) == EXIT_PARSE
+        assert f"line {row + 1}: non-finite coordinate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_train_config(self, workdir, dataset):
         cfg = workdir / "mangled.json"
         cfg.write_text("{not json")

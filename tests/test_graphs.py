@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rigiddock import graphs, pdbio
 from conftest import random_residue_set, random_rotation
@@ -190,3 +193,82 @@ def test_surface_score_tracks_boundary_distance_on_disk():
     boundary_dist = 1.0 - r
     corr = scipy.stats.spearmanr(rho[:, 0], boundary_dist).statistic
     assert corr < 0 and abs(corr) >= 0.5
+
+
+# Integer-lattice clouds: many exact distance ties, and coincident points.
+LATTICE = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def lattice_knn_cases(draw):
+    n = draw(st.integers(2, 24))
+    X = draw(arrays(np.float64, (3, n), elements=LATTICE))
+    return X, draw(st.integers(1, n - 1))
+
+
+def reference_knn(X, k):
+    """Per-node full sort by (distance, index): the tie rule spelled out."""
+    n = X.shape[1]
+    diff = X[:, :, None] - X[:, None, :]
+    d2 = np.sum(diff * diff, axis=0)
+    np.fill_diagonal(d2, np.inf)
+    idx = np.arange(n)
+    src = np.concatenate([np.lexsort((idx, d2[i]))[:k] for i in range(n)])
+    return src, np.repeat(idx, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lattice_knn_cases())
+def test_property_knn_matches_lexsort_reference(case):
+    X, k = case
+    src, dst = graphs.knn_edges(X, k)
+    ref_src, ref_dst = reference_knn(X, k)
+    np.testing.assert_array_equal(src, ref_src)
+    np.testing.assert_array_equal(dst, ref_dst)
+
+
+@st.composite
+def ragged_neighbor_cases(draw):
+    n = draw(st.integers(2, 16))
+    X = 3.8 * draw(arrays(np.float64, (3, n), elements=LATTICE))
+    # node i's neighbors are i + shift (mod n), shift in 1..n-1: never i itself
+    shifts = st.lists(st.integers(1, n - 1), min_size=1, max_size=n - 1)
+    lists = [(i + np.array(draw(shifts), dtype=np.intp)) % n for i in range(n)]
+    return X, lists
+
+
+def reference_surface(X, neighbor_lists, lambdas=graphs.SURFACE_LAMBDAS):
+    """One node and one length scale at a time."""
+    n = X.shape[1]
+    out = np.zeros((n, len(lambdas)))
+    for i in range(n):
+        nbrs = neighbor_lists[i]
+        offsets = X[:, i][:, None] - X[:, nbrs]
+        d2 = np.sum(offsets * offsets, axis=0)
+        norms = np.sqrt(d2)
+        for col, lam in enumerate(lambdas):
+            logits = -d2 / lam
+            logits -= logits.max()
+            w = np.exp(logits)
+            w /= w.sum()
+            numer = np.linalg.norm(offsets @ w)
+            denom = np.dot(w, norms)
+            out[i, col] = numer / denom if denom > 0 else 0.0
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ragged_neighbor_cases())
+def test_property_grouped_surface_matches_per_node_loop(case):
+    X, lists = case
+    rho = graphs.surface_features(X, lists)
+    assert np.max(np.abs(rho - reference_surface(X, lists))) <= 1e-12
+
+
+def test_surface_features_accepts_neighbor_array():
+    rng = np.random.default_rng(7)
+    g = graphs.build_graph(random_residue_set(rng, 20), k=6)
+    assert g.neighbors.shape == (20, 6)
+    lists = [g.neighbors[i] for i in range(20)]
+    np.testing.assert_array_equal(graphs.surface_features(g.X, g.neighbors), g.rho)
+    assert np.max(np.abs(g.rho - reference_surface(g.X, lists))) <= 1e-12

@@ -159,6 +159,28 @@ def test_shared_layers_reuse_parameters():
     assert check_pairwise_equivariance(model, g1, g2, trials=2) <= 1e-6
 
 
+@pytest.mark.parametrize("option, output", [
+    ({"mean_coord_update": True}, 0),   # changes coordinates Z1
+    ({"normalize_h": False}, 1),        # changes features H1
+])
+def test_config_branches_stay_equivariant(option, output):
+    base = ModelConfig(hidden_dim=12, layers=3, heads=4)
+    cfg = ModelConfig(**{**base.to_dict(), **option})
+    rng = np.random.default_rng(14)
+    g1 = build_graph(random_residue_set(rng, 12), 8)
+    g2 = build_graph(random_residue_set(rng, 10), 8)
+    models = [DockingModel(c, seed=3) for c in (base, cfg)]
+    gates = rng.uniform(-0.2, 0.2, size=(1, 12))  # the init zeroes them
+    for model in models:
+        for l in range(3):
+            model.params[f"iegmn.layer{l}.phi_x.lin1.W"].data = gates.copy()
+    # the option takes effect on these weights ...
+    outputs = [model.forward(g1, g2)[output].data for model in models]
+    assert np.max(np.abs(outputs[0] - outputs[1])) > 1e-3
+    # ... and keeps the criterion-1 bound
+    assert check_pairwise_equivariance(models[1], g1, g2, seed=4, trials=3) <= 1e-6
+
+
 def test_state_round_trip_and_mismatch(small_model):
     arrays = small_model.state_arrays()
     clone = DockingModel(small_model.config, seed=99)

@@ -102,6 +102,13 @@ def test_malformed_coordinate_reports_line_number():
         pdbio.parse_pdb(bad)
 
 
+@pytest.mark.parametrize("field", ["     nan", "     inf", "    -inf", "     NaN"])
+def test_non_finite_coordinate_reports_line_number(field):
+    bad = ALA_LINES.replace("   0.000   0.000   0.000", f"   0.000{field}   0.000")
+    with pytest.raises(pdbio.PdbParseError, match="line 2: non-finite coordinate"):
+        pdbio.parse_pdb(bad)
+
+
 def test_nonstandard_residue_maps_to_unk():
     text = ALA_LINES.replace("ALA", "MSE")
     rs = pdbio.parse_pdb(text)

@@ -1,5 +1,6 @@
 """Exactness and feasibility of the uniform-marginal transport solver."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -13,12 +14,14 @@ from rigiddock import transport
 from rigiddock.transport import solve_uniform_transport
 
 
+@functools.cache
 def enumerate_tables(s, k):
     """All integer matrices with every row summing to k and column to s.
 
     These are exactly the scaled feasible points of the uniform transport
     polytope with entries on the 1/(s*k) grid, which contains every vertex,
-    so minimizing over them is a true brute-force oracle.
+    so minimizing over them is a true brute-force oracle. Cached per shape
+    (read-only): the oracle tests draw the same few shapes many times.
     """
     rows = [r for r in itertools.product(range(k + 1), repeat=k) if sum(r) == k]
     tables = []
@@ -36,7 +39,9 @@ def enumerate_tables(s, k):
                     extend(partial + [row], new_sums)
 
     extend([], (0,) * k)
-    return np.stack(tables)
+    tables = np.stack(tables)
+    tables.flags.writeable = False
+    return tables
 
 
 def brute_force_objective(cost):
@@ -90,14 +95,11 @@ def test_two_by_two_prefers_zero_diagonal():
 
 def test_matches_brute_force_small_shapes():
     rng = np.random.default_rng(42)
-    cache = {}
     for trial in range(200):
         s = int(rng.integers(1, 5))
         k = int(rng.integers(1, 5))
         cost = rng.uniform(0.0, 10.0, size=(s, k))
-        if (s, k) not in cache:
-            cache[(s, k)] = enumerate_tables(s, k)
-        tables = cache[(s, k)]
+        tables = enumerate_tables(s, k)
         oracle = (tables.reshape(len(tables), -1) @ cost.ravel()).min() / (s * k)
         _, objective = solve_uniform_transport(cost)
         assert objective == pytest.approx(oracle, abs=1e-9), f"trial {trial} shape {(s, k)}"
