@@ -1,9 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps a C-contiguous float64 ndarray. Operations execute eagerly;
-when a Tape is active in the current thread and an input requires gradients,
-the operation also records a backward closure. ``Tape.backward`` replays the
-closures in exact reverse order and frees the recording.
+A Tensor wraps a float64 ndarray. Operations execute eagerly; when a Tape is
+active in the current thread and an input requires gradients, the operation
+also records a backward closure. ``Tape.backward`` replays the closures in
+exact reverse order and frees the recording.
+
+``transpose`` and ``reshape`` return views of their input's data where numpy
+can (a transposed operand goes to BLAS as is, without a copy), so a Tensor's
+data need not be C-contiguous. Parameters are the exception: ``parameter``
+stores C-contiguous data, because ``grad_check`` and the optimizer write
+into it in place through flat views. Nothing writes into the data of any
+other tensor.
+
+``linear``, ``mlp`` and ``edge_mlp`` are fused layers: each records one tape
+node with a hand-written backward instead of one node per primitive.
 
 Tensors that never touch a tape are plain immutable value holders and can be
 shared freely across threads. A Tape itself is single-threaded; concurrent
@@ -22,6 +32,10 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with the requested operation."""
 
 
+class NonFiniteError(ValueError):
+    """An operation that needs finite input received NaN or Inf."""
+
+
 _ACTIVE = threading.local()
 
 
@@ -35,7 +49,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
@@ -93,8 +107,12 @@ def constant(data) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Leaf tensor that accumulates gradients during backward."""
-    return Tensor(data, requires_grad=True)
+    """Leaf tensor that accumulates gradients during backward.
+
+    Its data is C-contiguous, so in-place writes through ``data.reshape(-1)``
+    reach it.
+    """
+    return Tensor(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
 
 
 class Tape:
@@ -417,6 +435,131 @@ def pairwise_sqdist(x: Tensor, y: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Fused layers: one tape node each, with a hand-written backward
+# ---------------------------------------------------------------------------
+
+
+def _check_layer(op: str, W: Tensor, b: Tensor, rows_in: int) -> None:
+    """W is (out, rows_in) and b is the (out, 1) bias column."""
+    if W.data.ndim != 2 or W.data.shape[1] != rows_in or b.data.shape != (W.data.shape[0], 1):
+        raise ShapeError(f"{op}: weight {W.data.shape} and bias {b.data.shape} "
+                         f"for {rows_in} input rows")
+
+
+def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = W @ x
+    out += b
+    return out
+
+
+def linear(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """W @ x + b for a column bias b."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"linear: input shape {x.data.shape}, expected 2-D")
+    _check_layer("linear", W, b, x.data.shape[0])
+    Wd, xd = W.data, x.data
+
+    def backward(g):
+        _accumulate(W, g @ xd.T)
+        if x.requires_grad:
+            _accumulate(x, Wd.T @ g)
+        _accumulate(b, g.sum(axis=1, keepdims=True))
+
+    return _emit(_affine(Wd, xd, b.data), (W, x, b), backward)
+
+
+def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
+    """W1 @ leaky_relu(pre, slope) + b1, plus its backward.
+
+    The backward accumulates into W1 and b1 and returns the gradient with
+    respect to ``pre``.
+    """
+    factor = np.where(pre >= 0.0, 1.0, slope)
+    hidden = pre * factor
+    W1d = W1.data
+
+    def backward(g):
+        _accumulate(W1, g @ hidden.T)
+        _accumulate(b1, g.sum(axis=1, keepdims=True))
+        g_pre = W1d.T @ g
+        g_pre *= factor
+        return g_pre
+
+    return _affine(W1d, hidden, b1.data), backward
+
+
+def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
+        slope: float = 0.01) -> Tensor:
+    """W1 @ leaky_relu(W0 @ x + b0, slope) + b1."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"mlp: input shape {x.data.shape}, expected 2-D")
+    _check_layer("mlp", W0, b0, x.data.shape[0])
+    _check_layer("mlp", W1, b1, W0.data.shape[0])
+    W0d, xd = W0.data, x.data
+    out_data, head_backward = _mlp_head(_affine(W0d, xd, b0.data), W1, b1, slope)
+
+    def backward(g):
+        g_pre = head_backward(g)
+        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
+        _accumulate(W0, g_pre @ xd.T)
+        if x.requires_grad:
+            _accumulate(x, W0d.T @ g_pre)
+
+    return _emit(out_data, (W0, b0, W1, b1, x), backward)
+
+
+def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
+             edge_in: Tensor, neighbors: np.ndarray, slope: float = 0.01) -> Tensor:
+    """``mlp`` over the edges of a fixed-degree graph, without gathering H to edges.
+
+    Node i has the k in-edges ``neighbors[i, j] -> i``, stored as column
+    ``i * k + j``. The per-edge input is ``concat([H[:, dst], H[:, src],
+    edge_in])``; W0 is read as the column blocks ``[W_dst | W_src | W_edge]``
+    and ``W_dst @ H``, ``W_src @ H`` are formed on the n nodes before the
+    gather. Backward reduces the edge gradient to nodes before the node-side
+    matmuls.
+    """
+    neighbors = np.asarray(neighbors, dtype=np.intp)
+    if H.data.ndim != 2 or edge_in.data.ndim != 2 or neighbors.ndim != 2:
+        raise ShapeError(f"edge_mlp: H {H.data.shape}, edge input {edge_in.data.shape}, "
+                         f"neighbors {neighbors.shape}")
+    d, n = H.data.shape
+    k = neighbors.shape[1]
+    if neighbors.shape[0] != n or edge_in.data.shape[1] != n * k:
+        raise ShapeError(f"edge_mlp: {neighbors.shape} neighbors and {edge_in.data.shape[1]} "
+                         f"edge columns for {n} nodes")
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= n):
+        raise ShapeError(f"edge_mlp: neighbor ids outside [0, {n})")
+    _check_layer("edge_mlp", W0, b0, 2 * d + edge_in.data.shape[0])
+    _check_layer("edge_mlp", W1, b1, W0.data.shape[0])
+    W0d, Hd, ed = W0.data, H.data, edge_in.data
+    W_dst, W_src, W_edge = W0d[:, :d], W0d[:, d:2 * d], W0d[:, 2 * d:]
+    src = neighbors.reshape(-1)
+    hid = W0d.shape[0]
+
+    pre = _affine(W_edge, ed, b0.data)
+    per_node = pre.reshape(hid, n, k)  # a view: edge i * k + j is [:, i, j]
+    per_node += (W_dst @ Hd)[:, :, None]
+    pre += (W_src @ Hd)[:, src]
+    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
+
+    def backward(g):
+        g_pre = head_backward(g)
+        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
+        g_dst = g_pre.reshape(hid, n, k).sum(axis=2)
+        g_src = _sum_into_columns(g_pre, src, n)
+        _accumulate(W0, np.concatenate([g_dst @ Hd.T, g_src @ Hd.T, g_pre @ ed.T], axis=1))
+        if H.requires_grad:
+            g_H = W_dst.T @ g_dst
+            g_H += W_src.T @ g_src
+            _accumulate(H, g_H)
+        if edge_in.requires_grad:
+            _accumulate(edge_in, W_edge.T @ g_pre)
+
+    return _emit(out_data, (W0, b0, W1, b1, H, edge_in), backward)
+
+
+# ---------------------------------------------------------------------------
 # 3x3 singular value decomposition
 # ---------------------------------------------------------------------------
 
@@ -534,7 +677,7 @@ def svd3(a: Tensor) -> Svd3:
     if a.data.shape != (3, 3):
         raise ShapeError(f"svd3: shape {a.data.shape}, expected (3, 3)")
     if not np.all(np.isfinite(a.data)):
-        raise ValueError("svd3: input has non-finite entries")
+        raise NonFiniteError("svd3: input has non-finite entries")
     ud, sd, vd = _svd3_forward(a.data)
 
     u_t = Tensor(ud, requires_grad=a.requires_grad)

@@ -62,7 +62,10 @@ def save_named_tensors(path: str, tensors: dict[str, np.ndarray], extra: dict | 
 
 
 def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (tensors, extra)."""
+    """Read a checkpoint; returns (tensors, extra).
+
+    Raises CheckpointError for a malformed file or a tensor holding NaN/Inf.
+    """
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
@@ -92,6 +95,8 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if off + nbytes > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} extends past payload end")
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
+        if not np.all(np.isfinite(flat)):
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite entries")
         tensors[name] = flat.reshape(shape).astype(np.float64)
     return tensors, header.get("extra", {})
 

@@ -19,6 +19,7 @@ import tempfile
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_named_tensors
 from .docking import (DegenerateKeypointsError, check_complex_invariance,
                       check_role_swap, check_transform_covariance, predict_dock)
@@ -317,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateKeypointsError, GenerationError) as exc:
+    except (DegenerateKeypointsError, GenerationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -62,13 +62,17 @@ class ProteinGraph:
         return np.repeat(np.arange(self.n_nodes), self.k)
 
 
-def _squared_distances(X: np.ndarray) -> np.ndarray:
-    """n x n squared CA distances, accumulated one axis at a time."""
-    d2 = np.subtract.outer(X[0], X[0])
+def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """n x m squared distances between the columns of 3 x n X and 3 x m Y.
+
+    Accumulated one axis at a time into the output, so no 3 x n x m array
+    is built; the sums are those of ``np.sum(diff * diff, axis=0)``.
+    """
+    d2 = np.subtract.outer(X[0], Y[0])
     np.multiply(d2, d2, out=d2)
     d = np.empty_like(d2)
     for axis in (1, 2):
-        np.subtract.outer(X[axis], X[axis], out=d)
+        np.subtract.outer(X[axis], Y[axis], out=d)
         np.multiply(d, d, out=d)
         d2 += d
     return d2
@@ -82,7 +86,7 @@ def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     O(n^2) distances; ties resolved toward lower node index.
     """
     n = X.shape[1]
-    d2 = _squared_distances(X)
+    d2 = squared_distances(X, X)
     np.fill_diagonal(d2, np.inf)
     nbrs = np.argpartition(d2, k - 1, axis=1)[:, :k]
     dist = np.take_along_axis(d2, nbrs, axis=1)

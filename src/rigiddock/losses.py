@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .graphs import squared_distances
 from .transport import solve_uniform_transport
 
 POCKET_TAU = 8.0
@@ -29,8 +30,7 @@ def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np
     """
     X1 = np.asarray(X1, dtype=np.float64)
     X2 = np.asarray(X2, dtype=np.float64)
-    diff = X1[:, :, None] - X2[:, None, :]
-    d2 = np.sum(diff * diff, axis=0)
+    d2 = squared_distances(X1, X2)
     ii, jj = np.nonzero(d2 < tau * tau)
     if ii.size == 0:
         raise NoContactError(f"no residue pairs within {tau} A")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import squared_distances
+
 INTERFACE_CUTOFF = 8.0
 
 
@@ -65,10 +67,10 @@ def interface_indices(true_ligand: np.ndarray, receptor: np.ndarray,
 
     Distances are measured on the bound (true) complex.
     """
-    diff = true_ligand[:, :, None] - receptor[:, None, :]
-    d = np.sqrt(np.sum(diff * diff, axis=0))
-    lig_idx = np.nonzero((d < cutoff).any(axis=1))[0]
-    rec_idx = np.nonzero((d < cutoff).any(axis=0))[0]
+    d = squared_distances(true_ligand, receptor)
+    close = np.sqrt(d, out=d) < cutoff
+    lig_idx = np.nonzero(close.any(axis=1))[0]
+    rec_idx = np.nonzero(close.any(axis=0))[0]
     return lig_idx, rec_idx
 
 

@@ -119,11 +119,15 @@ class DockingModel:
     # -- building blocks ---------------------------------------------------
 
     def _linear(self, prefix: str, x: ad.Tensor) -> ad.Tensor:
-        return ad.add(ad.matmul(self.params[prefix + ".W"], x), self.params[prefix + ".b"])
+        return ad.linear(self.params[prefix + ".W"], x, self.params[prefix + ".b"])
+
+    def _mlp_params(self, prefix: str) -> tuple[ad.Tensor, ...]:
+        p = self.params
+        return (p[prefix + ".lin0.W"], p[prefix + ".lin0.b"],
+                p[prefix + ".lin1.W"], p[prefix + ".lin1.b"])
 
     def _mlp(self, prefix: str, x: ad.Tensor) -> ad.Tensor:
-        hidden = ad.leaky_relu(self._linear(prefix + ".lin0", x), self.config.leaky_slope)
-        return self._linear(prefix + ".lin1", hidden)
+        return ad.mlp(*self._mlp_params(prefix), x, self.config.leaky_slope)
 
     def _node_features(self, g: ProteinGraph) -> ad.Tensor:
         emb = ad.take_columns(self.params["embed.table"], g.types)
@@ -140,15 +144,15 @@ class DockingModel:
     def _intra_messages(self, prefix: str, Z: ad.Tensor, H: ad.Tensor, g: ProteinGraph):
         """Mean-aggregated edge messages and the gated coordinate increment."""
         n, src, dst = g.n_nodes, g.src, g.dst
-        Hs = ad.take_columns(H, src)
-        Hd = ad.take_columns(H, dst)
         Zs = ad.take_columns(Z, src)
         Zd = ad.take_columns(Z, dst)
         diff = ad.sub(Zd, Zs)
         sqd = ad.reduce_sum(ad.mul(diff, diff), axis=0, keepdims=True)
         radial = ad.exp(ad.scale(sqd, -1.0 / self.config.sigma_msg))
-        m_edge = self._mlp(prefix + "phi_e",
-                           ad.concat([Hd, Hs, radial, ad.constant(g.edge_feats)], axis=0))
+        # phi_e on concat([H[:, dst], H[:, src], radial, edge_feats]) per edge
+        m_edge = ad.edge_mlp(*self._mlp_params(prefix + "phi_e"), H,
+                             ad.concat([radial, ad.constant(g.edge_feats)], axis=0),
+                             g.neighbors, self.config.leaky_slope)
         # every node has exactly k in-edges
         inv_deg = 1.0 / g.k
         m_node = ad.scale(ad.segment_sum_columns(m_edge, dst, n), inv_deg)

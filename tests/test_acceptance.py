@@ -168,6 +168,13 @@ def _primitive_op_cases(rng):
     p44 = ad.constant(rng.normal(size=(4, 4)))
     p33 = ad.constant(rng.normal(size=(3, 3)))
     p46b = ad.constant(rng.normal(size=(4, 6)))
+    # the fused layers draw from their own stream, leaving the draws above
+    # and those of the later checks unchanged
+    frng = np.random.default_rng(505)
+    nbrs = np.array([[1, 2], [0, 2], [3, 0], [2, 1]])  # 4 nodes, k = 2
+    layer = [frng.normal(size=s) for s in ((3, 2), (3, 1), (2, 3), (2, 1))]
+    p26b = ad.constant(frng.normal(size=(2, 6)))
+    p28 = ad.constant(frng.normal(size=(2, 8)))
     return [
         ("add", [A, B], lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b)))),
         ("add broadcast", [A, col], lambda a, c: ad.reduce_sum(ad.mul(ad.add(a, c), ad.add(a, c)))),
@@ -192,6 +199,14 @@ def _primitive_op_cases(rng):
          lambda a: ad.reduce_sum(ad.mul(ad.segment_sum_columns(a, segs, 3), p33))),
         ("pairwise_sqdist", [rng.normal(size=(3, 4)), rng.normal(size=(3, 6))],
          lambda x, y: ad.reduce_sum(ad.mul(ad.pairwise_sqdist(x, y), p46b))),
+        ("linear", [layer[2], frng.normal(size=(3, 6)), layer[3]],
+         lambda W, x, b: ad.reduce_sum(ad.mul(ad.linear(W, x, b), p26b))),
+        ("mlp", layer + [frng.normal(size=(2, 6))],
+         lambda W0, b0, W1, b1, x: ad.reduce_sum(ad.mul(ad.mlp(W0, b0, W1, b1, x, 0.1), p26b))),
+        ("edge_mlp", [frng.normal(size=(3, 5)), layer[1], layer[2], layer[3],
+                      frng.normal(size=(2, 4)), frng.normal(size=(1, 8))],
+         lambda W0, b0, W1, b1, H, e: ad.reduce_sum(
+             ad.mul(ad.edge_mlp(W0, b0, W1, b1, H, e, nbrs, 0.1), p28))),
     ]
 
 

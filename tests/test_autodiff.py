@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiddock import autodiff as ad
 
@@ -206,3 +208,95 @@ def test_no_tape_means_no_recording():
     y = ad.dot(x, x)
     assert y.grad is None
     np.testing.assert_allclose(y.data, 5.0)
+
+
+# --- fused layers ------------------------------------------------------------
+
+
+def _grads(params, build):
+    """Output data and every parameter's gradient of sum(build() * probe)."""
+    for p in params:
+        p.zero_grad()
+    with ad.Tape() as tape:
+        out = build()
+        probe = ad.constant(np.cos(np.arange(out.data.size)).reshape(out.data.shape))
+        tape.backward(ad.reduce_sum(ad.mul(out, probe)))
+    return out.data, [p.grad for p in params]
+
+
+def test_fused_linear_and_mlp_equal_their_primitives_exactly():
+    rng = np.random.default_rng(20)
+    W0, b0, W1, b1, x = (ad.parameter(rng.standard_normal(s))
+                         for s in ((4, 3), (4, 1), (2, 4), (2, 1), (3, 7)))
+    params = [W0, b0, W1, b1, x]
+
+    def unfused():
+        hidden = ad.leaky_relu(ad.add(ad.matmul(W0, x), b0), 0.2)
+        return ad.add(ad.matmul(W1, hidden), b1)
+
+    for fused, reference in (
+        (lambda: ad.linear(W0, x, b0), lambda: ad.add(ad.matmul(W0, x), b0)),
+        (lambda: ad.mlp(W0, b0, W1, b1, x, 0.2), unfused),
+    ):
+        out, grads = _grads(params, fused)
+        ref_out, ref_grads = _grads(params, reference)
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert (g is None and ref is None) or np.array_equal(g, ref)
+
+
+@st.composite
+def edge_mlp_cases(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    d, c, hid, out = (draw(st.integers(1, 4)) for _ in range(4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    neighbors = rng.integers(0, n, size=(n, k))
+    shapes = ((hid, 2 * d + c), (hid, 1), (out, hid), (out, 1), (d, n), (c, n * k))
+    return neighbors, [rng.standard_normal(s) for s in shapes]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edge_mlp_cases())
+def test_property_edge_mlp_matches_mlp_on_gathered_edges(case):
+    neighbors, arrays = case
+    params = [ad.parameter(a) for a in arrays]
+    W0, b0, W1, b1, H, E = params
+    src = neighbors.reshape(-1)
+    dst = np.repeat(np.arange(neighbors.shape[0]), neighbors.shape[1])
+    out, grads = _grads(params, lambda: ad.edge_mlp(W0, b0, W1, b1, H, E, neighbors, 0.1))
+    gathered = lambda: ad.concat([ad.take_columns(H, dst), ad.take_columns(H, src), E], axis=0)
+    ref_out, ref_grads = _grads(params, lambda: ad.mlp(W0, b0, W1, b1, gathered(), 0.1))
+    assert np.max(np.abs(out - ref_out)) <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert np.max(np.abs(g - ref)) <= 1e-12
+
+
+def test_edge_mlp_rejects_bad_neighbors():
+    W0, b0, W1, b1 = (ad.constant(np.zeros(s)) for s in ((2, 5), (2, 1), (1, 2), (1, 1)))
+    H, E = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((1, 6)))
+    with pytest.raises(ad.ShapeError, match="outside"):
+        ad.edge_mlp(W0, b0, W1, b1, H, E, np.array([[1, 2], [0, 3], [0, 1]]))
+    with pytest.raises(ad.ShapeError, match="edge columns"):
+        ad.edge_mlp(W0, b0, W1, b1, H, E, np.array([[1], [0], [0]]))
+
+
+def test_transpose_is_a_view_and_parameters_stay_contiguous():
+    a = ad.constant(np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(ad.transpose(a).data, a.data)
+    p = ad.parameter(np.arange(6.0).reshape(2, 3).T)
+    assert p.data.flags.c_contiguous
+
+
+def test_grad_check_through_transposed_view():
+    """The cross-attention pattern: softmax(q.T @ k) and values @ att.T on views."""
+    rng = np.random.default_rng(21)
+    a = ad.parameter(rng.standard_normal((3, 5)))
+    q = ad.constant(rng.standard_normal((3, 4)))
+    probe = ad.constant(rng.standard_normal((3, 4)))
+
+    def f():
+        att = ad.softmax(ad.matmul(ad.transpose(q), a), axis=1)  # 4 x 5
+        return ad.reduce_sum(ad.mul(ad.matmul(a, ad.transpose(att)), probe))
+
+    _checked(f, a)

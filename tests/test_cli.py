@@ -329,6 +329,25 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "embed.table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value, code, message", [
+        ("keypoints.w_prime", np.nan, EXIT_PARSE, "'keypoints.w_prime' has non-finite entries"),
+        # finite weights whose forward pass overflows reach svd3 as NaN/Inf
+        ("embed.project.W", 1e200, EXIT_NUMERICAL, "numerical failure: svd3"),
+    ])
+    def test_non_finite_weights(self, workdir, ligand_pdb, receptor_pdb, name, value,
+                                code, message, capsys):
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
+        arrays = model.state_arrays()
+        if np.isnan(value):
+            arrays[name].flat[0] = value
+        else:
+            arrays[name][:] = value
+        path = workdir / "non-finite.npz"
+        save_named_tensors(str(path), arrays, extra={"config": model.config.to_dict()})
+        assert main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(path)]) == code
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["features", "dock"])
     def test_non_finite_coordinates(self, workdir, ligand_pdb, receptor_pdb, model_path,
                                     command, capsys):

@@ -272,3 +272,14 @@ def test_surface_features_accepts_neighbor_array():
     lists = [g.neighbors[i] for i in range(20)]
     np.testing.assert_array_equal(graphs.surface_features(g.X, g.neighbors), g.rho)
     assert np.max(np.abs(g.rho - reference_surface(g.X, lists))) <= 1e-12
+
+
+def test_squared_distances_match_difference_array_sum_exactly():
+    """interface_indices and pocket_points threshold these: they must not move."""
+    rng = np.random.default_rng(17)
+    for n, m in ((1, 1), (7, 3), (40, 55)):
+        X = rng.normal(scale=15.0, size=(3, n))
+        Y = rng.normal(scale=15.0, size=(3, m))
+        diff = X[:, :, None] - Y[:, None, :]
+        np.testing.assert_array_equal(graphs.squared_distances(X, Y),
+                                      np.sum(diff * diff, axis=0))
