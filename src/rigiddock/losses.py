@@ -10,15 +10,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .graphs import squared_distances
-from .transport import solve_uniform_transport
+from .metrics import NoContactError
+from .transport import WarmStart, solve_uniform_transport
 
 POCKET_TAU = 8.0
 INTERSECTION_GAMMA = 10.0
 INTERSECTION_SIGMA = 25.0
-
-
-class NoContactError(ValueError):
-    """The two proteins share no residue pair within the pocket cutoff."""
 
 
 def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np.ndarray:
@@ -37,18 +34,20 @@ def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np
     return 0.5 * (X1[:, ii] + X2[:, jj])
 
 
-def ot_pocket_loss(Y1: ad.Tensor, Y2: ad.Tensor, P1: np.ndarray, P2: np.ndarray) -> ad.Tensor:
+def ot_pocket_loss(Y1: ad.Tensor, Y2: ad.Tensor, P1: np.ndarray, P2: np.ndarray,
+                   warm: WarmStart | None = None) -> ad.Tensor:
     """Earth mover's cost matching keypoint pairs to pocket points.
 
     Cost of pairing pocket index s with keypoint index k is
     ||y1_k - p1_s||^2 + ||y2_k - p2_s||^2. The optimal plan is computed
     exactly, then frozen: gradients flow through the cost matrix only.
+    ``warm`` carries the solver's basis between calls on the same pair.
     """
     cost = ad.add(
         ad.pairwise_sqdist(ad.constant(P1), Y1),
         ad.pairwise_sqdist(ad.constant(P2), Y2),
     )
-    plan, _ = solve_uniform_transport(cost.data)
+    plan, _ = solve_uniform_transport(cost.data, warm)
     return ad.reduce_sum(ad.mul(cost, ad.constant(plan)))
 
 
@@ -106,10 +105,11 @@ def total_loss(
     w_mse: float = 1.0,
     w_ot: float = 1.0,
     w_ni: float = 1.0,
+    ot_warm: WarmStart | None = None,
 ) -> tuple[ad.Tensor, dict[str, float]]:
     """Weighted sum of the three objectives plus a per-term breakdown."""
     mse = mse_loss(pred_ligand, true_ligand)
-    ot = ot_pocket_loss(Y1, Y2, P1, P2)
+    ot = ot_pocket_loss(Y1, Y2, P1, P2, ot_warm)
     ni = intersection_loss(pred_ligand, ad.constant(receptor_X))
     parts = {"mse": mse.item(), "ot": ot.item(), "intersection": ni.item()}
     total = ad.add(ad.add(ad.scale(mse, w_mse), ad.scale(ot, w_ot)), ad.scale(ni, w_ni))

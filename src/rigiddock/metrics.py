@@ -15,6 +15,10 @@ from .graphs import squared_distances
 INTERFACE_CUTOFF = 8.0
 
 
+class NoContactError(ValueError):
+    """The two proteins share no residue pair within the contact cutoff."""
+
+
 def kabsch_align(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal rotation and translation mapping P onto Q (least squares).
 
@@ -79,7 +83,7 @@ def interface_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,
     """Superimposed RMSD restricted to interface residues of the true complex."""
     lig_idx, rec_idx = interface_indices(true_ligand, receptor, cutoff)
     if lig_idx.size == 0:
-        raise ValueError(f"no interface residues within {cutoff} A of the other protein")
+        raise NoContactError(f"no interface residues within {cutoff} A of the other protein")
     pred = np.concatenate([pred_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
     true = np.concatenate([true_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
     R, t = kabsch_align(pred, true)

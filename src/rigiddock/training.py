@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,10 +21,11 @@ from . import autodiff as ad
 from .checkpoint import save_named_tensors
 from .docking import DegenerateKeypointsError, RigidTransform, dock_forward, predict_dock
 from .graphs import ProteinGraph, build_graph
-from .losses import NoContactError, pocket_points, total_loss
-from .metrics import complex_rmsd, interface_rmsd, ligand_rmsd
+from .losses import pocket_points, total_loss
+from .metrics import NoContactError, complex_rmsd, interface_rmsd, ligand_rmsd
 from .model import DockingModel, _random_rotation
 from .synthetic import DockingPair
+from .transport import WarmStart
 
 logger = logging.getLogger("rigiddock.training")
 
@@ -58,7 +61,12 @@ def random_se3(rng: np.random.Generator, translation_scale: float = 30.0) -> Rig
 
 
 class Adam:
-    """Adam with decoupled weight decay over a named parameter dict."""
+    """Adam with decoupled weight decay over a named parameter dict.
+
+    Both moments live in one flat buffer each, in parameter order, so a step
+    is a handful of vector operations and one in-place subtraction per
+    parameter; the parameters themselves stay separate arrays.
+    """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -70,27 +78,61 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        ends = list(accumulate(p.data.size for p in params.values()))
+        self._spans = list(zip([0] + ends, ends))
+        self._m, self._v = np.zeros((2, ends[-1]))
 
-    def step(self) -> None:
+    def step(self) -> bool:
+        """Apply one update from the current grads.
+
+        A parameter whose grad is None keeps its data and moments. If any
+        grad has a non-finite entry nothing changes and False is returned.
+        """
+        params = list(self.params.values())
+        m, v = self._m, self._v
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                            for p in params])
+        if not np.isfinite(g).all():
+            return False
+        idle = [(a, b) for p, (a, b) in zip(params, self._spans) if p.grad is None]
+        held = [(m[a:b].copy(), v[a:b].copy()) for a, b in idle]
         self.step_count += 1
         b1t = 1.0 - self.beta1 ** self.step_count
         b2t = 1.0 - self.beta2 ** self.step_count
+        # m, v and update = (m / b1t) / (sqrt(v / b2t) + eps), operation for
+        # operation as a per-parameter loop would compute them, in two
+        # scratch vectors (g, then tmp) instead of a temporary per operation.
+        tmp = np.empty_like(g)
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = np.divide(m, b1t, out=g)
+        update /= tmp
+        if self.weight_decay > 0.0:
+            np.concatenate([p.data.ravel() for p in params], out=tmp)
+            tmp *= self.weight_decay
+            update += tmp
+        update *= self.lr
+        for p, (a, b) in zip(params, self._spans):
+            if p.grad is not None:
+                p.data -= update[a:b].reshape(p.data.shape)
+        for (a, b), (m_held, v_held) in zip(idle, held):
+            m[a:b] = m_held
+            v[a:b] = v_held
+        return True
+
+    def first_non_finite(self) -> str | None:
+        """Name of the first parameter whose grad has a non-finite entry."""
         for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            if self.weight_decay > 0.0:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                return name
+        return None
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -105,6 +147,9 @@ class PreparedPair:
     bound_lig: np.ndarray   # 3 x n1, bound frame
     bound_rec: np.ndarray   # 3 x n2, bound frame
     midpoints: np.ndarray   # 3 x S contact midpoints on the bound complex
+    # The OT basis of this pair's last step: both directions and every
+    # epoch solve nearly the same S x K problem, so each starts from it.
+    ot_warm: WarmStart = field(default_factory=WarmStart)
 
 
 def prepare_pair(pair: DockingPair, neighbors: int = 10) -> PreparedPair:
@@ -147,6 +192,7 @@ def _training_step(model: DockingModel, prep: PreparedPair, swap: bool,
         w_mse=config.w_mse,
         w_ot=config.w_ot,
         w_ni=config.w_ni,
+        ot_warm=prep.ot_warm,
     )
 
 
@@ -235,7 +281,14 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                         logger.warning("degenerate keypoints on %s (swap=%s); step skipped",
                                        prep.pair_id, swap)
                         continue
-                    optimizer.step()
+                    # step() itself refuses a non-finite gradient.
+                    finite_loss = math.isfinite(parts["total"])
+                    if not (finite_loss and optimizer.step()):
+                        logger.warning("non-finite %s on %s (swap=%s, first non-finite "
+                                       "gradient: %s); step skipped",
+                                       "gradient" if finite_loss else "loss", prep.pair_id,
+                                       swap, optimizer.first_non_finite())
+                        continue
                     steps += 1
                     epoch_steps += 1
                     epoch_total += parts["total"]
@@ -285,9 +338,15 @@ class EvalReport:
     rows: list[EvalRow]
 
     def summary(self) -> dict[str, float]:
+        """Median, mean and std of each metric over the rows where it is finite."""
         out = {}
         for metric in ("crmsd", "irmsd"):
             values = np.array([getattr(r, metric) for r in self.rows])
+            values = values[np.isfinite(values)]
+            if values.size == 0:
+                out.update(dict.fromkeys((f"{metric}_median", f"{metric}_mean",
+                                          f"{metric}_std"), float("nan")))
+                continue
             out[f"{metric}_median"] = float(np.median(values))
             out[f"{metric}_mean"] = float(values.mean())
             out[f"{metric}_std"] = float(values.std())
@@ -299,7 +358,9 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0,
     """Dock each pair from a randomized input pose and score against truth.
 
     A pair whose prediction degenerates falls back to its input pose and
-    is marked in the row status rather than crashing the run.
+    is marked in the row status rather than crashing the run. A pair whose
+    bound complex has no interface contacts gets status ``no_contact`` and
+    a NaN interface RMSD.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -318,7 +379,11 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0,
             pred = X_in
             status = "degenerate"
         crmsd = complex_rmsd(pred, bound_lig, g_rec.X)
-        irmsd = interface_rmsd(pred, bound_lig, g_rec.X)
+        try:
+            irmsd = interface_rmsd(pred, bound_lig, g_rec.X)
+        except NoContactError:
+            irmsd = float("nan")
+            status = "no_contact"
         rows.append(EvalRow(pair.pair_id, crmsd, irmsd, status))
     return EvalReport(rows)
 

@@ -14,6 +14,7 @@ from rigiddock.docking import RigidTransform
 from rigiddock.metrics import complex_rmsd
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import format_ca_pdb, parse_pdb_file
+from rigiddock.synthetic import DockingPair, generate_pair, write_pair
 
 from conftest import random_rotation
 
@@ -95,6 +96,28 @@ class TestPipeline:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "pair_id,crmsd,irmsd,status"
         assert len(lines) > 1
+
+    def test_eval_scores_no_contact_pair(self, workdir, model_path, capsys):
+        root = workdir / "nocontact"
+        rng = np.random.default_rng(4)
+        good, far = (generate_pair(rng, pid, 30, 40) for pid in ("good", "far"))
+        # Moving the bound pose 5000 A away leaves the complex without contacts.
+        far = DockingPair("far", far.ligand, far.receptor,
+                          RigidTransform(far.truth.R, far.truth.t + [5000.0, 0.0, 0.0]))
+        for pair in (good, far):
+            write_pair(pair, str(root))
+        (root / "splits.json").write_text(json.dumps(
+            {"train": [], "val": [], "test": ["good", "far"]}))
+        out_csv = workdir / "nocontact.csv"
+        code = main(["eval", "--data", str(root), "--model", str(model_path),
+                     "--split", "test", "--out-csv", str(out_csv)])
+        assert code == EXIT_OK
+        rows = {r["pair_id"]: r for r in csv.DictReader(out_csv.read_text().splitlines())}
+        assert rows["far"]["status"] == "no_contact" and rows["far"]["irmsd"] == "nan"
+        assert rows["good"]["status"] == "ok"
+        assert float(rows["irmsd_median"]["crmsd"]) == pytest.approx(
+            float(rows["good"]["irmsd"]), abs=1e-6)
+        assert "irmsd_median: nan" not in capsys.readouterr().out
 
     def test_train_config_file_with_cli_override(self, workdir, dataset, capsys):
         cfg = workdir / "train.json"

@@ -1,15 +1,18 @@
 """Optimizer behavior, training loop bookkeeping, and evaluation."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from rigiddock import training
+from rigiddock import autodiff as ad
+from rigiddock import losses, training
 from rigiddock.checkpoint import load_named_tensors
 from rigiddock.docking import DegenerateKeypointsError, RigidTransform
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.synthetic import DockingPair, generate_pair
+from rigiddock.transport import WarmStart
 from rigiddock.training import (
     Adam,
     TrainConfig,
@@ -72,6 +75,65 @@ class TestAdam:
             p.grad = np.ones_like(p.data)
         opt.zero_grad()
         assert all(p.grad is None for p in model.params.values())
+
+    def test_matches_per_parameter_reference_loop(self):
+        # The loop Adam.step replaced, kept here as the reference.
+        def reference_step(params, m, v, t, lr, b1, b2, eps, wd):
+            b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for name, p in params.items():
+                if p.grad is None:
+                    continue
+                g = p.grad
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * (g * g)
+                update = (m[name] / b1t) / (np.sqrt(v[name] / b2t) + eps)
+                if wd > 0.0:
+                    update = update + wd * p.data
+                p.data -= lr * update
+
+        model = DockingModel(COMPACT, seed=0)
+        twin = DockingModel(COMPACT, seed=0)
+        hp = dict(lr=3e-2, beta1=0.8, beta2=0.95, eps=1e-8, weight_decay=0.05)
+        opt = Adam(model.params, **hp)
+        m = {name: np.zeros_like(p.data) for name, p in twin.params.items()}
+        v = {name: np.zeros_like(p.data) for name, p in twin.params.items()}
+        rng = np.random.default_rng(6)
+        idle = "embed.table"
+        for t in range(1, 6):
+            for name in model.params:
+                g = None if name == idle and t in (2, 4) else rng.normal(size=model.params[name].data.shape)
+                model.params[name].grad = g
+                twin.params[name].grad = None if g is None else g.copy()
+            before = model.params[idle].data.copy()
+            assert opt.step()
+            reference_step(twin.params, m, v, t, hp["lr"], hp["beta1"], hp["beta2"],
+                           hp["eps"], hp["weight_decay"])
+            for name, p in model.params.items():
+                assert np.array_equal(p.data, twin.params[name].data), (t, name)
+                assert p.data.flags.c_contiguous
+            if t in (2, 4):
+                assert np.array_equal(model.params[idle].data, before)
+
+    def test_non_finite_gradient_changes_nothing(self):
+        model = DockingModel(COMPACT, seed=0)
+        opt = Adam(model.params, lr=1e-2)
+        rng = np.random.default_rng(7)
+        for p in model.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        assert opt.step()
+        before = {k: v.data.copy() for k, v in model.params.items()}
+        moments = (opt._m.copy(), opt._v.copy())
+        for p in model.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        model.params["keypoints.w_prime"].grad[0, 0] = np.inf
+        assert not opt.step()
+        assert opt.first_non_finite() == "keypoints.w_prime"
+        assert opt.step_count == 1
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+        assert np.array_equal(opt._m, moments[0]) and np.array_equal(opt._v, moments[1])
 
 
 class TestRandomSE3:
@@ -150,6 +212,67 @@ class TestTrainLoop:
         with pytest.raises(NoContactError):
             prepare_pair(far_pair(pairs[0]))
 
+    def test_warm_started_transport_gives_identical_weights(self, monkeypatch):
+        def run():
+            model = DockingModel(COMPACT, seed=5)
+            result = train(model, make_pairs(19, 2), [], TrainConfig(lr=1e-3, max_epochs=2, seed=4))
+            return {k: v.data.copy() for k, v in model.params.items()}, result
+
+        warm_calls = []
+        solve = losses.solve_uniform_transport
+
+        def recording_solve(cost, warm=None):
+            warm_calls.append(warm)
+            return solve(cost, warm)
+
+        monkeypatch.setattr(losses, "solve_uniform_transport", recording_solve)
+        warm_params, warm_result = run()
+        assert all(isinstance(w, WarmStart) for w in warm_calls)
+        assert len({id(w) for w in warm_calls}) == 2  # one holder per pair
+        monkeypatch.setattr(losses, "solve_uniform_transport", lambda cost, warm=None: solve(cost))
+        cold_params, cold_result = run()
+        assert warm_result.history == cold_result.history
+        for name in warm_params:
+            assert np.array_equal(warm_params[name], cold_params[name]), name
+
+    @pytest.mark.parametrize("poison", ["loss", "gradient"])
+    def test_non_finite_step_is_skipped(self, monkeypatch, caplog, poison):
+        pairs = make_pairs(20, 2)
+        config = TrainConfig(lr=1e-3, max_epochs=1, seed=0)
+        calls = []
+        if poison == "loss":
+            step = training._training_step
+
+            def poisoned_step(*args):
+                loss, parts = step(*args)
+                calls.append(args[1].pair_id)
+                if len(calls) == 2:
+                    return ad.scale(loss, np.nan), {**parts, "total": np.nan}
+                return loss, parts
+
+            monkeypatch.setattr(training, "_training_step", poisoned_step)
+        else:
+            backward = ad.Tape.backward
+
+            def poisoned_backward(tape, loss):
+                backward(tape, loss)
+                calls.append(None)
+                if len(calls) == 2:
+                    model.params["keypoints.w_prime"].grad[0, 0] = np.nan
+
+            monkeypatch.setattr(ad.Tape, "backward", poisoned_backward)
+        model = DockingModel(COMPACT, seed=0)
+        with caplog.at_level("WARNING", logger="rigiddock.training"):
+            result = train(model, pairs, [], config)
+        assert result.steps == 2 * 2 - 1
+        assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
+        assert math.isfinite(result.history[0]["mean_loss"])
+        [message] = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
+        assert message.endswith("step skipped")
+        assert f"non-finite {poison} on" in message and "swap=True" in message
+        first = "keypoints.w_prime" if poison == "gradient" else next(iter(model.params))
+        assert f"first non-finite gradient: {first})" in message
+
 
 class TestEvaluate:
     def test_oracle_predictor_scores_zero(self, monkeypatch):
@@ -195,3 +318,17 @@ class TestEvaluate:
         assert lines[0] == "pair_id,crmsd,irmsd,status"
         assert len(lines) == 1 + len(report.rows) + 6
         assert any(line.startswith("crmsd_median,") for line in lines)
+
+    def test_no_contact_pair_is_scored_without_irmsd(self):
+        pairs = make_pairs(21, 2)
+        broken = far_pair(pairs[0])
+        model = DockingModel(COMPACT, seed=0)
+        report = evaluate(model, [pairs[1], broken], seed=0)
+        good, bad = report.rows
+        assert good.status == "ok" and math.isfinite(good.irmsd)
+        assert bad.pair_id == broken.pair_id and bad.status == "no_contact"
+        assert math.isnan(bad.irmsd) and math.isfinite(bad.crmsd)
+        summary = report.summary()
+        assert summary["irmsd_median"] == summary["irmsd_mean"] == good.irmsd
+        assert summary["irmsd_std"] == 0.0
+        assert summary["crmsd_median"] == pytest.approx(0.5 * (good.crmsd + bad.crmsd))

@@ -206,3 +206,93 @@ def test_property_optimal_sparse_vertex(cost):
     assert np.max(np.abs(plan.sum(axis=1) - 1.0 / s)) <= 1e-9
     assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= 1e-9
     assert np.count_nonzero(plan) <= s + k - 1
+
+
+def count_pivots(monkeypatch):
+    """Monkeypatch the basis pivot to count its calls; returns the counter list."""
+    calls = []
+    pivot = transport._Basis.pivot
+
+    def counting_pivot(self, *cell):
+        calls.append(cell)
+        return pivot(self, *cell)
+
+    monkeypatch.setattr(transport._Basis, "pivot", counting_pivot)
+    return calls
+
+
+@st.composite
+def perturbed_float_costs(draw):
+    # Costs come from a drawn seed so they are generic floats: the optimum
+    # is unique, and any exact solver must return the same plan.
+    s = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-9, 1e-4, 1e-2, 1.0, 10.0]))
+    c0 = rng.uniform(0.0, 10.0, size=(s, k))
+    return c0, c0 + scale * rng.standard_normal((s, k))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(perturbed_float_costs())
+def test_property_warm_start_matches_cold_plan(costs):
+    c0, c1 = costs
+    warm = transport.WarmStart()
+    solve_uniform_transport(c0, warm)
+    plan, objective = solve_uniform_transport(c1, warm)
+    cold_plan, cold_objective = solve_uniform_transport(c1)
+    np.testing.assert_array_equal(plan, cold_plan)
+    assert objective == cold_objective
+
+
+@st.composite
+def small_integer_cost_pairs(draw):
+    s = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 10))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    return (draw(arrays(np.float64, (s, k), elements=values)),
+            draw(arrays(np.float64, (s, k), elements=values)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_integer_cost_pairs())
+def test_property_warm_start_optimal_sparse_vertex(costs):
+    # With ties the warm solve may stop at another optimal vertex than a
+    # cold one, so it is held to optimality and feasibility instead.
+    c0, c1 = costs
+    s, k = c1.shape
+    warm = transport.WarmStart()
+    solve_uniform_transport(c0, warm)
+    plan, objective = solve_uniform_transport(c1, warm)
+    assert objective == pytest.approx(linprog_objective(c1), abs=1e-9)
+    assert np.max(np.abs(plan.sum(axis=1) - 1.0 / s)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - 1.0 / k)) <= 1e-9
+    assert np.count_nonzero(plan) <= s + k - 1
+
+
+def test_warm_start_from_own_optimum_makes_no_pivot(monkeypatch):
+    calls = count_pivots(monkeypatch)
+    cost = pocket_cost(np.random.default_rng(11), 30, 20)
+    warm = transport.WarmStart()
+    plan, _ = solve_uniform_transport(cost, warm)
+    assert calls and warm.shape == (30, 20)
+    calls.clear()
+    again, _ = solve_uniform_transport(cost, warm)
+    assert not calls
+    np.testing.assert_array_equal(again, plan)
+
+
+def test_warm_start_of_another_shape_is_ignored(monkeypatch):
+    calls = count_pivots(monkeypatch)
+    rng = np.random.default_rng(12)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 12, 9), warm)
+    cost = pocket_cost(rng, 9, 12)
+    calls.clear()
+    cold_plan, _ = solve_uniform_transport(cost)
+    cold_pivots = list(calls)
+    calls.clear()
+    plan, _ = solve_uniform_transport(cost, warm)
+    assert calls == cold_pivots
+    np.testing.assert_array_equal(plan, cold_plan)
+    assert warm.shape == (9, 12)
