@@ -6,8 +6,8 @@ attention keypoints, and a closed-form point-cloud alignment, all built
 on an in-package reverse-mode autodiff engine.
 """
 
-from .docking import (DegenerateKeypointsError, RigidTransform, dock_forward,
-                      kabsch, predict_dock)
+from .docking import DegenerateKeypointsError, dock_forward, kabsch, predict_dock
+from .geometry import RigidTransform
 from .graphs import ProteinGraph, build_graph
 from .losses import NoContactError, intersection_loss, ot_pocket_loss, pocket_points
 from .metrics import complex_rmsd, interface_rmsd, kabsch_align, ligand_rmsd, rmsd

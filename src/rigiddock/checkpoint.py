@@ -12,10 +12,10 @@ Round trips are bit-exact: the payload bytes are the tensors' C-order bytes.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import numpy as np
+
+from .atomic import atomic_open
 
 FORMAT_VERSION = 1
 
@@ -47,18 +47,10 @@ def save_named_tensors(path: str, tensors: dict[str, np.ndarray], extra: dict | 
         header["extra"] = extra
     blob = json.dumps(header).encode("utf-8") + b"\n"
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-            for arr in arrays:
-                fh.write(arr.astype("<f8", copy=False).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.astype("<f8", copy=False).tobytes())
 
 
 def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:

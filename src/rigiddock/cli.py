@@ -15,18 +15,19 @@ import json
 import logging
 import os
 import sys
-import tempfile
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import NonFiniteError
 from .checkpoint import CheckpointError, load_named_tensors
-from .docking import (DegenerateKeypointsError, check_complex_invariance,
-                      check_role_swap, check_transform_covariance, predict_dock)
+from .checks import (check_complex_invariance, check_pairwise_equivariance,
+                     check_role_swap, check_transform_covariance)
+from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph
-from .model import DockingModel, ModelConfig, check_pairwise_equivariance
+from .model import DockingModel, ModelConfig
 from .pdbio import PdbParseError, format_ca_pdb, parse_pdb_file, transform_atom_records
-from .synthetic import GenerationError, generate_dataset, load_split
+from .synthetic import GenerationError, generate_dataset, generate_pair, load_split
 from .training import TrainConfig, evaluate, train, write_eval_csv
 
 logger = logging.getLogger("rigiddock.cli")
@@ -48,19 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _chain_set(arg: str | None):
@@ -99,9 +87,11 @@ def _cmd_dock(args) -> int:
                 moved = transform_atom_records(fh.read(), tr.R, tr.t)
         else:
             moved = format_ca_pdb(ligand.transformed(tr.R, tr.t))
-        _atomic_write(args.out_pdb, moved)
+        with atomic_open(args.out_pdb, "w") as fh:
+            fh.write(moved)
     if args.out_transform:
-        _atomic_write(args.out_transform, tr.to_json() + "\n")
+        with atomic_open(args.out_transform, "w") as fh:
+            fh.write(tr.to_json() + "\n")
     logger.info("docked %s onto %s", args.ligand, args.receptor)
     return EXIT_OK
 
@@ -148,16 +138,7 @@ def _cmd_eval(args) -> int:
     pairs = load_split(args.data, args.split)
     report = evaluate(model, pairs, seed=args.seed)
     if args.out_csv:
-        directory = os.path.dirname(os.path.abspath(args.out_csv))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
-        os.close(fd)
-        try:
-            write_eval_csv(report, tmp)
-            os.replace(tmp, args.out_csv)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_eval_csv(report, args.out_csv)
     for key, value in sorted(report.summary().items()):
         print(f"{key}: {value:.4f}")
     return EXIT_OK
@@ -193,7 +174,8 @@ def _cmd_features(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        with atomic_open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -205,8 +187,6 @@ def _cmd_check_equivariance(args) -> int:
     else:
         model = DockingModel(ModelConfig(hidden_dim=16, layers=3, heads=8), seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    from .synthetic import generate_pair
-
     pair = generate_pair(rng, "check", 20, 30)
     g1 = build_graph(pair.ligand, model.config.neighbors)
     g2 = build_graph(pair.receptor, model.config.neighbors)

@@ -1,4 +1,4 @@
-"""Rigid transforms and the pose head mapping matched point clouds to one.
+"""Differentiable superposition and the dock entry points.
 
 The pose head selects attention keypoints on both proteins, solves the
 orthogonal least-squares alignment between the two keypoint clouds in
@@ -9,76 +9,20 @@ the transformed ligand reach the network weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .geometry import RigidTransform
 from .graphs import ProteinGraph
-from .metrics import complex_rmsd
-from .model import DockingModel, _random_rotation
+from .model import DockingModel
 
-TRANSFORM_CONVENTION = "y = R x + t, angstrom"
-_ORTHO_TOL = 1e-8
 _DEGENERATE_RATIO = 1e-9
 
 
 class DegenerateKeypointsError(RuntimeError):
     """Keypoint cloud is too close to collinear to define a rotation."""
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid motion y = R x + t with R a rotation and t in angstroms."""
-
-    R: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=np.float64)
-        t = np.asarray(self.t, dtype=np.float64).reshape(-1)
-        if R.shape != (3, 3) or t.shape != (3,):
-            raise ValueError(f"RigidTransform: R shape {R.shape}, t shape {t.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
-            raise ValueError("RigidTransform: non-finite entries")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
-            raise ValueError("RigidTransform: R is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
-            raise ValueError("RigidTransform: R is not a proper rotation (det != +1)")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", t)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Transform a 3 x n coordinate array."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != 3:
-            raise ValueError(f"apply: shape {X.shape}, expected (3, n)")
-        return self.R @ X + self.t[:, None]
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """The motion applying ``inner`` first, then this one."""
-        return RigidTransform(self.R @ inner.R, self.R @ inner.t + self.t)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.R.T, -(self.R.T @ self.t))
-
-    def to_json(self) -> str:
-        payload = {
-            "R": self.R.tolist(),
-            "t": self.t.tolist(),
-            "convention": TRANSFORM_CONVENTION,
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RigidTransform":
-        payload = json.loads(text)
-        convention = payload.get("convention", TRANSFORM_CONVENTION)
-        if not convention.startswith("y = R x + t"):
-            raise ValueError(f"unsupported transform convention: {convention!r}")
-        return cls(np.array(payload["R"], dtype=np.float64),
-                   np.array(payload["t"], dtype=np.float64))
 
 
 def kabsch_tensors(Y1: ad.Tensor, Y2: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
@@ -160,78 +104,3 @@ def predict_dock(model: DockingModel, ligand: ProteinGraph, receptor: ProteinGra
                  X_rec: np.ndarray | None = None) -> RigidTransform:
     """Convenience wrapper returning only the rigid motion."""
     return dock_forward(model, ligand, receptor, X_lig, X_rec).transform()
-
-
-# ---------------------------------------------------------------------------
-# Structural self-checks used by tests and the command line
-# ---------------------------------------------------------------------------
-
-
-def _rebuilt(g: ProteinGraph, R: np.ndarray, t: np.ndarray) -> ProteinGraph:
-    from .graphs import build_graph
-
-    return build_graph(g.residues.transformed(R, t), g.k)
-
-
-def check_transform_covariance(model: DockingModel, ligand: ProteinGraph,
-                               receptor: ProteinGraph, seed: int = 0,
-                               trials: int = 5) -> float:
-    """How exactly the predicted motion tracks rigid motions of the inputs.
-
-    Moving the ligand by (Q1, g1) and the receptor by (Q2, g2) must turn a
-    prediction (R, t) into R' = Q2 R Q1^T and t' = Q2 t + g2 - R' g1.
-    Returns the worst relative deviation across random trials.
-    """
-    rng = np.random.default_rng(seed)
-    base = predict_dock(model, ligand, receptor)
-    worst = 0.0
-    for _ in range(trials):
-        Q1, g1 = _random_rotation(rng), rng.uniform(-30.0, 30.0, size=3)
-        Q2, g2 = _random_rotation(rng), rng.uniform(-30.0, 30.0, size=3)
-        moved = predict_dock(model, _rebuilt(ligand, Q1, g1), _rebuilt(receptor, Q2, g2))
-        R_want = Q2 @ base.R @ Q1.T
-        t_want = Q2 @ base.t + g2 - R_want @ g1
-        dev_r = np.max(np.abs(moved.R - R_want))
-        dev_t = np.max(np.abs(moved.t - t_want)) / max(1.0, np.max(np.abs(t_want)))
-        worst = max(worst, dev_r, dev_t)
-    return worst
-
-
-def check_role_swap(model: DockingModel, ligand: ProteinGraph,
-                    receptor: ProteinGraph) -> float:
-    """Deviation between the swapped prediction and the inverse motion.
-
-    Docking A onto B and B onto A must produce mutually inverse transforms:
-    R_BA = R_AB^T and t_BA = -R_AB^T t_AB.
-    """
-    fwd = predict_dock(model, ligand, receptor)
-    rev = predict_dock(model, receptor, ligand)
-    inv = fwd.inverse()
-    dev_r = np.max(np.abs(rev.R - inv.R))
-    dev_t = np.max(np.abs(rev.t - inv.t)) / max(1.0, np.max(np.abs(inv.t)))
-    return max(dev_r, dev_t)
-
-
-def check_complex_invariance(model: DockingModel, ligand: ProteinGraph,
-                             receptor: ProteinGraph, seed: int = 0,
-                             trials: int = 5) -> float:
-    """Worst RMSD between predicted complexes across random input poses.
-
-    The assembled complex (posed ligand plus receptor) from any rigidly
-    moved inputs must superimpose onto the base complex exactly.
-    """
-    rng = np.random.default_rng(seed)
-    base = predict_dock(model, ligand, receptor)
-    base_lig = base.apply(ligand.X)
-    worst = 0.0
-    for _ in range(trials):
-        Q1, g1 = _random_rotation(rng), rng.uniform(-30.0, 30.0, size=3)
-        Q2, g2 = _random_rotation(rng), rng.uniform(-30.0, 30.0, size=3)
-        lig_g = _rebuilt(ligand, Q1, g1)
-        rec_g = _rebuilt(receptor, Q2, g2)
-        moved = predict_dock(model, lig_g, rec_g)
-        # express the moved prediction back in the receptor's base frame
-        undo = RigidTransform(Q2, g2).inverse()
-        pred_lig = undo.apply(moved.apply(lig_g.X))
-        worst = max(worst, complex_rmsd(pred_lig, base_lig, receptor.X))
-    return worst

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import EDGE_FEATURE_DIM, ProteinGraph, build_graph
+from .graphs import EDGE_FEATURE_DIM, ProteinGraph
 from .pdbio import RESIDUE_TYPES
 
 SURFACE_FEATURES = 5
@@ -247,45 +247,3 @@ class DockingModel:
             if current.data.shape != value.shape:
                 raise ValueError(f"{name}: shape {value.shape}, expected {current.data.shape}")
             current.data = np.asarray(value, dtype=np.float64, order="C").copy()
-
-
-def check_pairwise_equivariance(model: DockingModel, g1: ProteinGraph, g2: ProteinGraph,
-                                seed: int = 0, trials: int = 5) -> float:
-    """Max relative deviation from the independent-motion contract.
-
-    For random rigid motions (Q1, t1) and (Q2, t2) applied to the two inputs,
-    coordinate outputs must move identically and feature outputs must not
-    move at all. Deviations are scaled by the magnitude of the reference.
-    """
-    rng = np.random.default_rng(seed)
-    base = model.forward(g1, g2)
-    worst = 0.0
-    for _ in range(trials):
-        moves = []
-        transformed = []
-        for g in (g1, g2):
-            q = _random_rotation(rng)
-            t = rng.uniform(-30.0, 30.0, size=3)
-            moves.append((q, t))
-            transformed.append(build_graph(g.residues.transformed(q, t), g.k))
-        out = model.forward(transformed[0], transformed[1])
-        for idx in range(2):
-            q, t = moves[idx]
-            z_ref = q @ base[2 * idx].data + t[:, None]
-            z_dev = np.max(np.abs(out[2 * idx].data - z_ref))
-            h_dev = np.max(np.abs(out[2 * idx + 1].data - base[2 * idx + 1].data))
-            scale_z = max(1.0, np.max(np.abs(z_ref)))
-            scale_h = max(1.0, np.max(np.abs(base[2 * idx + 1].data)))
-            worst = max(worst, z_dev / scale_z, h_dev / scale_h)
-    return worst
-
-
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])

@@ -19,7 +19,8 @@ Layout under the output directory::
     pairs/<pair_id>/complex.json    rigid motion: bound = R @ input + t
     splits.json                     {"train": [...], "val": [...], "test": [...]}
 
-Generation is deterministic: the same seed reproduces every byte.
+Generation is deterministic: the same seed reproduces every byte. Each
+file is written atomically.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .docking import RigidTransform
+from .atomic import atomic_open
+from .geometry import RigidTransform, random_se3
 from .losses import POCKET_TAU, intersection_loss, pocket_points
-from .model import _random_rotation
 from .pdbio import RESIDUE_TYPES, TYPE_INDEX, ResidueSet, format_ca_pdb, parse_pdb_file
 
 MIN_SEPARATION = 3.5      # closest allowed pair inside one protein
@@ -219,7 +220,7 @@ def generate_pair(rng: np.random.Generator, pair_id: str,
 
     bound_ligand = _residue_set(rng, lig_ca, _interface_types(rng, n_lig), "A")
     receptor = _residue_set(rng, rec_ca, _interface_types(rng, n_rec), "B")
-    move = RigidTransform(_random_rotation(rng), rng.uniform(-30.0, 30.0, size=3))
+    move = random_se3(rng)
     return DockingPair(
         pair_id=pair_id,
         ligand=bound_ligand.transformed(move.R, move.t),
@@ -231,11 +232,11 @@ def generate_pair(rng: np.random.Generator, pair_id: str,
 def write_pair(pair: DockingPair, root: str) -> str:
     pair_dir = os.path.join(root, "pairs", pair.pair_id)
     os.makedirs(pair_dir, exist_ok=True)
-    with open(os.path.join(pair_dir, "ligand.pdb"), "w") as fh:
+    with atomic_open(os.path.join(pair_dir, "ligand.pdb"), "w") as fh:
         fh.write(format_ca_pdb(pair.ligand, full_backbone=True))
-    with open(os.path.join(pair_dir, "receptor.pdb"), "w") as fh:
+    with atomic_open(os.path.join(pair_dir, "receptor.pdb"), "w") as fh:
         fh.write(format_ca_pdb(pair.receptor, full_backbone=True))
-    with open(os.path.join(pair_dir, "complex.json"), "w") as fh:
+    with atomic_open(os.path.join(pair_dir, "complex.json"), "w") as fh:
         fh.write(pair.truth.to_json())
         fh.write("\n")
     return pair_dir
@@ -263,7 +264,7 @@ def generate_dataset(root: str, n_pairs: int, seed: int = 0,
         "val": ids[n_train:n_train + n_val],
         "test": ids[n_train + n_val:],
     }
-    with open(os.path.join(root, "splits.json"), "w") as fh:
+    with atomic_open(os.path.join(root, "splits.json"), "w") as fh:
         json.dump(splits, fh, indent=2)
         fh.write("\n")
     return ids

@@ -12,18 +12,21 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_open
 from .checkpoint import save_named_tensors
-from .docking import DegenerateKeypointsError, RigidTransform, dock_forward, predict_dock
+from .docking import DegenerateKeypointsError, dock_forward, predict_dock
+from .geometry import RigidTransform, random_se3
 from .graphs import ProteinGraph, build_graph
 from .losses import pocket_points, total_loss
 from .metrics import NoContactError, complex_rmsd, interface_rmsd, ligand_rmsd
-from .model import DockingModel, _random_rotation
+from .model import DockingModel
 from .synthetic import DockingPair
 from .transport import WarmStart
 
@@ -52,12 +55,6 @@ class TrainConfig:
         base = {"lr": 1e-4, "patience": 150}
         base.update(overrides)
         return cls(**base)
-
-
-def random_se3(rng: np.random.Generator, translation_scale: float = 30.0) -> RigidTransform:
-    """Uniform random rotation with a uniform boxed translation."""
-    return RigidTransform(_random_rotation(rng),
-                          rng.uniform(-translation_scale, translation_scale, size=3))
 
 
 class Adam:
@@ -230,7 +227,8 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
     """Optimize ``model`` in place; returns the run summary.
 
     Pairs whose bound complex has no contacts are skipped with a warning;
-    if every training pair is skipped that is an error.
+    if every training pair is skipped that is an error. The loss CSV is
+    written atomically, so it appears only if the call returns.
     """
     skipped: list[str] = []
     prepped: list[PreparedPair] = []
@@ -253,17 +251,15 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, config.lr, config.beta1, config.beta2,
                      config.eps, config.weight_decay)
-    csv_file = open(loss_csv_path, "w", newline="") if loss_csv_path else None
-    writer = None
-    if csv_file is not None:
-        writer = csv.writer(csv_file)
-        writer.writerow(["step", "mse", "ot", "intersection", "total"])
 
     best_val = np.inf
     best_epoch = -1
     steps = 0
     history = []
-    try:
+    with atomic_open(loss_csv_path, "w") if loss_csv_path else nullcontext() as csv_file:
+        writer = None if csv_file is None else csv.writer(csv_file)
+        if writer is not None:
+            writer.writerow(["step", "mse", "ot", "intersection", "total"])
         for epoch in range(config.max_epochs):
             order = rng.permutation(len(prepped))
             epoch_total = 0.0
@@ -309,9 +305,6 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
             if val_prepped and epoch - best_epoch >= config.patience:
                 logger.info("stopping: no improvement in %d epochs", config.patience)
                 break
-    finally:
-        if csv_file is not None:
-            csv_file.close()
     if not val_prepped and checkpoint_path is not None:
         save_named_tensors(checkpoint_path, model.state_arrays(),
                            extra={"config": model.config.to_dict(),
@@ -389,7 +382,7 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0,
 
 
 def write_eval_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_id", "crmsd", "irmsd", "status"])
         for row in report.rows:

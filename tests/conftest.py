@@ -6,18 +6,6 @@ import pytest
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix via a normalized quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
-
-
 def random_residue_set(rng: np.random.Generator, n: int, spread: float = 9.0):
     """Random well-separated residue cloud with valid backbone triads."""
     from rigiddock.pdbio import ResidueSet

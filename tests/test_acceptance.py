@@ -16,31 +16,25 @@ import scipy.stats
 from rigiddock import autodiff as ad
 from rigiddock import graphs
 from rigiddock.checkpoint import save_named_tensors
+from rigiddock.checks import check_complex_invariance, check_pairwise_equivariance, check_role_swap
 from rigiddock.cli import main as cli_main
-from rigiddock.docking import (
-    RigidTransform,
-    check_complex_invariance,
-    check_role_swap,
-    dock_forward,
-    kabsch,
-    predict_dock,
-)
+from rigiddock.docking import dock_forward, kabsch, predict_dock
+from rigiddock.geometry import RigidTransform, random_rotation, random_se3
 from rigiddock.graphs import build_graph
 from rigiddock.losses import ot_pocket_loss, total_loss
 from rigiddock.metrics import complex_rmsd, kabsch_align, rmsd
-from rigiddock.model import DockingModel, ModelConfig, check_pairwise_equivariance
+from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import format_ca_pdb, parse_pdb_file
 from rigiddock.synthetic import generate_dataset, generate_pair, load_split
 from rigiddock.training import (
     TrainConfig,
     evaluate,
     prepare_pair,
-    random_se3,
     train,
 )
 from rigiddock.transport import solve_uniform_transport
 
-from conftest import DATA_DIR, random_residue_set, random_rotation
+from conftest import DATA_DIR, random_residue_set
 from test_transport import brute_force_objective
 
 

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 
 from rigiddock import cli
+from rigiddock.atomic import atomic_open
 from rigiddock.checkpoint import save_named_tensors
 from rigiddock.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
-from rigiddock.docking import RigidTransform
+from rigiddock.geometry import RigidTransform, random_rotation
 from rigiddock.metrics import complex_rmsd
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import format_ca_pdb, parse_pdb_file
 from rigiddock.synthetic import DockingPair, generate_pair, write_pair
-
-from conftest import random_rotation
 
 
 def read_ca_records(path):
@@ -398,7 +397,9 @@ class TestExitCodes:
 
 
 class TestAtomicWrites:
-    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode, payload", [("w", "payload"), ("wb", b"payload")],
+                             ids=["text", "binary"])
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, mode, payload):
         target = tmp_path / "out.json"
 
         def explode(src, dst):
@@ -406,8 +407,19 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(os, "replace", explode)
         with pytest.raises(OSError):
-            cli._atomic_write(str(target), "payload")
+            with atomic_open(str(target), mode) as fh:
+                fh.write(payload)
         assert list(tmp_path.iterdir()) == []
+
+    def test_written_file_has_default_permissions(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("payload")
+        target = tmp_path / "atomic.txt"
+        with atomic_open(str(target), "w") as fh:
+            fh.write("payload\n")
+        assert target.read_bytes() == b"payload\n"
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.txt", "plain.txt"]
 
     def test_dock_to_unwritable_directory(self, workdir, ligand_pdb,
                                           receptor_pdb, model_path):

@@ -7,22 +7,20 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from rigiddock import autodiff as ad
+from rigiddock.checks import check_complex_invariance, check_role_swap, check_transform_covariance
 from rigiddock.docking import (
     DegenerateKeypointsError,
     DockResult,
-    RigidTransform,
-    check_complex_invariance,
-    check_role_swap,
-    check_transform_covariance,
     dock_forward,
     kabsch,
     kabsch_tensors,
     predict_dock,
 )
+from rigiddock.geometry import RigidTransform, random_rotation
 from rigiddock.graphs import build_graph
 from rigiddock.model import DockingModel, ModelConfig
 
-from conftest import random_residue_set, random_rotation
+from conftest import random_residue_set
 
 
 def make_model(seed=0):

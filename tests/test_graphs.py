@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rigiddock import graphs, pdbio
-from conftest import random_residue_set, random_rotation
+from rigiddock.geometry import random_rotation
+from conftest import random_residue_set
 
 
 def _residues_at(ca_columns, n_dir=(1.0, 0.0, 0.0), c_dir=(0.0, 1.0, 0.0)):

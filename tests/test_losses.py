@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rigiddock import autodiff as ad
+from rigiddock.geometry import random_rotation
 from rigiddock.losses import (INTERSECTION_GAMMA, INTERSECTION_SIGMA, NoContactError,
                               intersection_loss, mse_loss, ot_pocket_loss,
                               pocket_points, surface_G, total_loss)
-
-from conftest import random_rotation
 
 
 def brute_force_pockets(X1, X2, tau=8.0):

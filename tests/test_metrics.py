@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rigiddock.geometry import random_rotation
 from rigiddock.metrics import (
     complex_rmsd,
     interface_indices,
@@ -11,8 +12,6 @@ from rigiddock.metrics import (
     ligand_rmsd,
     rmsd,
 )
-
-from conftest import random_rotation
 
 
 def direct_rmsd(P, Q):

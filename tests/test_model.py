@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rigiddock import autodiff as ad
+from rigiddock.checks import check_pairwise_equivariance
 from rigiddock.graphs import build_graph
-from rigiddock.model import DockingModel, ModelConfig, check_pairwise_equivariance
+from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import ResidueSet
 
-from conftest import random_residue_set, random_rotation
+from conftest import random_residue_set
 
 
 @pytest.fixture

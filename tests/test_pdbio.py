@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rigiddock import pdbio
-from conftest import random_rotation
+from rigiddock.geometry import random_rotation
 
 ALA_LINES = """\
 ATOM      1  N   ALA A   1       1.460   0.000   0.000  1.00  0.00           N

@@ -1,6 +1,7 @@
 """Synthetic docking pair generator: geometry guarantees and persistence."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ class TestDataset:
             generate_dataset(str(root), n_pairs=3, seed=7, min_residues=30, max_residues=40)
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_failed_rename_leaves_no_files(self, tmp_path, monkeypatch):
+        def explode(src, dst):
+            raise OSError("disk detached")
+
+        monkeypatch.setattr(os, "replace", explode)
+        with pytest.raises(OSError):
+            generate_dataset(str(tmp_path), n_pairs=2, seed=7, min_residues=30, max_residues=40)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

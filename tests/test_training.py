@@ -9,7 +9,8 @@ import pytest
 from rigiddock import autodiff as ad
 from rigiddock import losses, training
 from rigiddock.checkpoint import load_named_tensors
-from rigiddock.docking import DegenerateKeypointsError, RigidTransform
+from rigiddock.docking import DegenerateKeypointsError
+from rigiddock.geometry import RigidTransform, random_se3
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.synthetic import DockingPair, generate_pair
 from rigiddock.transport import WarmStart
@@ -18,7 +19,6 @@ from rigiddock.training import (
     TrainConfig,
     evaluate,
     prepare_pair,
-    random_se3,
     train,
     write_eval_csv,
 )
@@ -234,6 +234,24 @@ class TestTrainLoop:
         assert warm_result.history == cold_result.history
         for name in warm_params:
             assert np.array_equal(warm_params[name], cold_params[name]), name
+
+    def test_failed_run_leaves_no_loss_csv(self, tmp_path, monkeypatch):
+        step = training._training_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("step failed")
+            return step(*args)
+
+        monkeypatch.setattr(training, "_training_step", failing_step)
+        model = DockingModel(COMPACT, seed=0)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(model, make_pairs(20, 2), [], TrainConfig(lr=1e-3, max_epochs=1, seed=0),
+                  loss_csv_path=str(tmp_path / "loss.csv"))
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("poison", ["loss", "gradient"])
     def test_non_finite_step_is_skipped(self, monkeypatch, caplog, poison):
