@@ -12,8 +12,11 @@ stores C-contiguous data, because ``grad_check`` and the optimizer write
 into it in place through flat views. Nothing writes into the data of any
 other tensor.
 
-``linear``, ``mlp`` and ``edge_mlp`` are fused layers: each records one tape
-node with a hand-written backward instead of one node per primitive.
+``linear``, ``mlp``, ``edge_mlp`` and ``cross_attention`` are fused ops:
+each records one tape node with a hand-written backward instead of one node
+per primitive. ``cross_attention`` runs over row tiles of its n1 x n2
+logits and keeps only each row's max and sum, so no n1 x n2 array outlives
+a tile, with or without a tape.
 
 Tensors that never touch a tape are plain immutable value holders and can be
 shared freely across threads. A Tape itself is single-threaded; concurrent
@@ -261,14 +264,35 @@ def log(a: Tensor) -> Tensor:
     return _emit(np.log(ad), (a,), backward)
 
 
+def _leaky_relu_factor(pre: np.ndarray, slope: float) -> np.ndarray:
+    """The derivative where(pre >= 0, 1, slope); backward builds it when it runs."""
+    return np.where(pre >= 0.0, 1.0, slope)
+
+
+def _leaky_relu_values(pre: np.ndarray, slope: float) -> np.ndarray:
+    """pre * where(pre >= 0, 1, slope), bit for bit, without the mask for 0 < slope < inf.
+
+    For 0 < slope <= 1, pre * slope is at most pre when pre >= 0 and at least
+    pre when pre < 0, so max(pre * slope, pre) is the masked product; for
+    slope > 1 the order flips and min gives it. Operands that tie are then
+    equal bit for bit, and a NaN comes from the product, as in the masked
+    form. Slope 0 keeps the masked product because inf * 0 is NaN, and a
+    negative slope keeps it because +0.0 would tie with -0.0.
+    """
+    if not 0.0 < slope < np.inf:
+        return pre * _leaky_relu_factor(pre, slope)
+    out = pre * slope
+    (np.maximum if slope <= 1.0 else np.minimum)(out, pre, out=out)
+    return out
+
+
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    mask = a.data >= 0.0
-    factor = np.where(mask, 1.0, slope)
+    ad = a.data
 
     def backward(g):
-        _accumulate(a, g * factor)
+        _accumulate(a, g * _leaky_relu_factor(ad, slope))
 
-    return _emit(a.data * factor, (a,), backward)
+    return _emit(_leaky_relu_values(ad, slope), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -443,15 +467,14 @@ def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
     The backward accumulates into W1 and b1 and returns the gradient with
     respect to ``pre``.
     """
-    factor = np.where(pre >= 0.0, 1.0, slope)
-    hidden = pre * factor
+    hidden = _leaky_relu_values(pre, slope)
     W1d = W1.data
 
     def backward(g):
         _accumulate(W1, g @ hidden.T)
         _accumulate(b1, g.sum(axis=1, keepdims=True))
         g_pre = W1d.T @ g
-        g_pre *= factor
+        g_pre *= _leaky_relu_factor(pre, slope)
         return g_pre
 
     return _affine(W1d, hidden, b1.data), backward
@@ -526,6 +549,68 @@ def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
             _accumulate(edge_in, W_edge.T @ g_pre)
 
     return _emit(out_data, (W0, b0, W1, b1, H, edge_in), backward)
+
+
+# Logits per row tile of ``cross_attention``: 2**16 float64 entries, 512 KB.
+_TILE_ENTRIES = 2**16
+
+
+def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
+    """values @ softmax(q.T @ k, axis=1).T without an n1 x n2 array.
+
+    q is (d, n1), k is (d, n2) and values is (m, n2); the output is (m, n1).
+    The logits are formed in tiles of ``max(1, 2**16 // n2)`` rows in one
+    reused buffer. Each tile is shifted by its row maxima and exponentiated
+    in place, and ``values @ E.T`` is divided by the row sums. Only the row
+    maxima and sums are kept: backward rebuilds each tile's attention from
+    them and takes the softmax adjoint's row term from the output,
+    ``sum_j A_ij dA_ij = g[:, i] . out[:, i]`` (the online-softmax pattern of
+    Rabe & Staats 2021 and FlashAttention, Dao et al. 2022).
+    """
+    qd, kd, vd = q.data, k.data, values.data
+    if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or qd.shape[0] != kd.shape[0]
+            or vd.shape[1] != kd.shape[1] or kd.shape[1] == 0):
+        raise ShapeError(f"cross_attention: q {qd.shape}, k {kd.shape}, values {vd.shape}")
+    n1, n2 = qd.shape[1], kd.shape[1]
+    rows = max(1, _TILE_ENTRIES // n2)
+    tiles = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+    tile_shape = (min(rows, n1), n2)
+    row_max = np.empty(n1)
+    row_sum = np.empty(n1)
+    out_data = np.empty((vd.shape[0], n1))
+    buf = np.empty(tile_shape)
+    for lo, hi in tiles:
+        e = np.matmul(qd[:, lo:hi].T, kd, out=buf[:hi - lo])
+        e.max(axis=1, out=row_max[lo:hi])
+        e -= row_max[lo:hi, None]
+        np.exp(e, out=e)
+        e.sum(axis=1, out=row_sum[lo:hi])
+        np.divide(vd @ e.T, row_sum[lo:hi], out=out_data[:, lo:hi])
+
+    def backward(g):
+        row_dot = np.einsum("ij,ij->j", g, out_data)
+        g_q = np.empty_like(qd)
+        g_k = np.zeros_like(kd)
+        g_v = np.zeros_like(vd)
+        att_buf = np.empty(tile_shape)
+        d_buf = np.empty(tile_shape)
+        for lo, hi in tiles:
+            att = np.matmul(qd[:, lo:hi].T, kd, out=att_buf[:hi - lo])
+            att -= row_max[lo:hi, None]
+            np.exp(att, out=att)
+            att /= row_sum[lo:hi, None]
+            g_tile = g[:, lo:hi]
+            g_v += g_tile @ att
+            d_logits = np.matmul(g_tile.T, vd, out=d_buf[:hi - lo])
+            d_logits -= row_dot[lo:hi, None]
+            d_logits *= att
+            g_q[:, lo:hi] = kd @ d_logits.T
+            g_k += qd[:, lo:hi] @ d_logits
+        _accumulate(q, g_q)
+        _accumulate(k, g_k)
+        _accumulate(values, g_v)
+
+    return _emit(out_data, (q, k, values), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,7 @@ class DockingModel:
                         Z_from: ad.Tensor) -> ad.Tensor:
         q = self._linear(prefix + "att_q", H_to)
         k = self._linear(prefix + "att_k", H_from)
-        att = ad.softmax(ad.matmul(ad.transpose(q), k), axis=1)
-        values = self._cross_values(prefix, H_from, Z_from)
-        return ad.matmul(values, ad.transpose(att))
+        return ad.cross_attention(q, k, self._cross_values(prefix, H_from, Z_from))
 
     def _layer(self, l: int, state1, state2, g1: ProteinGraph, g2: ProteinGraph):
         cfg = self.config

@@ -18,6 +18,9 @@ leaving cell under the other end. Only that subtree's potentials (u_0 = 0
 at the root, u_i + v_j = c_ij on basic cells) and depths change. Each is
 recomputed from its parent edge, which is the arithmetic of solving all
 potentials afresh from the root: reduced costs and pivots match it exactly.
+The walk also sums the signed costs around the cycle, which equal the
+entering cell's reduced cost whenever the potentials fit the tree; a
+mismatch raises at once instead of pivoting on wrong prices.
 
 A caller solving a sequence of nearly equal costs can pass a ``WarmStart``
 holder. Any spanning tree of an (S, K) problem with its stored flows is
@@ -72,8 +75,10 @@ def solve_uniform_transport(cost: np.ndarray,
         raise ValueError("solve_uniform_transport: cost has non-finite entries")
     s, k = cost.shape
 
-    tree = _Basis(cost, s, k, warm)
     eps = 1e-12 * (1.0 + float(np.abs(cost).max()))
+    # A potential sums up to s + k costs, so priced and cycle costs may
+    # round apart by about that many eps; stale potentials are far beyond.
+    tree = _Basis(cost, s, k, warm, cycle_tol=(s + k) * eps)
     max_pivots = _MAX_PIVOTS_FACTOR * (s + k) * max(s, k)
     reduced = np.empty((s, k))
     zero_streak = 0
@@ -89,7 +94,7 @@ def solve_uniform_transport(cost: np.ndarray,
             entering = _most_negative_reduced_cost(reduced, eps)
         if entering is None:
             break
-        if tree.pivot(*entering) == 0:
+        if tree.pivot(*entering, reduced.item(entering)) == 0:
             zero_streak += 1
             bland = bland or zero_streak > s + k + 4
         else:
@@ -109,21 +114,31 @@ def solve_uniform_transport(cost: np.ndarray,
 
 
 class _Basis:
-    """Basis tree with node-indexed parent, depth, flow, children and potentials."""
+    """Basis tree with node-indexed parent, depth, flow, children and potentials.
 
-    def __init__(self, cost: np.ndarray, s: int, k: int, warm: WarmStart | None = None):
+    ``edge_cost[node]`` is the cost of the basic cell on the edge from
+    ``node`` to its parent, set whenever that edge is made.
+    """
+
+    def __init__(self, cost: np.ndarray, s: int, k: int, warm: WarmStart | None,
+                 cycle_tol: float):
         """The tree and flows of ``warm`` if it has this shape, else the NW-corner start."""
         self.s = s
         self.cost = cost.tolist()
+        self.cycle_tol = cycle_tol
         n = s + k
         self.depth = [0] * n
         self.pot = [0.0] * n
+        self.edge_cost = [0.0] * n
         if warm is None or warm.shape != (s, k):
             self._northwest_corner(s, k)
             return
         # Copies, so a failed solve leaves the holder as it was.
         self.parent, self.flow = list(warm.parent), list(warm.flow)
         self.children = [list(c) for c in warm.children]
+        for node in range(1, n):
+            i, j = self.cell(node)
+            self.edge_cost[node] = self.cost[i][j]
         for node in self.children[0]:
             self._refresh(node)
 
@@ -140,6 +155,7 @@ class _Basis:
         while True:
             amount = min(supply[i], demand[j])
             self.parent[node], self.flow[node] = up, amount
+            self.edge_cost[node] = self.cost[i][j]
             self.children[up].append(node)
             self._refresh(node)
             supply[i] -= amount
@@ -157,31 +173,54 @@ class _Basis:
 
     def _refresh(self, top: int) -> None:
         """Recompute depth and potential of ``top`` and its subtree from their parents."""
-        s, cost, parent, depth, pot = self.s, self.cost, self.parent, self.depth, self.pot
+        edge_cost, parent, depth, pot = self.edge_cost, self.parent, self.depth, self.pot
         children = self.children
         stack = [top]
         while stack:
             node = stack.pop()
             up = parent[node]
             depth[node] = depth[up] + 1
-            pot[node] = (cost[node][up - s] if node < s else cost[up][node - s]) - pot[up]
+            pot[node] = edge_cost[node] - pot[up]
             stack += children[node]
 
-    def pivot(self, ei: int, ej: int) -> int:
-        """Push flow around the entering cell's cycle; returns the moved volume."""
-        s, parent, depth, flow = self.s, self.parent, self.depth, self.flow
+    def pivot(self, ei: int, ej: int, priced: float) -> int:
+        """Push flow around the entering cell's cycle; returns the moved volume.
+
+        ``priced`` is the entering cell's reduced cost from the potentials.
+        The signed costs around the cycle sum to it whenever the potentials
+        fit the tree, so a gap beyond ``cycle_tol`` means stale potentials:
+        raise at once rather than pivot on wrong prices until the pivot cap.
+        """
+        s, parent, depth, flow, cost = self.s, self.parent, self.depth, self.flow, self.cost
+        edge_cost = self.edge_cost
         # Going around the cycle from the entering cell (+), the tree edge
         # from a node to its parent gives back flow (-) when the node is a
         # row on the row's side of the cycle, or a column on the column's.
         minus, plus = [], []
+        cycle = cost[ei][ej]
         a, b = ei, s + ej
         while a != b:
             if depth[a] >= depth[b]:
-                (minus if a < s else plus).append(a)
-                a = parent[a]
+                up = parent[a]
+                if a < s:
+                    minus.append(a)
+                    cycle -= cost[a][up - s]
+                else:
+                    plus.append(a)
+                    cycle += cost[up][a - s]
+                a = up
             else:
-                (minus if b >= s else plus).append(b)
-                b = parent[b]
+                up = parent[b]
+                if b < s:
+                    plus.append(b)
+                    cycle += cost[b][up - s]
+                else:
+                    minus.append(b)
+                    cycle -= cost[up][b - s]
+                b = up
+        if abs(cycle - priced) > self.cycle_tol:
+            raise RuntimeError(f"transportation simplex: cell ({ei}, {ej}) priced at {priced!r} "
+                               f"but its cycle costs {cycle!r}; the potentials are stale")
         # Ties on the smallest flow go to the lexicographically smallest cell.
         theta = min(map(flow.__getitem__, minus))
         tied = [x for x in minus if flow[x] == theta]
@@ -200,6 +239,7 @@ class _Basis:
             old_up, old_flow = parent[node], flow[node]
             self.children[old_up].remove(node)
             parent[node] = up
+            edge_cost[node] = cost[node][up - s] if node < s else cost[up][node - s]
             flow[node] = carried
             self.children[up].append(node)
             if node == leaving:

@@ -169,6 +169,10 @@ def _primitive_op_cases(rng):
     layer = [frng.normal(size=s) for s in ((3, 2), (3, 1), (2, 3), (2, 1))]
     p26b = ad.constant(frng.normal(size=(2, 6)))
     p28 = ad.constant(frng.normal(size=(2, 8)))
+    # and so does the fused cross-attention
+    arng = np.random.default_rng(506)
+    attention = [arng.normal(size=s) for s in ((3, 4), (3, 5), (2, 5))]
+    p24 = ad.constant(arng.normal(size=(2, 4)))
     return [
         ("add", [A, B], lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b)))),
         ("add broadcast", [A, col], lambda a, c: ad.reduce_sum(ad.mul(ad.add(a, c), ad.add(a, c)))),
@@ -201,6 +205,8 @@ def _primitive_op_cases(rng):
                       frng.normal(size=(2, 4)), frng.normal(size=(1, 8))],
          lambda W0, b0, W1, b1, H, e: ad.reduce_sum(
              ad.mul(ad.edge_mlp(W0, b0, W1, b1, H, e, nbrs, 0.1), p28))),
+        ("cross_attention", attention,
+         lambda q, k, v: ad.reduce_sum(ad.mul(ad.cross_attention(q, k, v), p24))),
     ]
 
 

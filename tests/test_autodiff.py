@@ -1,5 +1,8 @@
 """Forward values and finite-difference gradient checks for the tape ops."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,3 +303,94 @@ def test_grad_check_through_transposed_view():
         return ad.reduce_sum(ad.mul(ad.matmul(a, ad.transpose(att)), probe))
 
     _checked(f, a)
+
+
+# --- one-pass LeakyReLU --------------------------------------------------------
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.5, -0.3])
+def test_leaky_relu_matches_masked_product_bit_for_bit(slope):
+    rng = np.random.default_rng(22)
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every length up to 40 and a long one, so vectorized loops and
+        # their remainders both see the special values
+        for n in list(range(1, 41)) + [1001]:
+            pre = np.where(rng.random(n) < 0.5, rng.choice(specials, size=n),
+                           rng.standard_normal(n))
+            g = rng.standard_normal(n)
+            x = ad.parameter(pre)
+            ops = [lambda t: ad.leaky_relu(t, slope)] + ([ad.relu] if slope == 0.0 else [])
+            for op in ops:
+                x.zero_grad()
+                with ad.Tape() as tape:
+                    out = op(x)
+                    tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+                factor = np.where(pre >= 0, 1.0, slope)
+                assert np.array_equal(out.data.view(np.uint64), (pre * factor).view(np.uint64))
+                assert np.array_equal(x.grad.view(np.uint64), (g * factor).view(np.uint64))
+
+
+# --- fused cross-attention ----------------------------------------------------
+
+
+def _primitive_cross_attention(q, k, values):
+    att = ad.softmax(ad.matmul(ad.transpose(q), k), axis=1)
+    return ad.matmul(values, ad.transpose(att))
+
+
+@st.composite
+def cross_attention_cases(draw):
+    n1 = draw(st.sampled_from([1, 2, 7, 33]))
+    n2 = draw(st.sampled_from([1, 3, 9, 40]))
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    tile = draw(st.sampled_from([1, 10, 50, 2**16]))  # logits per row tile
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k = rng.standard_normal((d, n1)), rng.standard_normal((d, n2))
+    logits = draw(st.sampled_from(["unit", "spread", "offset"]))
+    if logits == "spread":  # logits up to about +-1e3: rows are nearly one-hot
+        q *= 30.0
+        k *= 30.0 / np.sqrt(d)
+    elif logits == "offset":  # logits near +-1e3 with a spread of a few units
+        q[0] = 1e3 * rng.choice([-1.0, 1.0])
+        k[0] = 1.0
+    return tile, [q, k, rng.standard_normal((m, n2))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cross_attention_cases())
+def test_property_cross_attention_matches_primitives(case):
+    tile, arrays = case
+    params = [ad.parameter(a) for a in arrays]
+    with mock.patch.object(ad, "_TILE_ENTRIES", tile):
+        out, grads = _grads(params, lambda: ad.cross_attention(*params))
+    ref_out, ref_grads = _grads(params, lambda: _primitive_cross_attention(*params))
+    for got, ref in zip([out] + grads, [ref_out] + ref_grads):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_cross_attention_records_one_node_and_rejects_bad_shapes():
+    q, k, v = (ad.parameter(np.ones(s)) for s in ((2, 3), (2, 4), (1, 4)))
+    with ad.Tape() as tape:
+        ad.cross_attention(q, k, v)
+        assert len(tape) == 1
+    with pytest.raises(ad.ShapeError, match="cross_attention"):
+        ad.cross_attention(q, k, ad.constant(np.ones((1, 3))))
+    with pytest.raises(ad.ShapeError, match="cross_attention"):
+        ad.cross_attention(q, ad.constant(np.ones((2, 0))), ad.constant(np.ones((1, 0))))
+
+
+def test_cross_attention_memory_stays_below_one_logit_array():
+    n = 2000
+    rng = np.random.default_rng(23)
+    q, k, v = (ad.parameter(rng.standard_normal((8, n))) for _ in range(3))
+    probe = ad.constant(rng.standard_normal((8, n)))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.mul(ad.cross_attention(q, k, v), probe)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.grad is not None and k.grad is not None and v.grad is not None
+    assert peak < n * n * 8  # one n x n float64 array: 32 MB

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -296,3 +297,33 @@ def test_warm_start_of_another_shape_is_ignored(monkeypatch):
     assert calls == cold_pivots
     np.testing.assert_array_equal(plan, cold_plan)
     assert warm.shape == (9, 12)
+
+
+def test_stale_warm_potentials_fail_fast(monkeypatch):
+    # Mutation: a warm start that refreshes only the root's first subtree,
+    # so the others keep the potentials of the previous cost. Each pivot's
+    # cycle cost must expose the wrong prices at once. Without that check
+    # the solve pivots on them and, depending on the defect, ends at the
+    # optimum by luck, at a suboptimal plan, or at the pivot cap (about
+    # 2.4 million pivots at 87 x 50).
+    rng = np.random.default_rng(13)
+    previous, cost = pocket_cost(rng, 87, 50), pocket_cost(rng, 87, 50)
+    warm = transport.WarmStart()
+    solve_uniform_transport(previous, warm)
+    previous_pot = transport._Basis(previous, 87, 50, warm, 0.0).pot
+    init = transport._Basis.__init__
+
+    def partly_refreshed(self, cost, s, k, warm, cycle_tol):
+        init(self, cost, s, k, warm, cycle_tol)
+        stale = self.children[0][1:]
+        assert stale, "the warm tree's root has one subtree; nothing to leave stale"
+        while stale:
+            node = stale.pop()
+            self.pot[node] = previous_pot[node]
+            stale += self.children[node]
+
+    monkeypatch.setattr(transport._Basis, "__init__", partly_refreshed)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="potentials are stale"):
+        solve_uniform_transport(cost, warm)
+    assert time.monotonic() - start < 5.0
