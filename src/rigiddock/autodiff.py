@@ -12,11 +12,16 @@ stores C-contiguous data, because ``grad_check`` and the optimizer write
 into it in place through flat views. Nothing writes into the data of any
 other tensor.
 
-``linear``, ``mlp``, ``edge_mlp`` and ``cross_attention`` are fused ops:
-each records one tape node with a hand-written backward instead of one node
-per primitive. ``cross_attention`` runs over row tiles of its n1 x n2
+``linear``, ``mlp``, ``edge_mlp``, ``message_pass``, ``node_update``,
+``cross_attention`` and ``keypoint_attention`` are fused ops: each records
+one tape node with a hand-written backward instead of one node per
+primitive. ``message_pass`` and ``keypoint_attention`` have two outputs;
+``svd3`` has three. ``cross_attention`` runs over row tiles of its n1 x n2
 logits and keeps only each row's max and sum, so no n1 x n2 array outlives
 a tile, with or without a tape.
+
+``Tape.backward`` drops each recorded closure once it has run, so the
+forward arrays a closure holds are freed as backward proceeds.
 
 Tensors that never touch a tape are plain immutable value holders and can be
 shared freely across threads. A Tape itself is single-threaded; concurrent
@@ -118,9 +123,9 @@ class Tape:
         if loss.data.size != 1:
             raise ShapeError(f"backward: loss has shape {loss.data.shape}, expected a scalar")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._nodes):
-            fn()
-        self._nodes.clear()
+        nodes = self._nodes
+        while nodes:
+            nodes.pop()()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -159,6 +164,27 @@ def _emit(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
         tape._nodes.append(node)
     return out
+
+
+def _emit_multi(datas: tuple[np.ndarray, ...], parents: tuple[Tensor, ...],
+                backward) -> tuple[Tensor, ...]:
+    """``_emit`` for an op with several outputs, recorded as one tape node.
+
+    ``backward`` receives one gradient per output, in order, and runs when
+    any output has one; outputs without a gradient pass zeros.
+    """
+    requires_grad = any(p.requires_grad for p in parents)
+    outs = tuple(Tensor(d, requires_grad=requires_grad) for d in datas)
+    tape = _active_tape()
+    if tape is not None and requires_grad:
+
+        def node():
+            if all(o.grad is None for o in outs):
+                return
+            backward(*(np.zeros_like(o.data) if o.grad is None else o.grad for o in outs))
+
+        tape._nodes.append(node)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +291,20 @@ def log(a: Tensor) -> Tensor:
 
 
 def _leaky_relu_factor(pre: np.ndarray, slope: float) -> np.ndarray:
-    """The derivative where(pre >= 0, 1, slope); backward builds it when it runs."""
-    return np.where(pre >= 0.0, 1.0, slope)
+    """The derivative where(pre >= 0, 1, slope), bit for bit; backward builds it when it runs.
+
+    For 0 <= slope <= 1 it is formed without a select, as m * (1 - slope) +
+    slope with m the 0/1 mask, which is several times faster on mixed signs.
+    That is slope exactly where m = 0, and exactly 1 where m = 1:
+    fl(1 - slope) is within 2**-54 of 1 - slope, so adding slope back rounds
+    to 1. A NaN pre gets the slope, as in the select.
+    """
+    if not 0.0 <= slope <= 1.0:
+        return np.where(pre >= 0.0, 1.0, slope)
+    factor = (pre >= 0.0).astype(np.float64)
+    factor *= 1.0 - slope
+    factor += slope
+    return factor
 
 
 def _leaky_relu_values(pre: np.ndarray, slope: float) -> np.ndarray:
@@ -351,17 +389,27 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _emit(out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
-    mean = a.data.mean(axis=axis, keepdims=True)
-    var = a.data.var(axis=axis, keepdims=True)
+def _layer_norm(x: np.ndarray, axis: int, eps: float):
+    """Zero mean / unit variance along ``axis``, plus the adjoint of that map."""
+    mean = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mean) * inv
+    y = (x - mean) * inv
 
     def backward(g):
         gm = g.mean(axis=axis, keepdims=True)
         gy = (g * y).mean(axis=axis, keepdims=True)
-        _accumulate(a, inv * (g - gm - y * gy))
+        return inv * (g - gm - y * gy)
+
+    return y, backward
+
+
+def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
+    y, norm_backward = _layer_norm(a.data, axis, eps)
+
+    def backward(g):
+        _accumulate(a, norm_backward(g))
 
     return _emit(y, (a,), backward)
 
@@ -375,6 +423,15 @@ def _sum_into_columns(values: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray
     rows = values.shape[0]
     flat = (np.arange(rows)[:, None] * n + idx).reshape(-1)
     return np.bincount(flat, weights=values.reshape(-1), minlength=rows * n).reshape(rows, n)
+
+
+def _sum_groups(x: np.ndarray, k: int) -> np.ndarray:
+    """Sums of consecutive groups of k columns: (rows, n * k) -> (rows, n).
+
+    One matrix-vector product with a vector of ones; numpy's own reduction
+    over such short inner rows runs several times slower.
+    """
+    return (x.reshape(-1, k) @ np.ones(k)).reshape(x.shape[0], -1)
 
 
 def take_columns(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -473,7 +530,9 @@ def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
     def backward(g):
         _accumulate(W1, g @ hidden.T)
         _accumulate(b1, g.sum(axis=1, keepdims=True))
-        g_pre = W1d.T @ g
+        # a one-row W1 (a gate) makes this an outer product, which BLAS runs
+        # several times slower than the broadcast product with the same bits
+        g_pre = W1d.T * g if W1d.shape[0] == 1 else W1d.T @ g
         g_pre *= _leaky_relu_factor(pre, slope)
         return g_pre
 
@@ -500,6 +559,55 @@ def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
     return _emit(out_data, (W0, b0, W1, b1, x), backward)
 
 
+def _check_graph(op: str, neighbors: np.ndarray, n: int, edge_columns: int) -> np.ndarray:
+    """neighbors as an (n, k) index array with ids in [0, n), for n * k edge columns."""
+    neighbors = np.asarray(neighbors, dtype=np.intp)
+    if neighbors.ndim != 2 or neighbors.shape[0] != n or neighbors.size != edge_columns:
+        raise ShapeError(f"{op}: {neighbors.shape} neighbors and {edge_columns} "
+                         f"edge columns for {n} nodes")
+    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= n):
+        raise ShapeError(f"{op}: neighbor ids outside [0, {n})")
+    return neighbors
+
+
+def _edge_mlp(op: str, W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
+              edge_in: np.ndarray, neighbors: np.ndarray, slope: float):
+    """Forward of ``edge_mlp`` on checked neighbors, plus its backward.
+
+    The backward accumulates into W0, b0, W1, b1 and H and returns the
+    gradient with respect to the pre-activation, ``g_pre``; the edge
+    input's gradient is ``W0[:, 2 * d:].T @ g_pre``.
+    """
+    d, n = H.data.shape
+    k = neighbors.shape[1]
+    _check_layer(op, W0, b0, 2 * d + edge_in.shape[0])
+    _check_layer(op, W1, b1, W0.data.shape[0])
+    W0d, Hd = W0.data, H.data
+    W_dst, W_src, W_edge = W0d[:, :d], W0d[:, d:2 * d], W0d[:, 2 * d:]
+    src = neighbors.reshape(-1)
+    hid = W0d.shape[0]
+
+    pre = _affine(W_edge, edge_in, b0.data)
+    per_node = pre.reshape(hid, n, k)  # a view: edge i * k + j is [:, i, j]
+    per_node += (W_dst @ Hd)[:, :, None]
+    pre += (W_src @ Hd)[:, src]
+    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
+
+    def backward(g):
+        g_pre = head_backward(g)
+        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
+        g_dst = _sum_groups(g_pre, k)
+        g_src = _sum_into_columns(g_pre, src, n)
+        _accumulate(W0, np.concatenate([g_dst @ Hd.T, g_src @ Hd.T, g_pre @ edge_in.T], axis=1))
+        if H.requires_grad:
+            g_H = W_dst.T @ g_dst
+            g_H += W_src.T @ g_src
+            _accumulate(H, g_H)
+        return g_pre
+
+    return out_data, backward
+
+
 def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
              edge_in: Tensor, neighbors: np.ndarray, slope: float = 0.01) -> Tensor:
     """``mlp`` over the edges of a fixed-degree graph, without gathering H to edges.
@@ -511,44 +619,140 @@ def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     gather. Backward reduces the edge gradient to nodes before the node-side
     matmuls.
     """
-    neighbors = np.asarray(neighbors, dtype=np.intp)
-    if H.data.ndim != 2 or edge_in.data.ndim != 2 or neighbors.ndim != 2:
-        raise ShapeError(f"edge_mlp: H {H.data.shape}, edge input {edge_in.data.shape}, "
-                         f"neighbors {neighbors.shape}")
-    d, n = H.data.shape
-    k = neighbors.shape[1]
-    if neighbors.shape[0] != n or edge_in.data.shape[1] != n * k:
-        raise ShapeError(f"edge_mlp: {neighbors.shape} neighbors and {edge_in.data.shape[1]} "
-                         f"edge columns for {n} nodes")
-    if neighbors.size and (neighbors.min() < 0 or neighbors.max() >= n):
-        raise ShapeError(f"edge_mlp: neighbor ids outside [0, {n})")
-    _check_layer("edge_mlp", W0, b0, 2 * d + edge_in.data.shape[0])
-    _check_layer("edge_mlp", W1, b1, W0.data.shape[0])
-    W0d, Hd, ed = W0.data, H.data, edge_in.data
-    W_dst, W_src, W_edge = W0d[:, :d], W0d[:, d:2 * d], W0d[:, 2 * d:]
-    src = neighbors.reshape(-1)
-    hid = W0d.shape[0]
-
-    pre = _affine(W_edge, ed, b0.data)
-    per_node = pre.reshape(hid, n, k)  # a view: edge i * k + j is [:, i, j]
-    per_node += (W_dst @ Hd)[:, :, None]
-    pre += (W_src @ Hd)[:, src]
-    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
+    if H.data.ndim != 2 or edge_in.data.ndim != 2:
+        raise ShapeError(f"edge_mlp: H {H.data.shape}, edge input {edge_in.data.shape}")
+    neighbors = _check_graph("edge_mlp", neighbors, H.data.shape[1], edge_in.data.shape[1])
+    out_data, core_backward = _edge_mlp("edge_mlp", W0, b0, W1, b1, H, edge_in.data,
+                                        neighbors, slope)
+    W_edge = W0.data[:, 2 * H.data.shape[0]:]
 
     def backward(g):
-        g_pre = head_backward(g)
-        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
-        g_dst = g_pre.reshape(hid, n, k).sum(axis=2)
-        g_src = _sum_into_columns(g_pre, src, n)
-        _accumulate(W0, np.concatenate([g_dst @ Hd.T, g_src @ Hd.T, g_pre @ ed.T], axis=1))
-        if H.requires_grad:
-            g_H = W_dst.T @ g_dst
-            g_H += W_src.T @ g_src
-            _accumulate(H, g_H)
+        g_pre = core_backward(g)
         if edge_in.requires_grad:
             _accumulate(edge_in, W_edge.T @ g_pre)
 
     return _emit(out_data, (W0, b0, W1, b1, H, edge_in), backward)
+
+
+def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
+                 phi_x: tuple[Tensor, Tensor, Tensor, Tensor],
+                 Z: Tensor, H: Tensor, X0: Tensor, edge_feats: np.ndarray,
+                 neighbors: np.ndarray, slope: float, sigma: float, eta: float,
+                 shift_scale: float) -> tuple[Tensor, Tensor]:
+    """One EGNN-style message pass over a fixed-degree graph: (m, Z_new).
+
+    Node i has the k in-edges ``neighbors[i, j] -> i`` (edge column
+    ``i * k + j``, as in ``edge_mlp``). Per edge, ``diff = Z_i - Z_src``,
+    ``radial = exp(-|diff|^2 / sigma)`` and ``m_e = mlp(phi_e, [H_i; H_src;
+    radial; edge_feats_e])``, formed through ``edge_mlp``'s node-side
+    projection. Then, with ``phi_e`` and ``phi_x`` each ``(W0, b0, W1, b1)``
+    of a LeakyReLU ``mlp`` and ``phi_x`` giving one gate per edge::
+
+        m     = (1 / k) * sum_j m_e
+        Z_new = eta * X0 + (1 - eta) * Z + shift_scale * sum_j diff * mlp(phi_x, m_e)
+
+    Every node has exactly k in-edges, so the sums over j are reshape-sums
+    of the (., n, k) edge layout. Z, H and X0 are 3 x n, d x n and 3 x n.
+    """
+    W0, b0, W1, b1 = phi_e
+    Wx0, bx0, Wx1, bx1 = phi_x
+    Zd, Hd, X0d = Z.data, H.data, X0.data
+    edge_feats = np.asarray(edge_feats, dtype=np.float64)
+    if (Zd.ndim != 2 or Zd.shape[0] != 3 or X0d.shape != Zd.shape or Hd.ndim != 2
+            or Hd.shape[1] != Zd.shape[1] or edge_feats.ndim != 2):
+        raise ShapeError(f"message_pass: Z {Zd.shape}, X0 {X0d.shape}, H {Hd.shape}, "
+                         f"edge features {edge_feats.shape}")
+    n = Zd.shape[1]
+    neighbors = _check_graph("message_pass", neighbors, n, edge_feats.shape[1])
+    _check_layer("message_pass", Wx0, bx0, W1.data.shape[0])
+    _check_layer("message_pass", Wx1, bx1, Wx0.data.shape[0])
+    if Wx1.data.shape[0] != 1:
+        raise ShapeError(f"message_pass: gate weight {Wx1.data.shape}, expected one row")
+    k = neighbors.shape[1]
+    diff = Zd[:, :, None] - Zd[:, neighbors]  # (3, n, k)
+    diff_e = diff.reshape(3, n * k)
+    c = -1.0 / sigma
+    radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
+    parents = (W0, b0, W1, b1, Wx0, bx0, Wx1, bx1, Z, H, X0)
+    m_edge, edge_backward = _edge_mlp("message_pass", W0, b0, W1, b1, H,
+                                      np.concatenate([radial, edge_feats], axis=0),
+                                      neighbors, slope)
+    if _active_tape() is None or not any(p.requires_grad for p in parents):
+        # nothing will record this op: free the edge MLP's saved arrays before
+        # the gate allocates its own, as separate ops would
+        edge_backward = None
+    hid = m_edge.shape[0]
+    m_node = _sum_groups(m_edge, k)
+    m_node *= 1.0 / k
+    Wx0d, W_radial = Wx0.data, W0.data[:, 2 * Hd.shape[0]]
+    gate, gate_backward = _mlp_head(_affine(Wx0d, m_edge, bx0.data), Wx1, bx1, slope)
+    gate = gate.reshape(1, n, k)
+    shift = _sum_groups((diff * gate).reshape(3, n * k), k)
+    shift *= shift_scale
+    z_new = X0d * eta
+    z_new += Zd * (1.0 - eta)
+    z_new += shift
+
+    def backward(g_m, g_z):
+        if X0.requires_grad:
+            _accumulate(X0, g_z * eta)
+        g_shift = (g_z * shift_scale)[:, :, None]
+        g_prex = gate_backward((g_shift * diff).sum(axis=0).reshape(1, n * k))
+        _accumulate(bx0, g_prex.sum(axis=1, keepdims=True))
+        _accumulate(Wx0, g_prex @ m_edge.T)
+        g_edge = Wx0d.T @ g_prex
+        per_node = g_edge.reshape(hid, n, k)
+        per_node += (g_m * (1.0 / k))[:, :, None]
+        g_pre = edge_backward(g_edge)
+        if Z.requires_grad:
+            g_sqd = (W_radial @ g_pre) * radial[0]
+            g_sqd *= 2.0 * c
+            g_diff = g_shift * gate
+            g_diff += g_sqd.reshape(1, n, k) * diff
+            g_Z = g_z * (1.0 - eta)
+            g_Z += _sum_groups(g_diff.reshape(3, n * k), k)
+            g_Z -= _sum_into_columns(g_diff.reshape(3, n * k), neighbors.reshape(-1), n)
+            _accumulate(Z, g_Z)
+
+    return _emit_multi((m_node, z_new), parents, backward)
+
+
+def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
+                context: list[Tensor], beta: float, slope: float,
+                normalize: bool) -> Tensor:
+    """Residual node update: (1 - beta) * H + beta * mlp([H; context]).
+
+    The MLP is ``mlp(W0, b0, W1, b1, x, slope)`` on x, H stacked over the
+    context tensors (all with H's columns). With ``normalize`` the result is
+    passed through ``layer_norm`` over its rows.
+    """
+    parts = (H, *context)
+    if any(p.data.ndim != 2 or p.data.shape[1] != H.data.shape[1] for p in parts):
+        raise ShapeError(f"node_update: shapes {[p.data.shape for p in parts]}")
+    x = np.concatenate([p.data for p in parts], axis=0)
+    _check_layer("node_update", W0, b0, x.shape[0])
+    _check_layer("node_update", W1, b1, W0.data.shape[0])
+    if W1.data.shape[0] != H.data.shape[0]:
+        raise ShapeError(f"node_update: output weight {W1.data.shape} for H {H.data.shape}")
+    W0d = W0.data
+    mix, head_backward = _mlp_head(_affine(W0d, x, b0.data), W1, b1, slope)
+    h = H.data * (1.0 - beta)
+    h += mix * beta
+    out_data, norm_backward = _layer_norm(h, 0, 1e-5) if normalize else (h, None)
+    bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def backward(g):
+        if normalize:
+            g = norm_backward(g)
+        g_pre = head_backward(g * beta)
+        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
+        _accumulate(W0, g_pre @ x.T)
+        g_x = W0d.T @ g_pre
+        g_x[:bounds[1]] += g * (1.0 - beta)
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            _accumulate(p, g_x[lo:hi])
+
+    return _emit(out_data, parts + (W0, b0, W1, b1), backward)
 
 
 # Logits per row tile of ``cross_attention``: 2**16 float64 entries, 512 KB.
@@ -611,6 +815,58 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
         _accumulate(values, g_v)
 
     return _emit(out_data, (q, k, values), backward)
+
+
+def keypoint_attention(W: Tensor, b: Tensor, w_prime: Tensor, Z: Tensor, H: Tensor,
+                       H_other: Tensor, heads: int, slope: float) -> tuple[Tensor, Tensor]:
+    """Attention keypoints of one protein given the other: (Y, A).
+
+    With d the rows of H and m those of W::
+
+        summary  = column mean of leaky_relu(W @ H_other + b, slope)    (m x 1)
+        per_head = (w_prime @ summary) read row-major as heads x d
+        A        = softmax(per_head @ H / sqrt(d), axis=1)             (heads x n)
+        Y        = Z @ A.T                                             (3 x heads)
+
+    Each row of A holds convex weights over the n nodes of Z and H.
+    """
+    Wd, bd, wpd = W.data, b.data, w_prime.data
+    Zd, Hd, Od = Z.data, H.data, H_other.data
+    if (Zd.ndim != 2 or Hd.ndim != 2 or Od.ndim != 2 or Zd.shape[1] != Hd.shape[1]
+            or wpd.shape != (heads * Hd.shape[0], Wd.shape[0])):
+        raise ShapeError(f"keypoint_attention: Z {Zd.shape}, H {Hd.shape}, H_other {Od.shape}, "
+                         f"w_prime {wpd.shape} for {heads} heads")
+    _check_layer("keypoint_attention", W, b, Od.shape[0])
+    d, n_other = Hd.shape[0], Od.shape[1]
+    pre = _affine(Wd, Od, bd)
+    summary = _leaky_relu_values(pre, slope).sum(axis=1, keepdims=True)
+    summary *= 1.0 / n_other
+    per_head = (wpd @ summary).reshape(heads, d)
+    c = 1.0 / np.sqrt(d)
+    logits = per_head @ Hd
+    logits *= c
+    logits -= logits.max(axis=1, keepdims=True)
+    att = np.exp(logits)
+    att /= att.sum(axis=1, keepdims=True)
+
+    def backward(g_y, g_att):
+        _accumulate(Z, g_y @ att)
+        g_att = g_att + g_y.T @ Zd
+        g_logits = g_att - (g_att * att).sum(axis=1, keepdims=True)
+        g_logits *= att
+        g_logits *= c
+        _accumulate(H, per_head.T @ g_logits)
+        g_head = (g_logits @ Hd.T).reshape(-1, 1)
+        _accumulate(w_prime, g_head @ summary.T)
+        g_summary = wpd.T @ g_head
+        g_summary *= 1.0 / n_other
+        g_pre = np.repeat(g_summary, n_other, axis=1)
+        g_pre *= _leaky_relu_factor(pre, slope)
+        _accumulate(W, g_pre @ Od.T)
+        _accumulate(b, g_pre.sum(axis=1, keepdims=True))
+        _accumulate(H_other, Wd.T @ g_pre)
+
+    return _emit_multi((Zd @ att.T, att), (W, b, w_prime, Z, H, H_other), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -734,23 +990,10 @@ def svd3(a: Tensor) -> Svd3:
         raise NonFiniteError("svd3: input has non-finite entries")
     ud, sd, vd = _svd3_forward(a.data)
 
-    u_t = Tensor(ud, requires_grad=a.requires_grad)
-    s_t = Tensor(sd, requires_grad=a.requires_grad)
-    v_t = Tensor(vd, requires_grad=a.requires_grad)
+    def backward(gu, gs, gv):
+        _accumulate(a, _svd3_backward(ud, sd, vd, gu, gs, gv))
 
-    tape = _active_tape()
-    if tape is not None and a.requires_grad:
-
-        def node():
-            if u_t.grad is None and s_t.grad is None and v_t.grad is None:
-                return
-            gu = u_t.grad if u_t.grad is not None else np.zeros((3, 3))
-            gs = s_t.grad if s_t.grad is not None else np.zeros(3)
-            gv = v_t.grad if v_t.grad is not None else np.zeros((3, 3))
-            _accumulate(a, _svd3_backward(ud, sd, vd, gu, gs, gv))
-
-        tape._nodes.append(node)
-    return Svd3(u_t, s_t, v_t)
+    return Svd3(*_emit_multi((ud, sd, vd), (a,), backward))
 
 
 # ---------------------------------------------------------------------------

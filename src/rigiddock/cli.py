@@ -27,7 +27,8 @@ from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph
 from .model import DockingModel, ModelConfig
 from .pdbio import PdbParseError, format_ca_pdb, parse_pdb_file, transform_atom_records
-from .synthetic import GenerationError, generate_dataset, generate_pair, load_split
+from .synthetic import (DatasetError, GenerationError, generate_dataset, generate_pair,
+                        load_split)
 from .training import TrainConfig, evaluate, train, write_eval_csv
 
 logger = logging.getLogger("rigiddock.cli")
@@ -292,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PdbParseError, CheckpointError, json.JSONDecodeError) as exc:
+    except (PdbParseError, CheckpointError, DatasetError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

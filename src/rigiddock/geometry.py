@@ -62,6 +62,8 @@ class RigidTransform:
     @classmethod
     def from_json(cls, text: str) -> "RigidTransform":
         payload = json.loads(text)
+        if not isinstance(payload, dict) or not {"R", "t"} <= payload.keys():
+            raise ValueError("transform JSON needs an object with keys 'R' and 't'")
         convention = payload.get("convention", TRANSFORM_CONVENTION)
         if not convention.startswith("y = R x + t"):
             raise ValueError(f"unsupported transform convention: {convention!r}")

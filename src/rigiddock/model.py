@@ -126,9 +126,6 @@ class DockingModel:
         return (p[prefix + ".lin0.W"], p[prefix + ".lin0.b"],
                 p[prefix + ".lin1.W"], p[prefix + ".lin1.b"])
 
-    def _mlp(self, prefix: str, x: ad.Tensor) -> ad.Tensor:
-        return ad.mlp(*self._mlp_params(prefix), x, self.config.leaky_slope)
-
     def _node_features(self, g: ProteinGraph) -> ad.Tensor:
         emb = ad.take_columns(self.params["embed.table"], g.types)
         return ad.concat([emb, ad.constant(g.rho.T)], axis=0)
@@ -140,27 +137,6 @@ class DockingModel:
         feats = self._node_features(g)
         h0 = self._linear("embed.project", feats)
         return ad.constant(coords), h0, feats
-
-    def _intra_messages(self, prefix: str, Z: ad.Tensor, H: ad.Tensor, g: ProteinGraph):
-        """Mean-aggregated edge messages and the gated coordinate increment."""
-        n, src, dst = g.n_nodes, g.src, g.dst
-        Zs = ad.take_columns(Z, src)
-        Zd = ad.take_columns(Z, dst)
-        diff = ad.sub(Zd, Zs)
-        sqd = ad.reduce_sum(ad.mul(diff, diff), axis=0, keepdims=True)
-        radial = ad.exp(ad.scale(sqd, -1.0 / self.config.sigma_msg))
-        # phi_e on concat([H[:, dst], H[:, src], radial, edge_feats]) per edge
-        m_edge = ad.edge_mlp(*self._mlp_params(prefix + "phi_e"), H,
-                             ad.concat([radial, ad.constant(g.edge_feats)], axis=0),
-                             g.neighbors, self.config.leaky_slope)
-        # every node has exactly k in-edges
-        inv_deg = 1.0 / g.k
-        m_node = ad.scale(ad.segment_sum_columns(m_edge, dst, n), inv_deg)
-        gate = self._mlp(prefix + "phi_x", m_edge)
-        shift = ad.segment_sum_columns(ad.mul(diff, gate), dst, n)
-        if self.config.mean_coord_update:
-            shift = ad.scale(shift, inv_deg)
-        return m_node, shift
 
     def _cross_values(self, prefix: str, H_other: ad.Tensor, Z_other: ad.Tensor) -> ad.Tensor:
         """Per-node message content taken from the other graph.
@@ -186,13 +162,14 @@ class DockingModel:
         cross_pairs = ((H1, H2, Z2), (H2, H1, Z1))
         intra = ((Z1, H1, X1_0, F1, g1), (Z2, H2, X2_0, F2, g2))
         for (Z, H, X0, F, g), (H_to, H_from, Z_from) in zip(intra, cross_pairs):
-            m_node, shift = self._intra_messages(prefix, Z, H, g)
+            # every node has exactly k in-edges, so the mean update divides by k
+            m_node, z_new = ad.message_pass(
+                self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
+                Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
+                cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
             mu = self._cross_messages(prefix, H_to, H_from, Z_from)
-            z_new = ad.add(ad.add(ad.scale(X0, cfg.eta), ad.scale(Z, 1.0 - cfg.eta)), shift)
-            h_mix = self._mlp(prefix + "phi_h", ad.concat([H, m_node, mu, F], axis=0))
-            h_new = ad.add(ad.scale(H, 1.0 - cfg.beta), ad.scale(h_mix, cfg.beta))
-            if cfg.normalize_h:
-                h_new = ad.layer_norm(h_new, axis=0)
+            h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
+                                   cfg.beta, cfg.leaky_slope, cfg.normalize_h)
             out.append((z_new, h_new, X0, F))
         return out[0], out[1]
 
@@ -219,16 +196,10 @@ class DockingModel:
         summarizing the other protein is the column mean of a shared linear
         map plus LeakyReLU.
         """
-        d = self.config.hidden_dim
-        summary = ad.reduce_mean(
-            ad.leaky_relu(self._linear("keypoints.phi", H_other), self.config.leaky_slope),
-            axis=1, keepdims=True,
-        )
-        per_head = ad.reshape(ad.matmul(self.params["keypoints.w_prime"], summary),
-                              (self.config.heads, d))
-        logits = ad.scale(ad.matmul(per_head, H), 1.0 / np.sqrt(d))
-        attention = ad.softmax(logits, axis=1)
-        return ad.matmul(Z, ad.transpose(attention)), attention
+        p = self.params
+        return ad.keypoint_attention(p["keypoints.phi.W"], p["keypoints.phi.b"],
+                                     p["keypoints.w_prime"], Z, H, H_other,
+                                     self.config.heads, self.config.leaky_slope)
 
     # -- serialization -----------------------------------------------------
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .geometry import RigidTransform, random_se3
+from .graphs import squared_distances
 from .losses import POCKET_TAU, intersection_loss, pocket_points
 from .pdbio import RESIDUE_TYPES, TYPE_INDEX, ResidueSet, format_ca_pdb, parse_pdb_file
 
@@ -46,6 +47,10 @@ _BLOB_RADIUS_COEFF = 2.7
 
 class GenerationError(RuntimeError):
     """Raised when a valid pair cannot be constructed."""
+
+
+class DatasetError(ValueError):
+    """A dataset file does not hold what the layout says it should."""
 
 
 @dataclass
@@ -158,8 +163,8 @@ def _bound_complex(rng: np.random.Generator, n_lig: int, n_rec: int):
 
 
 def _verify(ligand: np.ndarray, receptor: np.ndarray) -> bool:
-    diff = ligand[:, :, None] - receptor[:, None, :]
-    d = np.sqrt(np.sum(diff * diff, axis=0))
+    d = squared_distances(ligand, receptor)
+    np.sqrt(d, out=d)
     if d.min() < 7.2:
         return False
     if np.count_nonzero(d < POCKET_TAU) < CONTACT_RING:
@@ -273,8 +278,13 @@ def generate_dataset(root: str, n_pairs: int, seed: int = 0,
 def load_pair(pair_dir: str) -> DockingPair:
     ligand = parse_pdb_file(os.path.join(pair_dir, "ligand.pdb"))
     receptor = parse_pdb_file(os.path.join(pair_dir, "receptor.pdb"))
-    with open(os.path.join(pair_dir, "complex.json")) as fh:
-        truth = RigidTransform.from_json(fh.read())
+    path = os.path.join(pair_dir, "complex.json")
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        truth = RigidTransform.from_json(text)
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     return DockingPair(
         pair_id=os.path.basename(os.path.normpath(pair_dir)),
         ligand=ligand, receptor=receptor, truth=truth,

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import NonFiniteError
+
 _MAX_PIVOTS_FACTOR = 200
 
 
@@ -64,15 +66,16 @@ def solve_uniform_transport(cost: np.ndarray,
                             warm: WarmStart | None = None) -> tuple[np.ndarray, float]:
     """Optimal plan and objective for uniform marginals U(S, K).
 
-    cost: S x K array of finite values. Returns (plan, objective) where
-    plan rows sum to 1/S and columns to 1/K. ``warm``, if given, seeds the
-    solve with its basis when the shape matches and receives the final one.
+    cost: S x K array of finite values; a NaN or Inf entry raises
+    ``NonFiniteError``. Returns (plan, objective) where plan rows sum to 1/S
+    and columns to 1/K. ``warm``, if given, seeds the solve with its basis
+    when the shape matches and receives the final one.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise ValueError(f"solve_uniform_transport: cost shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
-        raise ValueError("solve_uniform_transport: cost has non-finite entries")
+        raise NonFiniteError("solve_uniform_transport: cost has non-finite entries")
     s, k = cost.shape
 
     eps = 1e-12 * (1.0 + float(np.abs(cost).max()))

@@ -173,6 +173,34 @@ def _primitive_op_cases(rng):
     arng = np.random.default_rng(506)
     attention = [arng.normal(size=s) for s in ((3, 4), (3, 5), (2, 5))]
     p24 = ad.constant(arng.normal(size=(2, 4)))
+    # and so do the fused message pass (4 nodes, k = 2), node update and
+    # keypoint head, one generator each
+    mrng = np.random.default_rng(507)
+    message = [mrng.normal(size=s) for s in ((3, 7), (3, 1), (2, 3), (2, 1), (2, 2),
+                                              (2, 1), (1, 2), (1, 1), (3, 4), (2, 4))]
+    edge_feats = mrng.normal(size=(2, 8))
+    X0 = ad.constant(mrng.normal(size=(3, 4)))
+    p24m = ad.constant(mrng.normal(size=(2, 4)))
+    p34m = ad.constant(mrng.normal(size=(3, 4)))
+
+    def message_pass(W0, b0, W1, b1, Wx0, bx0, Wx1, bx1, Z, H):
+        m, z = ad.message_pass((W0, b0, W1, b1), (Wx0, bx0, Wx1, bx1), Z, H, X0,
+                               edge_feats, nbrs, 0.1, 3.0, 0.25, 0.5)
+        return ad.add(ad.reduce_sum(ad.mul(m, p24m)), ad.reduce_sum(ad.mul(z, p34m)))
+
+    urng = np.random.default_rng(508)
+    update = [urng.normal(size=s) for s in ((3, 6), (3, 1), (3, 3), (3, 1), (3, 4),
+                                             (2, 4), (1, 4))]
+    p34u = ad.constant(urng.normal(size=(3, 4)))
+    krng = np.random.default_rng(509)
+    keypoint = [krng.normal(size=s) for s in ((2, 3), (2, 1), (6, 2), (3, 5), (3, 5), (3, 4))]
+    p32k = ad.constant(krng.normal(size=(3, 2)))
+    p25k = ad.constant(krng.normal(size=(2, 5)))
+
+    def keypoint_attention(*args):
+        Y, att = ad.keypoint_attention(*args, 2, 0.1)
+        return ad.add(ad.reduce_sum(ad.mul(Y, p32k)), ad.reduce_sum(ad.mul(att, p25k)))
+
     return [
         ("add", [A, B], lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b)))),
         ("add broadcast", [A, col], lambda a, c: ad.reduce_sum(ad.mul(ad.add(a, c), ad.add(a, c)))),
@@ -207,6 +235,11 @@ def _primitive_op_cases(rng):
              ad.mul(ad.edge_mlp(W0, b0, W1, b1, H, e, nbrs, 0.1), p28))),
         ("cross_attention", attention,
          lambda q, k, v: ad.reduce_sum(ad.mul(ad.cross_attention(q, k, v), p24))),
+        ("message_pass", message, message_pass),
+        ("node_update", update,
+         lambda W0, b0, W1, b1, H, m, mu: ad.reduce_sum(ad.mul(
+             ad.node_update(W0, b0, W1, b1, H, [m, mu], 0.5, 0.1, True), p34u))),
+        ("keypoint_attention", keypoint, keypoint_attention),
     ]
 
 

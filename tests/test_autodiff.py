@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from rigiddock import autodiff as ad
 
+import reference_ops
+
 
 def test_softmax_uniform_logits():
     out = ad.softmax(ad.constant([0.0, 0.0, 0.0]), axis=0)
@@ -216,15 +218,27 @@ def test_no_tape_means_no_recording():
 # --- fused layers ------------------------------------------------------------
 
 
-def _grads(params, build):
-    """Output data and every parameter's gradient of sum(build() * probe)."""
+def _grads_of_outputs(params, build, used):
+    """Outputs of build() and each parameter's gradient of a probe mix of the used outputs."""
     for p in params:
         p.zero_grad()
     with ad.Tape() as tape:
-        out = build()
-        probe = ad.constant(np.cos(np.arange(out.data.size)).reshape(out.data.shape))
-        tape.backward(ad.reduce_sum(ad.mul(out, probe)))
-    return out.data, [p.grad for p in params]
+        outs = build()
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        terms = [ad.reduce_sum(ad.mul(o, ad.constant(
+                     np.cos(np.arange(o.data.size) + 3.0 * i).reshape(o.data.shape))))
+                 for i, o in enumerate(outs) if used[i]]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        tape.backward(loss)
+    return [o.data for o in outs], [p.grad for p in params]
+
+
+def _grads(params, build):
+    """Output data and every parameter's gradient of sum(build() * probe)."""
+    outs, grads = _grads_of_outputs(params, build, (True,))
+    return outs[0], grads
 
 
 def test_fused_linear_and_mlp_equal_their_primitives_exactly():
@@ -394,3 +408,155 @@ def test_cross_attention_memory_stays_below_one_logit_array():
         tracemalloc.stop()
     assert q.grad is not None and k.grad is not None and v.grad is not None
     assert peak < n * n * 8  # one n x n float64 array: 32 MB
+
+
+# --- fused IEGMN ops: one node per message pass, node update and keypoint head ---
+
+
+def _assert_match(got, ref, rel=1e-10):
+    """Every array within rel of the reference, relative to its largest entry.
+
+    A parameter the reference leaves without a gradient (it does not reach
+    the loss) must get none or zeros.
+    """
+    for i, (g, r) in enumerate(zip(got, ref)):
+        if r is None:
+            assert g is None or not np.any(g), i
+            continue
+        assert np.max(np.abs(g - r)) <= rel * np.max(np.abs(r)), \
+            (i, np.max(np.abs(g - r)), np.max(np.abs(r)))
+
+
+OUTPUT_USE = [(True, True), (True, False), (False, True)]
+
+
+@st.composite
+def message_pass_cases(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(n - 1, 9)))  # build_graph lowers k below 10 on small proteins
+    d, c, hid, out, gate_hid = (draw(st.integers(1, 4)) for _ in range(5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    options = dict(slope=draw(st.sampled_from([0.01, 0.2])), sigma=30.0,
+                   eta=draw(st.sampled_from([0.0, 0.25, 1.0])),
+                   shift_scale=1.0 / k if draw(st.booleans()) else 1.0)
+    shapes = ((hid, 2 * d + 1 + c), (hid, 1), (out, hid), (out, 1),
+              (gate_hid, out), (gate_hid, 1), (1, gate_hid), (1, 1))
+    weights = [rng.standard_normal(s) for s in shapes]
+    Z, X0 = 3.0 * rng.standard_normal((3, n)), 3.0 * rng.standard_normal((3, n))
+    graph = (rng.standard_normal((c, n * k)), rng.integers(0, n, size=(n, k)))
+    return (weights, Z, rng.standard_normal((d, n)), X0, graph, options,
+            draw(st.booleans()), draw(st.sampled_from(OUTPUT_USE)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(message_pass_cases())
+def test_property_message_pass_matches_primitives(case):
+    weights, Z, H, X0, (edge_feats, neighbors), options, z_grad, used = case
+    params = [ad.parameter(w) for w in weights] + [ad.parameter(H), ad.parameter(X0)]
+    Z = ad.parameter(Z) if z_grad else ad.constant(Z)
+    if z_grad:
+        params.append(Z)
+    phi_e, phi_x = params[:4], params[4:8]
+    H, X0 = params[8], params[9]
+    args = (phi_e, phi_x, Z, H, X0, edge_feats, neighbors)
+    outs, grads = _grads_of_outputs(params, lambda: ad.message_pass(*args, **options), used)
+    ref_outs, ref_grads = _grads_of_outputs(
+        params, lambda: reference_ops.message_pass(*args, **options), used)
+    _assert_match(outs + grads, ref_outs + ref_grads)
+
+
+@st.composite
+def node_update_cases(draw):
+    n, d, hid = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = [(hid, d + sum(rows)), (hid, 1), (d, hid), (d, 1), (d, n)] + [(r, n) for r in rows]
+    options = dict(beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                   slope=draw(st.sampled_from([0.01, 0.2])), normalize=draw(st.booleans()))
+    return [rng.standard_normal(s) for s in shapes], options
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(node_update_cases())
+def test_property_node_update_matches_primitives(case):
+    arrays, options = case
+    params = [ad.parameter(a) for a in arrays]
+    args = (*params[:5], params[5:])
+    out, grads = _grads_of_outputs(params, lambda: ad.node_update(*args, **options), (True,))
+    ref_out, ref_grads = _grads_of_outputs(
+        params, lambda: reference_ops.node_update(*args, **options), (True,))
+    _assert_match(out + grads, ref_out + ref_grads)
+
+
+@st.composite
+def keypoint_cases(draw):
+    n, n_other = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    d, m, heads = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = ((m, d), (m, 1), (heads * d, m), (3, n), (d, n), (d, n_other))
+    return ([rng.standard_normal(s) for s in shapes], heads,
+            draw(st.sampled_from([0.01, 0.2])), draw(st.sampled_from(OUTPUT_USE)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(keypoint_cases())
+def test_property_keypoint_attention_matches_primitives(case):
+    arrays, heads, slope, used = case
+    params = [ad.parameter(a) for a in arrays]
+    outs, grads = _grads_of_outputs(
+        params, lambda: ad.keypoint_attention(*params, heads, slope), used)
+    ref_outs, ref_grads = _grads_of_outputs(
+        params, lambda: reference_ops.keypoint_attention(*params, heads, slope), used)
+    _assert_match(outs + grads, ref_outs + ref_grads)
+
+
+def test_fused_layer_ops_record_one_node_and_reject_bad_shapes():
+    rng = np.random.default_rng(24)
+    P = lambda *s: ad.parameter(rng.standard_normal(s))
+    phi_e, phi_x = (P(2, 6), P(2, 1), P(2, 2), P(2, 1)), (P(2, 2), P(2, 1), P(1, 2), P(1, 1))
+    Z, H, edge_feats = P(3, 4), P(2, 4), rng.standard_normal((1, 8))
+    nbrs = np.array([[1, 2], [0, 2], [3, 0], [2, 1]])
+    with ad.Tape() as tape:
+        ad.message_pass(phi_e, phi_x, Z, H, Z, edge_feats, nbrs, 0.01, 30.0, 0.25, 1.0)
+        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 4)], 0.5, 0.01, True)
+        ad.keypoint_attention(P(2, 2), P(2, 1), P(6, 2), Z, H, P(2, 5), 3, 0.01)
+        assert len(tape) == 3
+    with pytest.raises(ad.ShapeError, match="message_pass.*outside"):
+        ad.message_pass(phi_e, phi_x, Z, H, Z, edge_feats, nbrs + 1, 0.01, 30.0, 0.25, 1.0)
+    with pytest.raises(ad.ShapeError, match="message_pass.*edge columns"):
+        ad.message_pass(phi_e, phi_x, Z, H, Z, edge_feats[:, :6], nbrs, 0.01, 30.0, 0.25, 1.0)
+    with pytest.raises(ad.ShapeError, match="message_pass.*one row"):
+        ad.message_pass(phi_e, phi_x[:2] + (P(2, 2), P(2, 1)), Z, H, Z, edge_feats, nbrs,
+                        0.01, 30.0, 0.25, 1.0)
+    with pytest.raises(ad.ShapeError, match="node_update"):
+        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 3)], 0.5, 0.01, True)
+    with pytest.raises(ad.ShapeError, match="keypoint_attention"):
+        ad.keypoint_attention(P(2, 2), P(2, 1), P(5, 2), Z, H, P(2, 5), 3, 0.01)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+def test_property_leaky_relu_factor_is_the_select_bit_for_bit(slope):
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]
+    pre = np.concatenate([specials, np.random.default_rng(25).standard_normal(40)])
+    expected = np.where(pre >= 0.0, 1.0, slope)
+    assert np.array_equal(ad._leaky_relu_factor(pre, slope).view(np.uint64),
+                          expected.view(np.uint64))
+
+
+def test_backward_drops_each_node_once_it_has_run():
+    x = ad.parameter([1.0])
+    remaining = []
+    with ad.Tape() as tape:
+        y = x
+        for _ in range(3):
+            def backward(g, parent=y):
+                remaining.append(len(tape))
+                ad._accumulate(parent, 2.0 * g)
+            y = ad._emit(2.0 * y.data, (y,), backward)
+        loss = ad.reduce_sum(y)
+        assert len(tape) == 4  # the recorded count, as read before backward
+        tape.backward(loss)
+    assert remaining == [2, 1, 0]
+    assert len(tape) == 0
+    np.testing.assert_array_equal(x.grad, [8.0])

@@ -305,6 +305,24 @@ class TestExitCodes:
                      "--model", str(model_path)])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("edit", ["drop R", "skew R"])
+    def test_bad_complex_json_names_the_file(self, tmp_path, model_path, edit, capsys):
+        root = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(root), "--pairs", "4", "--seed", "0",
+                     "--min-residues", "30", "--max-residues", "40"]) == EXIT_OK
+        pair_id = json.loads((root / "splits.json").read_text())["train"][0]
+        path = root / "pairs" / pair_id / "complex.json"
+        payload = json.loads(path.read_text())
+        if edit == "drop R":
+            del payload["R"]
+        else:
+            payload["R"][0][0] += 0.5
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--data", str(root), "--model", str(model_path), "--split", "train"])
+        assert code == EXIT_PARSE
+        assert str(path) in capsys.readouterr().err
+
     def test_checkpoint_without_config(self, workdir, ligand_pdb, receptor_pdb):
         bare = workdir / "bare.npz"
         save_named_tensors(str(bare), {"w": np.zeros((2, 2))})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiddock import autodiff as ad
 from rigiddock.checks import check_pairwise_equivariance
@@ -9,6 +11,7 @@ from rigiddock.graphs import build_graph
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import ResidueSet
 
+import reference_ops
 from conftest import random_residue_set
 
 
@@ -213,3 +216,81 @@ def test_coordinate_override_shape_checked(small_model, small_pair):
     g1, g2 = small_pair
     with pytest.raises(ad.ShapeError):
         small_model.forward(g1, g2, X1=np.zeros((3, 5)))
+
+
+class PrimitiveModel(DockingModel):
+    """DockingModel with its layers and keypoint head built from primitive ops."""
+
+    def _layer(self, l, state1, state2, g1, g2):
+        cfg = self.config
+        prefix = self._layer_prefix(l)
+        (Z1, H1, X1_0, F1), (Z2, H2, X2_0, F2) = state1, state2
+        out = []
+        for (Z, H, X0, F, g), (H_to, H_from, Z_from) in zip(
+                ((Z1, H1, X1_0, F1, g1), (Z2, H2, X2_0, F2, g2)),
+                ((H1, H2, Z2), (H2, H1, Z1))):
+            m_node, z_new = reference_ops.message_pass(
+                self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
+                Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
+                cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
+            mu = self._cross_messages(prefix, H_to, H_from, Z_from)
+            h_new = reference_ops.node_update(*self._mlp_params(prefix + "phi_h"), H,
+                                              [m_node, mu, F], cfg.beta, cfg.leaky_slope,
+                                              cfg.normalize_h)
+            out.append((z_new, h_new, X0, F))
+        return out[0], out[1]
+
+    def keypoints(self, Z, H, H_other):
+        p = self.params
+        return reference_ops.keypoint_attention(
+            p["keypoints.phi.W"], p["keypoints.phi.b"], p["keypoints.w_prime"], Z, H, H_other,
+            self.config.heads, self.config.leaky_slope)
+
+
+def _outputs_and_grads(model, g1, g2):
+    model_params = list(model.params.values())
+    for p in model_params:
+        p.zero_grad()
+    with ad.Tape() as tape:
+        Z1, H1, Z2, H2 = model.forward(g1, g2)
+        (Y1, A1), (Y2, A2) = model.keypoints(Z1, H1, H2), model.keypoints(Z2, H2, H1)
+        outs = [Z1, H1, Z2, H2, Y1, A1, Y2, A2]
+        loss = ad.add(ad.reduce_sum(ad.mul(Y1, Y1)), ad.reduce_sum(ad.mul(Y2, ad.scale(Y1, 0.3))))
+        loss = ad.add(loss, ad.reduce_sum(ad.mul(A1, A1)))
+        tape.backward(loss)
+    return [o.data for o in outs], {n: p.grad for n, p in model.params.items()}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "mean_coord_update": st.booleans(), "normalize_h": st.booleans(),
+    "share_layers": st.booleans(), "layers": st.integers(1, 3),
+}), st.integers(3, 14), st.integers(3, 14), st.integers(0, 2**16))
+def test_property_fused_model_matches_primitive_model(options, n1, n2, seed):
+    """Fused and primitive layers agree to 1e-10 on every output and gradient.
+
+    Proteins of 3-14 residues put k below 10 for most draws. The key bias
+    att_k.b shifts every logit of a softmax row equally, so its true
+    gradient is 0 and both sides hold only rounding there.
+    """
+    config = ModelConfig(hidden_dim=6, heads=3, **options)
+    rng = np.random.default_rng(seed)
+    g1 = build_graph(random_residue_set(rng, n1))
+    g2 = build_graph(random_residue_set(rng, n2))
+    fused, reference = DockingModel(config, seed=seed), PrimitiveModel(config, seed=seed)
+    for name, p in fused.params.items():
+        p.data = p.data + rng.uniform(-0.2, 0.2, p.data.shape)  # the gates start at 0
+        reference.params[name].data = p.data.copy()
+    outs, grads = _outputs_and_grads(fused, g1, g2)
+    ref_outs, ref_grads = _outputs_and_grads(reference, g1, g2)
+    for out, ref in zip(outs, ref_outs):
+        assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+    largest = max(np.max(np.abs(g)) for g in ref_grads.values() if g is not None)
+    for name, ref in ref_grads.items():
+        got = grads[name]
+        if name.endswith("att_k.b"):
+            assert max(np.max(np.abs(got)), np.max(np.abs(ref))) <= 1e-10 * largest, name
+        elif ref is None:
+            assert got is None or not np.any(got), name
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name

@@ -350,3 +350,15 @@ class TestEvaluate:
         assert summary["irmsd_median"] == summary["irmsd_mean"] == good.irmsd
         assert summary["irmsd_std"] == 0.0
         assert summary["crmsd_median"] == pytest.approx(0.5 * (good.crmsd + bad.crmsd))
+
+
+def test_default_training_step_records_at_most_150_tape_nodes():
+    """Message passes, node updates and keypoint heads are one tape node each."""
+    prep = prepare_pair(generate_pair(np.random.default_rng(3), "p", 40, 50))
+    model = DockingModel(ModelConfig(), seed=0)
+    for swap in (False, True):
+        move = random_se3(np.random.default_rng(6))
+        with ad.Tape() as tape:
+            loss, _ = training._training_step(model, prep, swap, move, TrainConfig())
+            assert len(tape) <= 150
+            tape.backward(loss)

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from rigiddock import transport
+from rigiddock.autodiff import NonFiniteError
 from rigiddock.transport import solve_uniform_transport
 
 
@@ -164,6 +165,14 @@ def test_rejects_bad_input():
         solve_uniform_transport(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         solve_uniform_transport(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cost_is_a_numerical_failure(bad):
+    cost = np.ones((2, 3))
+    cost[1, 2] = bad
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        solve_uniform_transport(cost)
 
 
 def test_bland_fallback_solves_permutation_cost(monkeypatch):
