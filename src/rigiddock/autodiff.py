@@ -590,7 +590,9 @@ def _edge_mlp(op: str, W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor
     pre = _affine(W_edge, edge_in, b0.data)
     per_node = pre.reshape(hid, n, k)  # a view: edge i * k + j is [:, i, j]
     per_node += (W_dst @ Hd)[:, :, None]
-    pre += (W_src @ Hd)[:, src]
+    # np.take gives a C-ordered copy; ``a[:, src]`` would be F-ordered, so the
+    # add would walk it with a stride
+    pre += np.take(W_src @ Hd, src, axis=1)
     out_data, head_backward = _mlp_head(pre, W1, b1, slope)
 
     def backward(g):
@@ -669,7 +671,7 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     if Wx1.data.shape[0] != 1:
         raise ShapeError(f"message_pass: gate weight {Wx1.data.shape}, expected one row")
     k = neighbors.shape[1]
-    diff = Zd[:, :, None] - Zd[:, neighbors]  # (3, n, k)
+    diff = Zd[:, :, None] - np.take(Zd, neighbors, axis=1)  # (3, n, k)
     diff_e = diff.reshape(3, n * k)
     c = -1.0 / sigma
     radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)

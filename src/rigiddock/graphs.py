@@ -4,6 +4,11 @@ Each node is a residue at its CA position. Edges j->i connect every node i
 to its k nearest residues by CA distance (ties broken toward the lower
 sequence index). Per-edge features are expressed in residue i's local frame,
 so the whole feature set is unchanged by any rigid motion of the protein.
+
+Distances between n and m points are formed in row blocks (``distance_blocks``)
+of at most 2**16 entries, so k-NN edges and the cross-protein contact searches
+built on them need O(m * block) memory for block rows per block, not the
+O(n * m) of a full distance matrix.
 """
 
 from __future__ import annotations
@@ -62,20 +67,50 @@ class ProteinGraph:
         return np.repeat(np.arange(self.n_nodes), self.k)
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """n x m squared distances between the columns of 3 x n X and 3 x m Y.
+# Entries per row block of ``distance_blocks``: 2**16 float64, 512 KB, the
+# same budget as a ``cross_attention`` tile.
+_BLOCK_ENTRIES = 2**16
 
-    Accumulated one axis at a time into the output, so no 3 x n x m array
-    is built; the sums are those of ``np.sum(diff * diff, axis=0)``.
+
+def _squared_distances_into(X: np.ndarray, Y: np.ndarray, out: np.ndarray,
+                            tmp: np.ndarray) -> np.ndarray:
+    """Squared distances from the columns of X to those of Y, written to ``out``.
+
+    Accumulated one axis at a time, with ``tmp`` (out's shape) holding each
+    axis' term, so no 3 x n x m array is built; the sums are those of
+    ``np.sum(diff * diff, axis=0)``.
     """
-    d2 = np.subtract.outer(X[0], Y[0])
-    np.multiply(d2, d2, out=d2)
-    d = np.empty_like(d2)
+    np.subtract.outer(X[0], Y[0], out=out)
+    np.multiply(out, out, out=out)
     for axis in (1, 2):
-        np.subtract.outer(X[axis], Y[axis], out=d)
-        np.multiply(d, d, out=d)
-        d2 += d
-    return d2
+        np.subtract.outer(X[axis], Y[axis], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return out
+
+
+def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """n x m squared distances between the columns of 3 x n X and 3 x m Y."""
+    shape = (X.shape[1], Y.shape[1])
+    return _squared_distances_into(X, Y, np.empty(shape), np.empty(shape))
+
+
+def distance_blocks(X: np.ndarray, Y: np.ndarray):
+    """Yield ``(lo, hi, d2)``: squared distances from X's columns lo:hi to all of Y.
+
+    The blocks cover X's columns in order, each with at most 2**16 entries
+    (at least one row), and every entry equals ``squared_distances(X, Y)[lo:hi]``
+    bit for bit. ``d2`` lives in one of two buffers reused for every block, so
+    it is valid only until the next block is requested; memory is O(m * block)
+    for m columns of Y, not O(n * m).
+    """
+    n, m = X.shape[1], Y.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    out = np.empty((min(rows, n), m))
+    tmp = np.empty_like(out)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        yield lo, hi, _squared_distances_into(X[:, lo:hi], Y, out[:hi - lo], tmp[:hi - lo])
 
 
 def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,11 +118,25 @@ def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Edges are grouped by dst in node order, so ``src.reshape(n, k)`` is the
     neighbor array, each row ordered by (distance, node index). Brute-force
-    O(n^2) distances; ties resolved toward lower node index.
+    O(n^2) distances, formed in row blocks (``distance_blocks``): memory is
+    O(n * block) for block rows per block, plus the n x k result, never n x n.
+    Ties resolved toward lower node index.
     """
     n = X.shape[1]
-    d2 = squared_distances(X, X)
-    np.fill_diagonal(d2, np.inf)
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for lo, hi, d2 in distance_blocks(X, X):
+        rows = np.arange(hi - lo)
+        d2[rows, rows + lo] = np.inf
+        neighbors[lo:hi] = _nearest(d2, k)
+    return neighbors.reshape(-1), np.repeat(np.arange(n), k)
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row of d2, the k column indices of least value ordered by (value, index).
+
+    Each row's result depends on that row alone, so blocks of rows can be
+    searched one at a time.
+    """
     nbrs = np.argpartition(d2, k - 1, axis=1)[:, :k]
     dist = np.take_along_axis(d2, nbrs, axis=1)
     kth = dist[:, -1:]  # the partition puts each row's k-th smallest last
@@ -103,8 +152,7 @@ def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         nbrs[rows] = np.nonzero(keep)[1].reshape(rows.size, k)
         dist[rows] = np.take_along_axis(sub, nbrs[rows], axis=1)
     order = np.lexsort((nbrs, dist), axis=1)
-    nbrs = np.take_along_axis(nbrs, order, axis=1)
-    return nbrs.reshape(-1), np.repeat(np.arange(n), k)
+    return np.take_along_axis(nbrs, order, axis=1)
 
 
 def _neighbor_groups(neighbors, n: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import squared_distances
+from .graphs import distance_blocks
 
 INTERFACE_CUTOFF = 8.0
 
@@ -69,13 +69,16 @@ def interface_indices(true_ligand: np.ndarray, receptor: np.ndarray,
                       cutoff: float = INTERFACE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
     """Residue indices on each side within ``cutoff`` of the other side.
 
-    Distances are measured on the bound (true) complex.
+    Distances are measured on the bound (true) complex, one row block at a
+    time, so no n1 x n2 array is held.
     """
-    d = squared_distances(true_ligand, receptor)
-    close = np.sqrt(d, out=d) < cutoff
-    lig_idx = np.nonzero(close.any(axis=1))[0]
-    rec_idx = np.nonzero(close.any(axis=0))[0]
-    return lig_idx, rec_idx
+    lig_close = np.zeros(true_ligand.shape[1], dtype=bool)
+    rec_close = np.zeros(receptor.shape[1], dtype=bool)
+    for lo, hi, d in distance_blocks(true_ligand, receptor):
+        close = np.sqrt(d, out=d) < cutoff
+        lig_close[lo:hi] = close.any(axis=1)
+        rec_close |= close.any(axis=0)
+    return np.flatnonzero(lig_close), np.flatnonzero(rec_close)
 
 
 def interface_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,

@@ -95,8 +95,11 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     Residues missing any of N/CA/C are dropped and counted in ``skipped``.
     Raises PdbParseError when no complete residue remains.
     """
-    residues: dict[tuple[str, str, str], _ResidueAtoms] = {}
-    order: list[tuple[str, str, str]] = []
+    residues: dict[tuple[str, str, str], _ResidueAtoms] = {}  # in file order
+    # x, y, z of every stored atom; ``atoms`` maps an atom name to its row.
+    # Plain floats rather than a tuple per atom: fewer objects the garbage
+    # collector counts.
+    coords: list[float] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         record = line[:6]
         if record not in ("ATOM  ", "HETATM"):
@@ -109,26 +112,32 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
         atom = line[12:16].strip()
         if atom not in ("N", "CA", "C"):
             continue
-        key = (chain, line[22:26].strip(), line[26] if len(line) > 26 else " ")
+        key = (chain, line[22:26].strip(), line[26])
         entry = residues.get(key)
         if entry is None:
             entry = _ResidueAtoms(
                 name=line[17:20].strip(), chain=key[0], seq=key[1], icode=key[2]
             )
             residues[key] = entry
-            order.append(key)
         if atom in entry.atoms:
             continue  # first occurrence wins (altloc rule)
-        x = _parse_coord(line, 30, 38, lineno)
-        y = _parse_coord(line, 38, 46, lineno)
-        z = _parse_coord(line, 46, 54, lineno)
-        entry.atoms[atom] = np.array([x, y, z])
+        try:
+            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
+        except ValueError:
+            x = y = z = math.nan
+        if not math.isfinite(x + y + z):
+            # the checked parse names the first bad field (or, if the sum
+            # merely overflowed, returns the same three values)
+            x, y, z = (_parse_coord(line, lo, lo + 8, lineno) for lo in (30, 38, 46))
+        entry.atoms[atom] = len(coords) // 3
+        coords.append(x)
+        coords.append(y)
+        coords.append(z)
 
     kept = []
     skipped = 0
-    for key in order:
-        entry = residues[key]
-        if all(a in entry.atoms for a in ("N", "CA", "C")):
+    for entry in residues.values():
+        if len(entry.atoms) == 3:  # only N, CA and C are ever stored
             kept.append(entry)
         else:
             skipped += 1
@@ -137,16 +146,11 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     if not kept:
         raise PdbParseError(f"zero valid residues ({skipped} skipped as incomplete)")
 
-    n = len(kept)
-    ca = np.empty((3, n))
-    n_atom = np.empty((3, n))
-    c_atom = np.empty((3, n))
-    types = np.empty(n, dtype=np.int64)
-    for i, entry in enumerate(kept):
-        ca[:, i] = entry.atoms["CA"]
-        n_atom[:, i] = entry.atoms["N"]
-        c_atom[:, i] = entry.atoms["C"]
-        types[i] = TYPE_INDEX.get(entry.name, TYPE_INDEX[UNK])
+    rows = np.array([(e.atoms["N"], e.atoms["CA"], e.atoms["C"]) for e in kept]).T
+    # (atom, axis, residue), so each atom's 3 x n block is C-contiguous
+    xyz = np.array(coords).reshape(-1, 3)[rows].transpose(0, 2, 1).copy()
+    n_atom, ca, c_atom = xyz
+    types = np.array([TYPE_INDEX.get(e.name, TYPE_INDEX[UNK]) for e in kept], dtype=np.int64)
     return ResidueSet(
         ca=ca,
         n_atom=n_atom,

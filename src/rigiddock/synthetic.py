@@ -33,7 +33,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .geometry import RigidTransform, random_se3
-from .graphs import squared_distances
+from .graphs import distance_blocks
 from .losses import POCKET_TAU, intersection_loss, pocket_points
 from .pdbio import RESIDUE_TYPES, TYPE_INDEX, ResidueSet, format_ca_pdb, parse_pdb_file
 
@@ -68,21 +68,21 @@ def _blob(rng: np.random.Generator, n: int, center: np.ndarray,
           accept=None) -> np.ndarray:
     """Random points with pairwise separation >= MIN_SEPARATION."""
     radius = _BLOB_RADIUS_COEFF * n ** (1.0 / 3.0) + 1.5
-    points: list[np.ndarray] = []
-    for _ in range(n):
+    points = np.empty((n, 3))  # rows 0:i are the points placed so far
+    for i in range(n):
         for _ in range(400):
             cand = center + rng.uniform(-radius, radius, size=3)
             if np.linalg.norm(cand - center) > radius:
                 continue
             if accept is not None and not accept(cand):
                 continue
-            if points and np.min(np.linalg.norm(np.array(points) - cand, axis=1)) < MIN_SEPARATION:
+            if i and np.min(np.linalg.norm(points[:i] - cand, axis=1)) < MIN_SEPARATION:
                 continue
-            points.append(cand)
+            points[i] = cand
             break
         else:
-            raise GenerationError(f"could not place point {len(points) + 1} of {n}")
-    return np.array(points).T
+            raise GenerationError(f"could not place point {i + 1} of {n}")
+    return points.T
 
 
 def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +150,12 @@ def _bound_complex(rng: np.random.Generator, n_lig: int, n_rec: int):
 
     plane = top + CLEARANCE
     lig_center = anchor + (CLEARANCE + _BLOB_RADIUS_COEFF * n_lig ** (1.0 / 3.0) + 2.0) * direction
-    ring_cols = [ring[:, j] for j in range(ring.shape[1])]
+    ring_points = ring.T.copy()
 
     def accept(cand: np.ndarray) -> bool:
         if cand @ direction < plane:
             return False
-        return np.min(np.linalg.norm(np.array(ring_cols) - cand, axis=1)) >= MIN_SEPARATION
+        return np.min(np.linalg.norm(ring_points - cand, axis=1)) >= MIN_SEPARATION
 
     rest = _blob(rng, n_lig - CONTACT_RING, lig_center, accept=accept)
     ligand = np.concatenate([ring, rest], axis=1)
@@ -163,11 +163,13 @@ def _bound_complex(rng: np.random.Generator, n_lig: int, n_rec: int):
 
 
 def _verify(ligand: np.ndarray, receptor: np.ndarray) -> bool:
-    d = squared_distances(ligand, receptor)
-    np.sqrt(d, out=d)
-    if d.min() < 7.2:
-        return False
-    if np.count_nonzero(d < POCKET_TAU) < CONTACT_RING:
+    contacts = 0
+    for _, _, d in distance_blocks(ligand, receptor):
+        np.sqrt(d, out=d)
+        if d.min() < 7.2:
+            return False
+        contacts += np.count_nonzero(d < POCKET_TAU)
+    if contacts < CONTACT_RING:
         return False
     try:
         pocket_points(ligand, receptor)

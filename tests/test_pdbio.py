@@ -109,6 +109,31 @@ def test_non_finite_coordinate_reports_line_number(field):
         pdbio.parse_pdb(bad)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("   0.0x0     nan   0.000", "line 2: malformed coordinate field '0.0x0'"),
+    ("     nan   0.0x0   0.000", "line 2: non-finite coordinate 'nan'"),
+    ("   0.000   0.000        ", "line 2: malformed coordinate field ''"),
+])
+def test_first_bad_coordinate_field_is_reported(fields, message):
+    bad = ALA_LINES.replace("   0.000   0.000   0.000", fields)
+    with pytest.raises(pdbio.PdbParseError, match=message):
+        pdbio.parse_pdb(bad)
+
+
+def test_bad_coordinate_in_the_first_record_is_reported():
+    bad = ALA_LINES.replace("   1.460   0.000   0.000", "   1.460   0.0y0   0.000")
+    with pytest.raises(pdbio.PdbParseError, match="line 1: malformed coordinate field '0.0y0'"):
+        pdbio.parse_pdb(bad)
+
+
+def test_large_finite_coordinates_parse():
+    """Fields whose sum overflows are still three finite values."""
+    text = ALA_LINES.replace("   0.000   0.000   0.000", "   1e308-1.7e308   1e308")
+    rs = pdbio.parse_pdb(text)
+    np.testing.assert_array_equal(rs.ca[:, 0], [1e308, -1.7e308, 1e308])
+    assert rs.ca.flags.c_contiguous and rs.n_atom.flags.c_contiguous
+
+
 def test_nonstandard_residue_maps_to_unk():
     text = ALA_LINES.replace("ALA", "MSE")
     rs = pdbio.parse_pdb(text)
