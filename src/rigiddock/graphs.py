@@ -6,9 +6,9 @@ sequence index). Per-edge features are expressed in residue i's local frame,
 so the whole feature set is unchanged by any rigid motion of the protein.
 
 Distances between n and m points are formed in row blocks (``distance_blocks``)
-of at most 2**16 entries, so k-NN edges and the cross-protein contact searches
-built on them need O(m * block) memory for block rows per block, not the
-O(n * m) of a full distance matrix.
+of at most 2**16 entries, so k-NN edges and ``contact_pairs``, the one contact
+search behind pocket points, interface residues and the generator's geometry
+check, need O(m * block) memory, not the O(n * m) of a full distance matrix.
 """
 
 from __future__ import annotations
@@ -111,6 +111,26 @@ def distance_blocks(X: np.ndarray, Y: np.ndarray):
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         yield lo, hi, _squared_distances_into(X[:, lo:hi], Y, out[:hi - lo], tmp[:hi - lo])
+
+
+def contact_pairs(X: np.ndarray, Y: np.ndarray,
+                  cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, d2)`` for every pair of X's and Y's columns closer than ``cutoff``.
+
+    A pair counts when ``d2 < cutoff * cutoff``; pairs come in row-major
+    (i, j) order, with intp indices and d2 bit for bit the entry of
+    ``squared_distances``. Formed one ``distance_blocks`` block at a time,
+    so memory is O(m * block) plus the pairs found.
+    """
+    m = Y.shape[1]
+    flat, dd = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for lo, _, d2 in distance_blocks(X, Y):
+        hits = np.flatnonzero(d2 < cutoff * cutoff)
+        if hits.size:
+            flat.append(hits + lo * m)
+            dd.append(d2.reshape(-1)[hits])
+    i, j = np.divmod(np.concatenate(flat), m)
+    return i, j, np.concatenate(dd)
 
 
 def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import distance_blocks
+from .graphs import contact_pairs
 from .metrics import NoContactError
 from .transport import WarmStart, solve_uniform_transport
 
@@ -23,18 +23,12 @@ def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np
 
     Expects bound-pose coordinates; the unbound-pose copies are obtained by
     applying each protein's own rigid motion to the returned matrix.
-    Pairs come in row-major (X1 index, X2 index) order; distances are formed
-    one row block at a time, so no n1 x n2 array is held.
+    Pairs come in row-major (X1 index, X2 index) order (``contact_pairs``).
     Raises NoContactError when no pair qualifies.
     """
     X1 = np.asarray(X1, dtype=np.float64)
     X2 = np.asarray(X2, dtype=np.float64)
-    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo, _, d2 in distance_blocks(X1, X2):
-        rows, cols = np.nonzero(d2 < tau * tau)
-        ii.append(rows + lo)
-        jj.append(cols)
-    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    ii, jj, _ = contact_pairs(X1, X2, tau)
     if ii.size == 0:
         raise NoContactError(f"no residue pairs within {tau} A")
     return 0.5 * (X1[:, ii] + X2[:, jj])

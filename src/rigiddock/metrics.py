@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import distance_blocks
+from .graphs import contact_pairs
 
 INTERFACE_CUTOFF = 8.0
 
@@ -69,16 +69,10 @@ def interface_indices(true_ligand: np.ndarray, receptor: np.ndarray,
                       cutoff: float = INTERFACE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
     """Residue indices on each side within ``cutoff`` of the other side.
 
-    Distances are measured on the bound (true) complex, one row block at a
-    time, so no n1 x n2 array is held.
+    Distances are measured on the bound (true) complex (``contact_pairs``).
     """
-    lig_close = np.zeros(true_ligand.shape[1], dtype=bool)
-    rec_close = np.zeros(receptor.shape[1], dtype=bool)
-    for lo, hi, d in distance_blocks(true_ligand, receptor):
-        close = np.sqrt(d, out=d) < cutoff
-        lig_close[lo:hi] = close.any(axis=1)
-        rec_close |= close.any(axis=0)
-    return np.flatnonzero(lig_close), np.flatnonzero(rec_close)
+    lig, rec, _ = contact_pairs(true_ligand, receptor, cutoff)
+    return np.unique(lig), np.unique(rec)
 
 
 def interface_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,

@@ -33,12 +33,13 @@ import numpy as np
 
 from .atomic import atomic_open
 from .geometry import RigidTransform, random_se3
-from .graphs import distance_blocks
-from .losses import POCKET_TAU, intersection_loss, pocket_points
+from .graphs import contact_pairs
+from .losses import POCKET_TAU, intersection_loss
 from .pdbio import RESIDUE_TYPES, TYPE_INDEX, ResidueSet, format_ca_pdb, parse_pdb_file
 
 MIN_SEPARATION = 3.5      # closest allowed pair inside one protein
 CLEARANCE = 7.25          # floor on every ligand-to-receptor distance
+CLASH_FLOOR = 7.2         # least cross-protein distance a verified pair may have
 CONTACT_RING = 5          # constructed contacts per pair
 MARKER_TYPES = tuple(TYPE_INDEX[name] for name in ("TRP", "TYR", "PHE", "HIS", "MET"))
 MAX_PAIR_ATTEMPTS = 1000
@@ -163,19 +164,11 @@ def _bound_complex(rng: np.random.Generator, n_lig: int, n_rec: int):
 
 
 def _verify(ligand: np.ndarray, receptor: np.ndarray) -> bool:
-    contacts = 0
-    for _, _, d in distance_blocks(ligand, receptor):
-        np.sqrt(d, out=d)
-        if d.min() < 7.2:
-            return False
-        contacts += np.count_nonzero(d < POCKET_TAU)
-    if contacts < CONTACT_RING:
-        return False
-    try:
-        pocket_points(ligand, receptor)
-    except Exception:
-        return False
-    return intersection_loss(ligand, receptor).item() <= 0.1
+    """Enough contacts, no clash, and a numerically zero steric penalty."""
+    _, _, d2 = contact_pairs(ligand, receptor, POCKET_TAU)
+    return (d2.size >= CONTACT_RING
+            and np.sqrt(d2).min() >= CLASH_FLOOR
+            and intersection_loss(ligand, receptor).item() <= 0.1)
 
 
 def _interface_types(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -232,21 +232,22 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
     """
     skipped: list[str] = []
     prepped: list[PreparedPair] = []
-    for pair in train_pairs:
-        try:
-            prepped.append(prepare_pair(pair, model.config.neighbors))
-        except NoContactError:
-            skipped.append(pair.pair_id)
-            logger.warning("skipping %s: no contacts in the bound complex", pair.pair_id)
-    if not prepped:
-        raise ValueError("every training pair was skipped (no contacts anywhere)")
-    val_prepped = []
-    for pair in val_pairs:
-        try:
-            val_prepped.append(prepare_pair(pair, model.config.neighbors))
-        except NoContactError:
-            skipped.append(pair.pair_id)
-            logger.warning("skipping %s: no contacts in the bound complex", pair.pair_id)
+    val_prepped: list[PreparedPair] = []
+    for pairs, kept in ((train_pairs, prepped), (val_pairs, val_prepped)):
+        for pair in pairs:
+            try:
+                kept.append(prepare_pair(pair, model.config.neighbors))
+            except NoContactError:
+                skipped.append(pair.pair_id)
+                logger.warning("skipping %s: no contacts in the bound complex", pair.pair_id)
+        if not prepped:
+            raise ValueError("every training pair was skipped (no contacts anywhere)")
+
+    def save_checkpoint(val_metric: float | None, epoch: int) -> None:
+        if checkpoint_path is not None:
+            save_named_tensors(checkpoint_path, model.state_arrays(),
+                               extra={"config": model.config.to_dict(),
+                                      "val_metric": val_metric, "epoch": epoch})
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, config.lr, config.beta1, config.beta2,
@@ -298,17 +299,12 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
             if val_prepped and val < config.improvement_factor * best_val:
                 best_val = val
                 best_epoch = epoch
-                if checkpoint_path is not None:
-                    save_named_tensors(checkpoint_path, model.state_arrays(),
-                                       extra={"config": model.config.to_dict(),
-                                              "val_metric": val, "epoch": epoch})
+                save_checkpoint(val, epoch)
             if val_prepped and epoch - best_epoch >= config.patience:
                 logger.info("stopping: no improvement in %d epochs", config.patience)
                 break
-    if not val_prepped and checkpoint_path is not None:
-        save_named_tensors(checkpoint_path, model.state_arrays(),
-                           extra={"config": model.config.to_dict(),
-                                  "val_metric": None, "epoch": config.max_epochs - 1})
+    if not val_prepped:
+        save_checkpoint(None, config.max_epochs - 1)
     return TrainResult(best_val=float(best_val), epochs_run=len(history),
                        steps=steps, skipped_pairs=skipped, history=history)
 

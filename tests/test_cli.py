@@ -9,13 +9,14 @@ import pytest
 
 from rigiddock import cli
 from rigiddock.atomic import atomic_open
-from rigiddock.checkpoint import save_named_tensors
+from rigiddock.checkpoint import load_named_tensors, save_named_tensors
 from rigiddock.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from rigiddock.geometry import RigidTransform, random_rotation
 from rigiddock.metrics import complex_rmsd
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import format_ca_pdb, parse_pdb_file
 from rigiddock.synthetic import DockingPair, generate_pair, write_pair
+from rigiddock.training import TrainConfig
 
 
 def read_ca_records(path):
@@ -127,6 +128,37 @@ class TestPipeline:
                      "--hidden-dim", "16", "--layers", "2", "--heads", "8"])
         assert code == EXIT_OK
         assert "epochs 1," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("file_values, flags, expected", [
+        (None, [], {"lr": 1e-4, "patience": 150}),
+        ({"lr": 5e-4}, [], {"lr": 5e-4, "patience": 150}),
+        ({"lr": 5e-4, "patience": 7}, ["--lr", "2e-3", "--patience", "3"],
+         {"lr": 2e-3, "patience": 3}),
+    ], ids=["preset", "file-beats-preset", "flags-beat-file"])
+    def test_fine_tune_precedence(self, tmp_path, file_values, flags, expected):
+        argv = ["train", "--data", "unused", "--out-model", "unused", "--fine-tune"] + flags
+        if file_values is not None:
+            cfg = tmp_path / "fine.json"
+            cfg.write_text(json.dumps(file_values))
+            argv += ["--config", str(cfg)]
+        config = cli._train_config(cli._build_parser().parse_args(argv))
+        assert config == TrainConfig(**{**TrainConfig().__dict__, **expected})
+
+    def test_init_model_with_zero_rate_keeps_its_weights(self, workdir, dataset, model_path,
+                                                          capsys):
+        out_model = workdir / "init-run.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--init-model", str(model_path), "--lr", "0", "--max-epochs", "1",
+                     "--hidden-dim", "24"])
+        assert code == EXIT_OK
+        assert ", steps 0," not in capsys.readouterr().out   # Adam did step, with lr 0
+        (start, start_extra), (end, end_extra) = (load_named_tensors(str(p))
+                                                  for p in (model_path, out_model))
+        assert list(end) == list(start)
+        for name in start:
+            assert end[name].tobytes() == start[name].tobytes(), name
+        assert end_extra["config"] == start_extra["config"]
+        assert end_extra["config"]["hidden_dim"] == 16
 
     def test_train_rejects_unknown_config_keys(self, workdir, dataset):
         cfg = workdir / "bad.json"

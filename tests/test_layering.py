@@ -31,3 +31,10 @@ def test_module_layering():
     assert imports["geometry"] == set()
     assert not imports["synthetic"] & {"model", "docking"}
     assert {name for name, deps in imports.items() if "checks" in deps} == {"cli"}
+
+
+def test_only_graphs_walks_distance_blocks():
+    """Other modules search for contacts through ``graphs.contact_pairs``."""
+    names = {path.stem for path in PACKAGE_DIR.glob("*.py")
+             if "distance_blocks" in path.read_text()}
+    assert names == {"graphs"}

@@ -1,9 +1,10 @@
 """Row-blocked pair distances against the full-matrix code they replaced.
 
-``graphs.distance_blocks`` feeds k-NN edges, interface residues, pocket
-points and the generator's geometry check one block of rows at a time. Each
-test below keeps the full n x m version as the reference and requires the
-same bits for block heights 1, 2, 7 and one taller than the input.
+``graphs.distance_blocks`` feeds k-NN edges and ``graphs.contact_pairs`` one
+block of rows at a time; the contact search serves interface residues, pocket
+points and the generator's geometry check. Each test below keeps the full
+n x m version as the reference and requires the same bits for block heights
+1, 2, 7 and one taller than the input.
 """
 
 import tracemalloc
@@ -130,6 +131,28 @@ def test_property_knn_edges_blocks_match_full_matrix(case):
     ref_src, ref_dst = reference_knn_edges(X, k)
     np.testing.assert_array_equal(src, ref_src)
     np.testing.assert_array_equal(dst, ref_dst)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cross_cases(), st.sampled_from((0.5, 3.0, POCKET_TAU, 11.5)))
+def test_property_contact_pairs_match_full_matrix_in_row_major_order(case, cutoff):
+    X1, X2, height = case
+    full = full_squared_distances(X1, X2)
+    ref_i, ref_j = np.nonzero(full < cutoff * cutoff)
+    with block_rows(height, X1.shape[1], X2.shape[1]):
+        i, j, d2 = graphs.contact_pairs(X1, X2, cutoff)
+    np.testing.assert_array_equal(i, ref_i)
+    np.testing.assert_array_equal(j, ref_j)
+    assert d2.tobytes() == full[ref_i, ref_j].tobytes()
+    assert i.dtype == j.dtype == np.intp and d2.dtype == np.float64
+
+
+def test_contact_pairs_without_contacts_are_empty():
+    X1 = np.zeros((3, 4))
+    for X2 in (np.full((3, 3), 100.0), np.zeros((3, 0))):
+        i, j, d2 = graphs.contact_pairs(X1, X2, POCKET_TAU)
+        assert i.shape == j.shape == d2.shape == (0,)
+        assert i.dtype == j.dtype == np.intp and d2.dtype == np.float64
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
