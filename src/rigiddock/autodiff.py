@@ -13,12 +13,16 @@ into it in place through flat views. Nothing writes into the data of any
 other tensor.
 
 ``linear``, ``mlp``, ``edge_mlp``, ``message_pass``, ``node_update``,
-``cross_attention`` and ``keypoint_attention`` are fused ops: each records
-one tape node with a hand-written backward instead of one node per
-primitive. ``message_pass`` and ``keypoint_attention`` have two outputs;
-``svd3`` has three. ``cross_attention`` runs over row tiles of its n1 x n2
-logits and keeps only each row's max and sum, so no n1 x n2 array outlives
-a tile, with or without a tape.
+``cross_attention``, ``keypoint_attention`` and ``surface_penetration``
+are fused ops: each records one tape node with a hand-written backward
+instead of one node per primitive. ``message_pass`` and
+``keypoint_attention`` have two outputs; ``svd3`` has three.
+
+Tiles come from the one budget in ``tiles``. ``cross_attention`` and
+``surface_penetration`` run over row tiles of their n1 x n2 logits or
+distances and keep only each row's max and sum, so no n1 x n2 array
+outlives a tile, with or without a tape. ``message_pass`` runs over blocks
+of nodes, so without a tape no array spans all of its edges.
 
 ``Tape.backward`` drops each recorded closure once it has run, so the
 forward arrays a closure holds are freed as backward proceeds.
@@ -34,6 +38,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tiles
 
 
 class ShapeError(ValueError):
@@ -518,13 +524,13 @@ def linear(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return _emit(_affine(Wd, xd, b.data), (W, x, b), backward)
 
 
-def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
-    """W1 @ leaky_relu(pre, slope) + b1, plus its backward.
+def _head_backward(pre: np.ndarray, hidden: np.ndarray, W1: Tensor, b1: Tensor,
+                   slope: float):
+    """Backward of W1 @ hidden + b1 with hidden = leaky_relu(pre, slope).
 
-    The backward accumulates into W1 and b1 and returns the gradient with
-    respect to ``pre``.
+    It accumulates into W1 and b1 and returns the gradient with respect to
+    ``pre``.
     """
-    hidden = _leaky_relu_values(pre, slope)
     W1d = W1.data
 
     def backward(g):
@@ -536,7 +542,13 @@ def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
         g_pre *= _leaky_relu_factor(pre, slope)
         return g_pre
 
-    return _affine(W1d, hidden, b1.data), backward
+    return backward
+
+
+def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
+    """W1 @ leaky_relu(pre, slope) + b1, plus its backward (``_head_backward``)."""
+    hidden = _leaky_relu_values(pre, slope)
+    return _affine(W1.data, hidden, b1.data), _head_backward(pre, hidden, W1, b1, slope)
 
 
 def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
@@ -570,30 +582,39 @@ def _check_graph(op: str, neighbors: np.ndarray, n: int, edge_columns: int) -> n
     return neighbors
 
 
-def _edge_mlp(op: str, W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
-              edge_in: np.ndarray, neighbors: np.ndarray, slope: float):
-    """Forward of ``edge_mlp`` on checked neighbors, plus its backward.
+def _edge_pre(W_edge: np.ndarray, b0: np.ndarray, edge_in: np.ndarray, dst_proj: np.ndarray,
+              src_proj: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Edge pre-activations for a run of nodes, from node-side projections.
 
-    The backward accumulates into W0, b0, W1, b1 and H and returns the
-    gradient with respect to the pre-activation, ``g_pre``; the edge
-    input's gradient is ``W0[:, 2 * d:].T @ g_pre``.
+    ``neighbors`` holds the run's (b, k) rows and ``edge_in`` their b * k edge
+    columns; ``dst_proj`` is ``W_dst @ H`` on the run's nodes and ``src_proj``
+    is ``W_src @ H`` on all nodes. Edge j -> i gets ``W_edge @ edge_in + b0 +
+    dst_proj[:, i] + src_proj[:, j]``.
+    """
+    pre = _affine(W_edge, edge_in, b0)
+    per_node = pre.reshape(pre.shape[0], *neighbors.shape)  # a view: edge i * k + j is [:, i, j]
+    per_node += dst_proj[:, :, None]
+    # np.take gives a C-ordered copy; ``a[:, src]`` would be F-ordered, so the
+    # add would walk it with a stride
+    pre += np.take(src_proj, neighbors.reshape(-1), axis=1)
+    return pre
+
+
+def _edge_backward(head_backward, W0: Tensor, b0: Tensor, H: Tensor, edge_in: np.ndarray,
+                   neighbors: np.ndarray):
+    """Backward of an edge MLP whose pre-activations came from ``_edge_pre`` on all nodes.
+
+    ``head_backward`` is its head's (``_head_backward``). The backward
+    accumulates into W0, b0 and H, reducing the edge gradient to nodes before
+    the node-side matmuls, and returns the gradient with respect to the
+    pre-activation, ``g_pre``; the edge input's gradient is
+    ``W0[:, 2 * d:].T @ g_pre``.
     """
     d, n = H.data.shape
     k = neighbors.shape[1]
-    _check_layer(op, W0, b0, 2 * d + edge_in.shape[0])
-    _check_layer(op, W1, b1, W0.data.shape[0])
     W0d, Hd = W0.data, H.data
-    W_dst, W_src, W_edge = W0d[:, :d], W0d[:, d:2 * d], W0d[:, 2 * d:]
+    W_dst, W_src = W0d[:, :d], W0d[:, d:2 * d]
     src = neighbors.reshape(-1)
-    hid = W0d.shape[0]
-
-    pre = _affine(W_edge, edge_in, b0.data)
-    per_node = pre.reshape(hid, n, k)  # a view: edge i * k + j is [:, i, j]
-    per_node += (W_dst @ Hd)[:, :, None]
-    # np.take gives a C-ordered copy; ``a[:, src]`` would be F-ordered, so the
-    # add would walk it with a stride
-    pre += np.take(W_src @ Hd, src, axis=1)
-    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
 
     def backward(g):
         g_pre = head_backward(g)
@@ -607,7 +628,7 @@ def _edge_mlp(op: str, W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor
             _accumulate(H, g_H)
         return g_pre
 
-    return out_data, backward
+    return backward
 
 
 def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
@@ -623,10 +644,16 @@ def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     """
     if H.data.ndim != 2 or edge_in.data.ndim != 2:
         raise ShapeError(f"edge_mlp: H {H.data.shape}, edge input {edge_in.data.shape}")
+    d = H.data.shape[0]
     neighbors = _check_graph("edge_mlp", neighbors, H.data.shape[1], edge_in.data.shape[1])
-    out_data, core_backward = _edge_mlp("edge_mlp", W0, b0, W1, b1, H, edge_in.data,
-                                        neighbors, slope)
-    W_edge = W0.data[:, 2 * H.data.shape[0]:]
+    _check_layer("edge_mlp", W0, b0, 2 * d + edge_in.data.shape[0])
+    _check_layer("edge_mlp", W1, b1, W0.data.shape[0])
+    W0d, Hd = W0.data, H.data
+    W_edge = W0d[:, 2 * d:]
+    pre = _edge_pre(W_edge, b0.data, edge_in.data, W0d[:, :d] @ Hd, W0d[:, d:2 * d] @ Hd,
+                    neighbors)
+    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
+    core_backward = _edge_backward(head_backward, W0, b0, H, edge_in.data, neighbors)
 
     def backward(g):
         g_pre = core_backward(g)
@@ -655,6 +682,13 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
 
     Every node has exactly k in-edges, so the sums over j are reshape-sums
     of the (., n, k) edge layout. Z, H and X0 are 3 x n, d x n and 3 x n.
+
+    The forward is one loop over blocks of nodes, each holding the edge
+    arrays of at most ``tiles.TILE_ENTRIES`` entries (the widest of them
+    sets the height), so a tape-free pass allocates no array over all n * k
+    edges. When a tape records the op, the loop also copies each block's
+    edge arrays into full ones for backward; a graph that fits one block
+    keeps its block's arrays as they are.
     """
     W0, b0, W1, b1 = phi_e
     Wx0, bx0, Wx1, bx1 = phi_x
@@ -664,52 +698,81 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
             or Hd.shape[1] != Zd.shape[1] or edge_feats.ndim != 2):
         raise ShapeError(f"message_pass: Z {Zd.shape}, X0 {X0d.shape}, H {Hd.shape}, "
                          f"edge features {edge_feats.shape}")
-    n = Zd.shape[1]
+    (d, n), edge_rows = Hd.shape, 1 + edge_feats.shape[0]
     neighbors = _check_graph("message_pass", neighbors, n, edge_feats.shape[1])
+    _check_layer("message_pass", W0, b0, 2 * d + edge_rows)
+    _check_layer("message_pass", W1, b1, W0.data.shape[0])
     _check_layer("message_pass", Wx0, bx0, W1.data.shape[0])
     _check_layer("message_pass", Wx1, bx1, Wx0.data.shape[0])
     if Wx1.data.shape[0] != 1:
         raise ShapeError(f"message_pass: gate weight {Wx1.data.shape}, expected one row")
     k = neighbors.shape[1]
-    diff = Zd[:, :, None] - np.take(Zd, neighbors, axis=1)  # (3, n, k)
-    diff_e = diff.reshape(3, n * k)
     c = -1.0 / sigma
-    radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
     parents = (W0, b0, W1, b1, Wx0, bx0, Wx1, bx1, Z, H, X0)
-    m_edge, edge_backward = _edge_mlp("message_pass", W0, b0, W1, b1, H,
-                                      np.concatenate([radial, edge_feats], axis=0),
-                                      neighbors, slope)
-    if _active_tape() is None or not any(p.requires_grad for p in parents):
-        # nothing will record this op: free the edge MLP's saved arrays before
-        # the gate allocates its own, as separate ops would
-        edge_backward = None
-    hid = m_edge.shape[0]
-    m_node = _sum_groups(m_edge, k)
+    keep = _active_tape() is not None and any(p.requires_grad for p in parents)
+    W0d, Wx0d = W0.data, Wx0.data
+    W_edge, W_radial = W0d[:, 2 * d:], W0d[:, 2 * d]
+    dst_proj, src_proj = W0d[:, :d] @ Hd, W0d[:, d:2 * d] @ Hd
+    hid = W1.data.shape[0]
+    m_node = np.empty((hid, n))
+    shift = np.empty((3, n))
+    height = tiles.tile_rows(k * max(edge_rows, W0d.shape[0], hid, Wx0d.shape[0]))
+    blocks = [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+
+    def edge_block(lo, hi):
+        """Fill m_node and shift for nodes lo:hi; return the edge arrays backward reads."""
+        nbrs = neighbors[lo:hi]
+        diff = Zd[:, lo:hi, None] - np.take(Zd, nbrs, axis=1)  # (3, b, k)
+        diff_e = diff.reshape(3, -1)
+        radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
+        edge_in = np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0)
+        pre = _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs)
+        hidden = _leaky_relu_values(pre, slope)
+        m_edge = _affine(W1.data, hidden, b1.data)
+        m_node[:, lo:hi] = _sum_groups(m_edge, k)
+        pre_x = _affine(Wx0d, m_edge, bx0.data)
+        hidden_x = _leaky_relu_values(pre_x, slope)
+        gate = _affine(Wx1.data, hidden_x, bx1.data)
+        shift[:, lo:hi] = _sum_groups((diff * gate.reshape(1, hi - lo, k)).reshape(3, -1), k)
+        return diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate
+
+    saved = None
+    for lo, hi in blocks:
+        parts = edge_block(lo, hi)
+        if keep and len(blocks) == 1:
+            saved = parts
+        elif keep:
+            if saved is None:
+                saved = tuple(np.empty((p.shape[0], n * k)) for p in parts)
+            for full, part in zip(saved, parts):
+                full[:, lo * k:hi * k] = part
+        del parts  # so the next block's arrays replace these rather than join them
     m_node *= 1.0 / k
-    Wx0d, W_radial = Wx0.data, W0.data[:, 2 * Hd.shape[0]]
-    gate, gate_backward = _mlp_head(_affine(Wx0d, m_edge, bx0.data), Wx1, bx1, slope)
-    gate = gate.reshape(1, n, k)
-    shift = _sum_groups((diff * gate).reshape(3, n * k), k)
     shift *= shift_scale
     z_new = X0d * eta
     z_new += Zd * (1.0 - eta)
     z_new += shift
 
     def backward(g_m, g_z):
+        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = saved
+        diff = diff_e.reshape(3, n, k)
         if X0.requires_grad:
             _accumulate(X0, g_z * eta)
         g_shift = (g_z * shift_scale)[:, :, None]
+        gate_backward = _head_backward(pre_x, hidden_x, Wx1, bx1, slope)
         g_prex = gate_backward((g_shift * diff).sum(axis=0).reshape(1, n * k))
         _accumulate(bx0, g_prex.sum(axis=1, keepdims=True))
         _accumulate(Wx0, g_prex @ m_edge.T)
         g_edge = Wx0d.T @ g_prex
         per_node = g_edge.reshape(hid, n, k)
         per_node += (g_m * (1.0 / k))[:, :, None]
+        edge_backward = _edge_backward(_head_backward(pre, hidden, W1, b1, slope),
+                                       W0, b0, H, edge_in, neighbors)
         g_pre = edge_backward(g_edge)
         if Z.requires_grad:
             g_sqd = (W_radial @ g_pre) * radial[0]
             g_sqd *= 2.0 * c
-            g_diff = g_shift * gate
+            g_diff = g_shift * gate.reshape(1, n, k)
             g_diff += g_sqd.reshape(1, n, k) * diff
             g_Z = g_z * (1.0 - eta)
             g_Z += _sum_groups(g_diff.reshape(3, n * k), k)
@@ -757,16 +820,12 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     return _emit(out_data, parts + (W0, b0, W1, b1), backward)
 
 
-# Logits per row tile of ``cross_attention``: 2**16 float64 entries, 512 KB.
-_TILE_ENTRIES = 2**16
-
-
 def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
     """values @ softmax(q.T @ k, axis=1).T without an n1 x n2 array.
 
     q is (d, n1), k is (d, n2) and values is (m, n2); the output is (m, n1).
-    The logits are formed in tiles of ``max(1, 2**16 // n2)`` rows in one
-    reused buffer. Each tile is shifted by its row maxima and exponentiated
+    The logits are formed in row tiles of the ``tiles.TILE_ENTRIES`` budget
+    in one reused buffer. Each tile is shifted by its row maxima and exponentiated
     in place, and ``values @ E.T`` is divided by the row sums. Only the row
     maxima and sums are kept: backward rebuilds each tile's attention from
     them and takes the softmax adjoint's row term from the output,
@@ -778,14 +837,14 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
             or vd.shape[1] != kd.shape[1] or kd.shape[1] == 0):
         raise ShapeError(f"cross_attention: q {qd.shape}, k {kd.shape}, values {vd.shape}")
     n1, n2 = qd.shape[1], kd.shape[1]
-    rows = max(1, _TILE_ENTRIES // n2)
-    tiles = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+    rows = tiles.tile_rows(n2)
+    spans = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
     tile_shape = (min(rows, n1), n2)
     row_max = np.empty(n1)
     row_sum = np.empty(n1)
     out_data = np.empty((vd.shape[0], n1))
     buf = np.empty(tile_shape)
-    for lo, hi in tiles:
+    for lo, hi in spans:
         e = np.matmul(qd[:, lo:hi].T, kd, out=buf[:hi - lo])
         e.max(axis=1, out=row_max[lo:hi])
         e -= row_max[lo:hi, None]
@@ -800,7 +859,7 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
         g_v = np.zeros_like(vd)
         att_buf = np.empty(tile_shape)
         d_buf = np.empty(tile_shape)
-        for lo, hi in tiles:
+        for lo, hi in spans:
             att = np.matmul(qd[:, lo:hi].T, kd, out=att_buf[:hi - lo])
             att -= row_max[lo:hi, None]
             np.exp(att, out=att)
@@ -817,6 +876,102 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
         _accumulate(values, g_v)
 
     return _emit(out_data, (q, k, values), backward)
+
+
+def _scaled_sqdist_tiles(x: np.ndarray, y: np.ndarray, c: float):
+    """Yield ``(lo, hi, t)``: rows lo:hi of ``c * pairwise_sqdist(x, y)``.
+
+    The arithmetic is ``pairwise_sqdist``'s, ``(x2_i + y2_j) - 2 x_i . y_j``
+    clamped at 0, then scaled as ``scale`` does. Tiles follow the
+    ``tiles.TILE_ENTRIES`` budget and live in one reused buffer, so ``t`` is
+    valid only until the next tile is requested.
+    """
+    m, n2 = x.shape[1], y.shape[1]
+    x2, y2 = (x * x).sum(axis=0), (y * y).sum(axis=0)
+    rows = tiles.tile_rows(n2)
+    buf, tmp = np.empty((min(rows, m), n2)), np.empty((min(rows, m), n2))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        out = np.matmul(x[:, lo:hi].T, y, out=buf[:hi - lo])
+        out *= 2.0
+        np.subtract(np.add.outer(x2[lo:hi], y2, out=tmp[:hi - lo]), out, out=out)
+        np.maximum(out, 0.0, out=out)
+        out *= c
+        yield lo, hi, out
+
+
+def soft_min(x: np.ndarray, y: np.ndarray,
+             sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft-min squared distance from each column of x to the columns of y.
+
+    Returns ``(G, row_max, row_sum)``, each with one entry per column of x:
+    ``G_i = -sigma * ln sum_j exp(-||x_i - y_j||^2 / sigma)``, formed as
+    ``-sigma * (row_max_i + ln row_sum_i)`` with ``row_max_i`` the largest
+    ``-d2_ij / sigma`` and ``row_sum_i = sum_j exp(-d2_ij / sigma - row_max_i)``,
+    so distances up to ~1e4 never overflow. The distances are formed in row
+    tiles (``_scaled_sqdist_tiles``), never as one n1 x n2 array.
+    """
+    row_max, row_sum = np.empty(x.shape[1]), np.empty(x.shape[1])
+    for lo, hi, e in _scaled_sqdist_tiles(x, y, -1.0 / sigma):
+        e.max(axis=1, out=row_max[lo:hi])
+        e -= row_max[lo:hi, None]
+        np.exp(e, out=e)
+        e.sum(axis=1, out=row_sum[lo:hi])
+    lse = row_max + np.log(row_sum)
+    return lse * float(-sigma), row_max, row_sum
+
+
+def surface_penetration(points: Tensor, cloud: Tensor, gamma: float, sigma: float) -> Tensor:
+    """Mean over the columns x of ``points`` of ``relu(gamma - G(x))``, one tape node.
+
+    G is ``soft_min(points, cloud, sigma)``: points deeper than the level
+    ``gamma`` inside the cloud's soft-min surface are penalized. Values and
+    gradients follow the primitive composition (``pairwise_sqdist``,
+    ``scale``, a log-sum-exp shifted by the row maximum, ``sub``, ``relu``,
+    ``reduce_mean``) operation for operation, so clouds whose distances fit
+    one tile get its bits. ``relu`` keeps its form ``pre * (pre >= 0)``: a
+    depth of -inf, or a NaN soft-min, gives NaN.
+
+    Only each row's max and sum outlive the forward. Backward rebuilds each
+    row tile of the softmax weights from them, as ``cross_attention`` does,
+    so neither pass holds an n1 x n2 array.
+    """
+    xd, yd = points.data, cloud.data
+    if (xd.ndim != 2 or yd.ndim != 2 or xd.shape[0] != yd.shape[0] or xd.shape[1] == 0
+            or yd.shape[1] == 0):
+        raise ShapeError(f"surface_penetration: points {xd.shape}, cloud {yd.shape}")
+    m = xd.shape[1]
+    G, row_max, row_sum = soft_min(xd, yd, sigma)
+    depth = gamma - G
+    out_data = _leaky_relu_values(depth, 0.0).sum() * (1.0 / m)
+
+    def backward(g):
+        # the adjoint of each primitive in turn, down to -d2 / sigma
+        g_lse = -(g * (1.0 / m) * _leaky_relu_factor(depth, 0.0))
+        g_lse *= float(-sigma)
+        g_lse /= row_sum
+        c = -1.0 / sigma
+        g_x = np.empty_like(xd) if points.requires_grad else None
+        col_sum = x_w = None
+        for lo, hi, w in _scaled_sqdist_tiles(xd, yd, c):
+            w -= row_max[lo:hi, None]
+            np.exp(w, out=w)
+            w *= g_lse[lo:hi, None]
+            w *= c  # now the gradient of pairwise_sqdist's tile
+            if g_x is not None:
+                g_x[:, lo:hi] = 2.0 * (xd[:, lo:hi] * w.sum(axis=1) - yd @ w.T)
+            if cloud.requires_grad:
+                if col_sum is None:
+                    col_sum, x_w = w.sum(axis=0), xd[:, lo:hi] @ w
+                else:
+                    col_sum += w.sum(axis=0)
+                    x_w += xd[:, lo:hi] @ w
+        if g_x is not None:
+            _accumulate(points, g_x)
+        if col_sum is not None:
+            _accumulate(cloud, 2.0 * (yd * col_sum - x_w))
+
+    return _emit(out_data, (points, cloud), backward)
 
 
 def keypoint_attention(W: Tensor, b: Tensor, w_prime: Tensor, Z: Tensor, H: Tensor,

@@ -6,9 +6,10 @@ sequence index). Per-edge features are expressed in residue i's local frame,
 so the whole feature set is unchanged by any rigid motion of the protein.
 
 Distances between n and m points are formed in row blocks (``distance_blocks``)
-of at most 2**16 entries, so k-NN edges and ``contact_pairs``, the one contact
-search behind pocket points, interface residues and the generator's geometry
-check, need O(m * block) memory, not the O(n * m) of a full distance matrix.
+of at most ``tiles.TILE_ENTRIES`` (2**16) entries, so k-NN edges and
+``contact_pairs``, the one contact search behind pocket points, interface
+residues and the generator's geometry check, need O(m * block) memory, not
+the O(n * m) of a full distance matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tiles
 from .pdbio import ResidueSet, local_frames
 
 log = logging.getLogger(__name__)
@@ -67,11 +69,6 @@ class ProteinGraph:
         return np.repeat(np.arange(self.n_nodes), self.k)
 
 
-# Entries per row block of ``distance_blocks``: 2**16 float64, 512 KB, the
-# same budget as a ``cross_attention`` tile.
-_BLOCK_ENTRIES = 2**16
-
-
 def _squared_distances_into(X: np.ndarray, Y: np.ndarray, out: np.ndarray,
                             tmp: np.ndarray) -> np.ndarray:
     """Squared distances from the columns of X to those of Y, written to ``out``.
@@ -98,14 +95,15 @@ def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def distance_blocks(X: np.ndarray, Y: np.ndarray):
     """Yield ``(lo, hi, d2)``: squared distances from X's columns lo:hi to all of Y.
 
-    The blocks cover X's columns in order, each with at most 2**16 entries
-    (at least one row), and every entry equals ``squared_distances(X, Y)[lo:hi]``
-    bit for bit. ``d2`` lives in one of two buffers reused for every block, so
-    it is valid only until the next block is requested; memory is O(m * block)
-    for m columns of Y, not O(n * m).
+    The blocks cover X's columns in order, each within the tile budget of
+    ``tiles.TILE_ENTRIES`` (at least one row), and every entry equals
+    ``squared_distances(X, Y)[lo:hi]`` bit for bit. ``d2`` lives in one of
+    two buffers reused for every block, so it is valid only until the next
+    block is requested; memory is O(m * block) for m columns of Y, not
+    O(n * m).
     """
     n, m = X.shape[1], Y.shape[1]
-    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    rows = tiles.tile_rows(m)
     out = np.empty((min(rows, n), m))
     tmp = np.empty_like(out)
     for lo in range(0, n, rows):

@@ -1,7 +1,10 @@
 """Training objectives: coordinate MSE, pocket optimal transport, intersection.
 
 Every loss returns a scalar Tensor so it can run under a recording tape
-during training or tape-free for plain evaluation.
+during training or tape-free for plain evaluation. None builds an array
+over all residue pairs: pocket points come from the row-blocked contact
+search, and the intersection loss from the row-tiled
+``ad.surface_penetration``.
 """
 
 from __future__ import annotations
@@ -51,24 +54,13 @@ def ot_pocket_loss(Y1: ad.Tensor, Y2: ad.Tensor, P1: np.ndarray, P2: np.ndarray,
     return ad.reduce_sum(ad.mul(cost, ad.constant(plan)))
 
 
-def surface_field(points: ad.Tensor, cloud: ad.Tensor,
-                  sigma: float = INTERSECTION_SIGMA) -> ad.Tensor:
-    """Soft-min squared distance from each point (column) to the cloud.
-
-    Returns an m x 1 tensor of G(x) = -sigma * ln sum_i exp(-||x - x_i||^2 / sigma),
-    evaluated with log-sum-exp shifting so distances up to ~1e4 never overflow.
-    """
-    sqd = ad.pairwise_sqdist(points, cloud)
-    scaled = ad.scale(sqd, -1.0 / sigma)
-    shift = ad.constant(scaled.data.max(axis=1, keepdims=True))
-    lse = ad.add(shift, ad.log(ad.reduce_sum(ad.exp(ad.sub(scaled, shift)), axis=1, keepdims=True)))
-    return ad.scale(lse, -sigma)
-
-
 def surface_G(x, X, sigma: float = INTERSECTION_SIGMA) -> float:
-    """Scalar surface function at one probe position."""
-    probe = ad.constant(np.asarray(x, dtype=np.float64).reshape(3, 1))
-    return surface_field(probe, ad.constant(X), sigma).item()
+    """Surface function at one probe position: the soft-min squared distance to X.
+
+    G(x) = -sigma * ln sum_i exp(-||x - x_i||^2 / sigma) (``ad.soft_min``).
+    """
+    probe = np.asarray(x, dtype=np.float64).reshape(3, 1)
+    return float(ad.soft_min(probe, np.asarray(X, dtype=np.float64), sigma)[0][0])
 
 
 def intersection_loss(X1: ad.Tensor | np.ndarray, X2: ad.Tensor | np.ndarray,
@@ -76,14 +68,14 @@ def intersection_loss(X1: ad.Tensor | np.ndarray, X2: ad.Tensor | np.ndarray,
                       sigma: float = INTERSECTION_SIGMA) -> ad.Tensor:
     """Penalty for either point cloud entering the other's interior.
 
-    Sum of both directional means of max(0, gamma - G_other(x)).
+    Sum of both directional means of max(0, gamma - G_other(x)), each one
+    ``ad.surface_penetration`` node: its pair distances are formed in row
+    tiles, so memory stays O(n) in the cloud sizes.
     """
     t1 = X1 if isinstance(X1, ad.Tensor) else ad.constant(X1)
     t2 = X2 if isinstance(X2, ad.Tensor) else ad.constant(X2)
-    level = ad.constant(np.array(gamma))
-    depth1 = ad.relu(ad.sub(level, surface_field(t1, t2, sigma)))
-    depth2 = ad.relu(ad.sub(level, surface_field(t2, t1, sigma)))
-    return ad.add(ad.reduce_mean(depth1), ad.reduce_mean(depth2))
+    return ad.add(ad.surface_penetration(t1, t2, gamma, sigma),
+                  ad.surface_penetration(t2, t1, gamma, sigma))
 
 
 def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:

@@ -1,4 +1,4 @@
-"""The primitive compositions that the fused IEGMN ops replace.
+"""The primitive compositions that the fused ops replace.
 
 Each function builds, from one tape node per primitive, what one fused op
 in ``rigiddock.autodiff`` computes in a single node. Tests compare the two
@@ -45,3 +45,18 @@ def keypoint_attention(W, b, w_prime, Z, H, H_other, heads, slope):
     logits = ad.scale(ad.matmul(per_head, H), 1.0 / np.sqrt(d))
     attention = ad.softmax(logits, axis=1)
     return ad.matmul(Z, ad.transpose(attention)), attention
+
+
+def surface_field(points, cloud, sigma):
+    """The soft-min G of ``ad.soft_min`` per column of points, as a shifted log-sum-exp."""
+    sqd = ad.pairwise_sqdist(points, cloud)
+    scaled = ad.scale(sqd, -1.0 / sigma)
+    shift = ad.constant(scaled.data.max(axis=1, keepdims=True))
+    lse = ad.add(shift, ad.log(ad.reduce_sum(ad.exp(ad.sub(scaled, shift)), axis=1, keepdims=True)))
+    return ad.scale(lse, -sigma)
+
+
+def surface_penetration(points, cloud, gamma, sigma):
+    """``ad.surface_penetration`` as ``surface_field``, ``sub``, ``relu`` and ``reduce_mean``."""
+    depth = ad.relu(ad.sub(ad.constant(np.array(gamma)), surface_field(points, cloud, sigma)))
+    return ad.reduce_mean(depth)

@@ -196,6 +196,12 @@ def _primitive_op_cases(rng):
     keypoint = [krng.normal(size=s) for s in ((2, 3), (2, 1), (6, 2), (3, 5), (3, 5), (3, 4))]
     p32k = ad.constant(krng.normal(size=(3, 2)))
     p25k = ad.constant(krng.normal(size=(2, 5)))
+    # and so does the fused intersection depth (509 is the keypoint head's):
+    # 6 points against 5, offset so that some points lie inside the level
+    # and some outside
+    srng = np.random.default_rng(510)
+    penetration = [srng.normal(scale=2.0, size=(3, 6)) + np.array([[7.0], [0.0], [0.0]]),
+                   srng.normal(scale=2.0, size=(3, 5))]
 
     def keypoint_attention(*args):
         Y, att = ad.keypoint_attention(*args, 2, 0.1)
@@ -240,6 +246,8 @@ def _primitive_op_cases(rng):
          lambda W0, b0, W1, b1, H, m, mu: ad.reduce_sum(ad.mul(
              ad.node_update(W0, b0, W1, b1, H, [m, mu], 0.5, 0.1, True), p34u))),
         ("keypoint_attention", keypoint, keypoint_attention),
+        ("surface_penetration", penetration,
+         lambda x, y: ad.surface_penetration(x, y, 10.0, 25.0)),
     ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigiddock import autodiff as ad
+from rigiddock import tiles
 
 import reference_ops
 
@@ -376,7 +377,7 @@ def cross_attention_cases(draw):
 def test_property_cross_attention_matches_primitives(case):
     tile, arrays = case
     params = [ad.parameter(a) for a in arrays]
-    with mock.patch.object(ad, "_TILE_ENTRIES", tile):
+    with mock.patch.object(tiles, "TILE_ENTRIES", tile):
         out, grads = _grads(params, lambda: ad.cross_attention(*params))
     ref_out, ref_grads = _grads(params, lambda: _primitive_cross_attention(*params))
     for got, ref in zip([out] + grads, [ref_out] + ref_grads):
@@ -408,6 +409,87 @@ def test_cross_attention_memory_stays_below_one_logit_array():
         tracemalloc.stop()
     assert q.grad is not None and k.grad is not None and v.grad is not None
     assert peak < n * n * 8  # one n x n float64 array: 32 MB
+
+
+# --- fused intersection depth: mean(relu(gamma - soft-min)) in row tiles --------
+
+
+@st.composite
+def penetration_cases(draw):
+    m, n2 = draw(st.sampled_from([1, 2, 5, 17])), draw(st.sampled_from([1, 3, 8, 30]))
+    tile = draw(st.sampled_from([1, 7, 2**16]))  # distances per row tile
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points, cloud = 3.0 * rng.standard_normal((3, m)), 3.0 * rng.standard_normal((3, n2))
+    # from overlapping clouds, through touching ones, to clouds out of reach
+    points[0] += draw(st.sampled_from([0.0, 4.0, 9.0, 40.0]))
+    gamma, sigma = draw(st.sampled_from([(10.0, 25.0), (4.0, 3.0), (30.0, 60.0)]))
+    return tile, [points, cloud], gamma, sigma
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(penetration_cases())
+def test_property_surface_penetration_matches_primitives(case):
+    tile, arrays, gamma, sigma = case
+    params = [ad.parameter(a) for a in arrays]
+    with mock.patch.object(tiles, "TILE_ENTRIES", tile):
+        out, grads = _grads(params, lambda: ad.surface_penetration(*params, gamma, sigma))
+    ref_out, ref_grads = _grads(
+        params, lambda: reference_ops.surface_penetration(*params, gamma, sigma))
+    for got, ref in zip([out] + grads, [ref_out] + ref_grads):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_surface_penetration_within_one_tile_is_the_composition_bit_for_bit():
+    rng = np.random.default_rng(26)
+    params = [ad.parameter(3.0 * rng.standard_normal((3, n))) for n in (40, 30)]
+    out, grads = _grads(params, lambda: ad.surface_penetration(*params, 10.0, 25.0))
+    ref_out, ref_grads = _grads(
+        params, lambda: reference_ops.surface_penetration(*params, 10.0, 25.0))
+    assert out > 0.0
+    for got, ref in zip([out] + grads, [ref_out] + ref_grads):
+        assert np.array_equal(got, ref)
+
+
+def test_surface_penetration_records_one_node_and_rejects_bad_shapes():
+    x, y = ad.parameter(np.zeros((3, 4))), ad.constant(np.ones((3, 5)))
+    with ad.Tape() as tape:
+        ad.surface_penetration(x, y, 10.0, 25.0)
+        assert len(tape) == 1
+    for points, cloud in ((x, ad.constant(np.ones((2, 5)))), (x, ad.constant(np.ones((3, 0)))),
+                          (ad.constant(np.ones((3, 0))), y)):
+        with pytest.raises(ad.ShapeError, match="surface_penetration"):
+            ad.surface_penetration(points, cloud, 10.0, 25.0)
+
+
+def test_surface_penetration_keeps_relu_nan_for_a_non_finite_depth():
+    """relu is ``pre * (pre >= 0)``, so a depth of -inf or NaN gives NaN, not 0."""
+    rng = np.random.default_rng(27)
+    points, cloud = rng.standard_normal((3, 4)), rng.standard_normal((3, 6))
+    far = points.copy()
+    far[:, 0] = 1e200  # every distance from it overflows: its soft-min is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, gamma in ((points, -np.inf), (far, 10.0)):
+            args = (ad.constant(x), ad.constant(cloud), gamma, 25.0)
+            assert np.isnan(ad.surface_penetration(*args).item())
+            assert np.isnan(reference_ops.surface_penetration(*args).item())
+
+
+def test_surface_penetration_memory_stays_below_16_mb():
+    """Forward and backward at n = 3000, where one n x n float64 array is 72 MB."""
+    n = 3000
+    rng = np.random.default_rng(28)
+    x = ad.parameter(15.0 * rng.standard_normal((3, n)))
+    y = ad.parameter(15.0 * rng.standard_normal((3, n)) + 5.0)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.surface_penetration(x, y, 10.0, 25.0)
+            tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loss.item() > 0.0 and np.any(x.grad) and np.any(y.grad)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --- fused IEGMN ops: one node per message pass, node update and keypoint head ---
@@ -463,6 +545,89 @@ def test_property_message_pass_matches_primitives(case):
     ref_outs, ref_grads = _grads_of_outputs(
         params, lambda: reference_ops.message_pass(*args, **options), used)
     _assert_match(outs + grads, ref_outs + ref_grads)
+
+
+def _message_pass_blocks_case():
+    """A 9-node, k = 3 graph with every layer width distinct; the widest edge array has 6 rows."""
+    rng = np.random.default_rng(29)
+    n, k, d, c, hid, out, gate_hid = 9, 3, 2, 2, 6, 4, 5
+    shapes = ((hid, 2 * d + 1 + c), (hid, 1), (out, hid), (out, 1),
+              (gate_hid, out), (gate_hid, 1), (1, gate_hid), (1, 1))
+    arrays = [0.5 * rng.standard_normal(s) for s in shapes]
+    arrays += [3.0 * rng.standard_normal((3, n)), rng.standard_normal((d, n)),
+               3.0 * rng.standard_normal((3, n))]
+    graph = (rng.standard_normal((c, n * k)),
+             np.array([rng.choice(np.delete(np.arange(n), i), k, replace=False)
+                       for i in range(n)]))
+    return arrays, graph, k * hid
+
+
+def _run_message_pass(arrays, graph, budget, taped):
+    """Outputs of a message pass under the given tile budget, plus gradients when taped."""
+    make = ad.parameter if taped else ad.constant
+    params = [make(a) for a in arrays]
+    args = (params[:4], params[4:8], *params[8:], *graph, 0.1, 30.0, 0.25, 0.5)
+    with mock.patch.object(tiles, "TILE_ENTRIES", budget):
+        if not taped:
+            return [o.data for o in ad.message_pass(*args)], None
+        return _grads_of_outputs(params, lambda: ad.message_pass(*args), (True, True))
+
+
+# 1: one node per block, less than one node's edges; 3: the same, below a
+# row; 2 * width: two nodes per block, so the ninth node is a block alone;
+# 2**16: the whole graph in one block
+BLOCK_BUDGETS = (1, 3, "two nodes", 2**16)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+def test_message_pass_node_blocks_match_one_block(budget):
+    """Blocked outputs equal the one-block ones to rounding, and bit for bit in one block.
+
+    Smaller blocks hand BLAS narrower products, whose last columns it may
+    round differently, so only the one-block budget is held to the bit.
+    """
+    arrays, graph, width = _message_pass_blocks_case()
+    budget = 2 * width if budget == "two nodes" else budget
+    one_block, _ = _run_message_pass(arrays, graph, 2**16, taped=False)
+    blocked, _ = _run_message_pass(arrays, graph, budget, taped=False)
+    if budget == 2**16:
+        assert all(np.array_equal(a, b) for a, b in zip(blocked, one_block))
+    _assert_match(blocked, one_block, rel=1e-13)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+def test_taped_message_pass_node_blocks_match_one_block(budget):
+    """A tape sees the tape-free values bit for bit, and one-block gradients."""
+    arrays, graph, width = _message_pass_blocks_case()
+    budget = 2 * width if budget == "two nodes" else budget
+    untaped, _ = _run_message_pass(arrays, graph, budget, taped=False)
+    outs, grads = _run_message_pass(arrays, graph, budget, taped=True)
+    ref_outs, ref_grads = _run_message_pass(arrays, graph, 2**16, taped=True)
+    assert all(np.array_equal(a, b) for a, b in zip(outs, untaped))
+    if budget == 2**16:
+        assert all(np.array_equal(a, b) for a, b in zip(outs + grads, ref_outs + ref_grads))
+    _assert_match(outs + grads, ref_outs + ref_grads, rel=1e-12)
+
+
+def test_message_pass_memory_stays_below_one_edge_array():
+    """A tape-free pass at n = 3000 (k = 10, 32 wide) stays below one 32 x n * k array."""
+    n, k, d, c, hid = 3000, 10, 32, 27, 32
+    rng = np.random.default_rng(30)
+    shapes = ((hid, 2 * d + 1 + c), (hid, 1), (hid, hid), (hid, 1),
+              (hid, hid), (hid, 1), (1, hid), (1, 1))
+    weights = [ad.constant(0.2 * rng.standard_normal(s)) for s in shapes]
+    Z, H = ad.constant(20.0 * rng.standard_normal((3, n))), ad.constant(rng.standard_normal((d, n)))
+    neighbors = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+    edge_feats = rng.standard_normal((c, n * k))
+    tracemalloc.start()
+    try:
+        m, z = ad.message_pass(weights[:4], weights[4:], Z, H, Z, edge_feats, neighbors,
+                               0.01, 30.0, 0.25, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (hid, n) and z.shape == (3, n)
+    assert peak < hid * n * k * 8, f"peak {peak / 2**20:.1f} MB"
 
 
 @st.composite

@@ -144,6 +144,17 @@ def test_intersection_gradient():
     assert ad.grad_check(f, [p]) <= 1e-4
 
 
+def test_intersection_loss_records_three_tape_nodes():
+    """One fused node per direction and the add."""
+    rng = np.random.default_rng(10)
+    p = ad.parameter(rng.uniform(0, 6, size=(3, 5)))
+    with ad.Tape() as tape:
+        loss = intersection_loss(p, rng.uniform(0, 6, size=(3, 4)))
+        assert len(tape) == 3
+        tape.backward(loss)
+    assert p.grad is not None and p.grad.shape == (3, 5)
+
+
 # -- transport loss ----------------------------------------------------------
 
 

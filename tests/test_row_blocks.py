@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigiddock import graphs, metrics, synthetic
+from rigiddock import graphs, metrics, synthetic, tiles
 from rigiddock.losses import POCKET_TAU, intersection_loss, pocket_points
 from rigiddock.metrics import NoContactError
 
@@ -24,7 +24,7 @@ BLOCK_HEIGHTS = (1, 2, 7, None)  # None: one block taller than the input
 
 def block_rows(height, n, m):
     """Patch the block budget so ``distance_blocks`` over m columns yields ``height`` rows."""
-    return mock.patch.object(graphs, "_BLOCK_ENTRIES", (height or n + 3) * m)
+    return mock.patch.object(tiles, "TILE_ENTRIES", (height or n + 3) * m)
 
 
 def full_squared_distances(X, Y):
@@ -241,12 +241,12 @@ def test_distance_blocks_cover_rows_in_order_within_budget():
     seen = 0
     for lo, hi, d2 in graphs.distance_blocks(X, Y):
         assert lo == seen and d2.shape == (hi - lo, 300)
-        assert d2.size <= graphs._BLOCK_ENTRIES
+        assert d2.size <= tiles.TILE_ENTRIES
         np.testing.assert_array_equal(d2, full[lo:hi])
         seen = hi
     assert seen == 700
     # a row wider than the budget still comes one row at a time
-    blocks = list(graphs.distance_blocks(Y[:, :2], rng.normal(size=(3, graphs._BLOCK_ENTRIES + 1))))
+    blocks = list(graphs.distance_blocks(Y[:, :2], rng.normal(size=(3, tiles.TILE_ENTRIES + 1))))
     assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 1), (1, 2)]
 
 
