@@ -65,7 +65,7 @@ class RigidTransform:
         if not isinstance(payload, dict) or not {"R", "t"} <= payload.keys():
             raise ValueError("transform JSON needs an object with keys 'R' and 't'")
         convention = payload.get("convention", TRANSFORM_CONVENTION)
-        if not convention.startswith("y = R x + t"):
+        if not isinstance(convention, str) or not convention.startswith("y = R x + t"):
             raise ValueError(f"unsupported transform convention: {convention!r}")
         return cls(np.array(payload["R"], dtype=np.float64),
                    np.array(payload["t"], dtype=np.float64))

@@ -22,16 +22,29 @@ The walk also sums the signed costs around the cycle, which equal the
 entering cell's reduced cost whenever the potentials fit the tree; a
 mismatch raises at once instead of pivoting on wrong prices.
 
-A caller solving a sequence of nearly equal costs can pass a ``WarmStart``
-holder. Any spanning tree of an (S, K) problem with its stored flows is
-still a feasible basis for every other cost of that shape: the flows of a
-tree are fixed by the marginals alone (peel off leaves one at a time), and
-uniform marginals depend only on S and K. So the solve restarts from the
-holder's last optimal tree and flows, recomputes every potential from the
-root with the same arithmetic as above, and then runs the usual pivot loop,
-usually a few dozen pivots from the optimum instead of hundreds from the
-northwest corner. Without a holder, or with one of another shape, the
-solve starts cold from the northwest corner.
+A solve starts from one of three bases, chosen by its ``WarmStart`` holder:
+
+- Filled with this shape: the warm restart. Any spanning tree of an (S, K)
+  problem with its stored flows is still a feasible basis for every other
+  cost of that shape: the flows of a tree are fixed by the marginals alone
+  (peel off leaves one at a time), and uniform marginals depend only on S
+  and K. So the solve restarts from the holder's last optimal tree and
+  flows, usually a few dozen pivots from the optimum.
+- Empty: the guided start. A few iterations of entropic matrix scaling
+  (Sinkhorn; Cuturi 2013) on the row-and-column-reduced cost give dual
+  estimates f, g; cells taken in ascending order of c_ij - f_i - g_j get
+  greedy integer allocations (the least-cost rule), and zero-flow cells in
+  the same order complete the spanning tree. On 87 x 50 pocket costs this
+  makes about a sixth of the northwest corner's pivots, and the start costs
+  about a tenth of a cold solve.
+- No holder, or one of another shape: the northwest corner. It stays as
+  the reference start: the tests hold the other starts to its plans and
+  pin its pivot sequence, and its long zero-volume runs on a permutation
+  cost are what exercises the Bland fallback (the guided start solves that
+  cost without a pivot).
+
+Each start roots its tree at row 0 and computes every potential from the
+root with the same arithmetic as above; the pivot loop is the same for all.
 
 The returned plan is a vertex of the transport polytope with at most
 S+K-1 nonzero entries.
@@ -44,13 +57,19 @@ import numpy as np
 from .autodiff import NonFiniteError
 
 _MAX_PIVOTS_FACTOR = 200
+# The guided start's matrix scaling: iterations, and the entropic
+# regularisation in units of the mean row-and-column-reduced cost.
+_SCALING_ITERATIONS = 20
+_SCALING_REG = 0.1
 
 
 class WarmStart:
     """Caller-owned holder for the last optimal basis of one (S, K) problem.
 
-    Keeps only the tree and its integer flows, never the cost; an empty or
-    other-shaped holder makes the next solve start cold.
+    Keeps only the tree and its integer flows, never the cost. A filled
+    holder of the solve's shape restarts from its tree; an empty one (``shape``
+    is None) makes the solve build the guided start from its cost; one of
+    another shape is ignored, and the solve starts from the northwest corner.
     """
 
     __slots__ = ("shape", "parent", "flow", "children")
@@ -125,7 +144,8 @@ class _Basis:
 
     def __init__(self, cost: np.ndarray, s: int, k: int, warm: WarmStart | None,
                  cycle_tol: float):
-        """The tree and flows of ``warm`` if it has this shape, else the NW-corner start."""
+        """The tree and flows of ``warm`` if it has this shape, the guided start if
+        it is empty, else the NW-corner start."""
         self.s = s
         self.cost = cost.tolist()
         self.cycle_tol = cycle_tol
@@ -133,12 +153,15 @@ class _Basis:
         self.depth = [0] * n
         self.pot = [0.0] * n
         self.edge_cost = [0.0] * n
-        if warm is None or warm.shape != (s, k):
+        if warm is not None and warm.shape == (s, k):
+            # Copies, so a failed solve leaves the holder as it was.
+            self.parent, self.flow = list(warm.parent), list(warm.flow)
+            self.children = [list(c) for c in warm.children]
+        elif warm is not None and warm.shape is None:
+            self.parent, self.flow, self.children = _guided_tree(cost)
+        else:
             self._northwest_corner(s, k)
             return
-        # Copies, so a failed solve leaves the holder as it was.
-        self.parent, self.flow = list(warm.parent), list(warm.flow)
-        self.children = [list(c) for c in warm.children]
         for node in range(1, n):
             i, j = self.cell(node)
             self.edge_cost[node] = self.cost[i][j]
@@ -273,3 +296,93 @@ def _most_negative_reduced_cost(reduced, eps):
     if reduced[i, j] < -eps:
         return i, j
     return None
+
+
+def _guided_order(cost: np.ndarray) -> np.ndarray:
+    """Flat cell indices in ascending order of ``c - f_i - g_j`` after matrix scaling.
+
+    The cost is reduced by its row minima, then by its column minima, which
+    leaves a zero in every row and column: the kernel ``exp(-c / reg)`` then
+    holds a 1 in every line, so no scaling sum is zero and no scaling factor
+    overflows within the fixed iteration count. The reduced cost is divided
+    by its maximum first, so costs of any magnitude scale alike. A cost that
+    reduces to all zeros (constant, one row or one column) is not scaled and
+    keeps the row-major order. Every sum runs along one array axis, never
+    through BLAS, so the order depends on the cost alone; ties keep the
+    row-major order (stable sort).
+    """
+    s, k = cost.shape
+    cost = np.ascontiguousarray(cost)  # one summation order for every layout
+    reduced = cost - cost.min(axis=1, keepdims=True)
+    reduced -= reduced.min(axis=0)
+    top = reduced.max()
+    if top > 0.0:
+        reduced /= top
+        reduced /= _SCALING_REG * reduced.mean()
+        kernel = np.exp(-reduced)
+        # Scaled marginals: row sums k, column sums s. einsum without
+        # ``optimize`` sums in its own loops, never through BLAS.
+        v = np.ones(k)
+        for _ in range(_SCALING_ITERATIONS):
+            u = k / np.einsum("ij,j->i", kernel, v)
+            v = s / np.einsum("ij,i->j", kernel, u)
+        reduced -= np.log(u)[:, None]
+        reduced -= np.log(v)
+    return np.argsort(reduced, axis=None, kind="stable")
+
+
+def _guided_tree(cost: np.ndarray) -> tuple[list[int], list[int], list[list[int]]]:
+    """Parent, flow and children lists of the guided start, rooted at row 0.
+
+    Cells taken in ``_guided_order`` receive the least of their row's and
+    column's remaining supply and demand. Each allocation exhausts a line,
+    so the allocated cells form a forest; zero-flow cells, in the same
+    order, join its trees into a spanning tree.
+    """
+    s, k = cost.shape
+    n = s + k
+    rows, cols = np.divmod(_guided_order(cost), k)
+    order = list(zip(rows.tolist(), cols.tolist()))
+    supply, demand = [k] * s, [s] * k
+    comp = list(range(n))  # union-find over the nodes
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = x = comp[comp[x]]
+        return x
+
+    edges = []
+    left = s * k
+    for i, j in order:
+        if supply[i] and demand[j]:
+            amount = min(supply[i], demand[j])
+            supply[i] -= amount
+            demand[j] -= amount
+            comp[find(i)] = find(s + j)
+            edges.append((i, s + j, amount))
+            left -= amount
+            if not left:
+                break
+    for i, j in order:
+        if len(edges) == n - 1:
+            break
+        a, b = find(i), find(s + j)
+        if a != b:
+            comp[a] = b
+            edges.append((i, s + j, 0))
+
+    linked = [[] for _ in range(n)]
+    for row, col, amount in edges:
+        linked[row].append((col, amount))
+        linked[col].append((row, amount))
+    parent, flow = [-1] * n, [0] * n
+    children = [[] for _ in range(n)]
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for other, amount in linked[node]:
+            if other != parent[node]:
+                parent[other], flow[other] = node, amount
+                children[node].append(other)
+                stack.append(other)
+    return parent, flow, children

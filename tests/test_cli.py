@@ -337,7 +337,7 @@ class TestExitCodes:
                      "--model", str(model_path)])
         assert code == EXIT_PARSE
 
-    @pytest.mark.parametrize("edit", ["drop R", "skew R"])
+    @pytest.mark.parametrize("edit", ["drop R", "skew R", "numeric convention"])
     def test_bad_complex_json_names_the_file(self, tmp_path, model_path, edit, capsys):
         root = tmp_path / "data"
         assert main(["gen-synthetic", "--out", str(root), "--pairs", "4", "--seed", "0",
@@ -347,8 +347,10 @@ class TestExitCodes:
         payload = json.loads(path.read_text())
         if edit == "drop R":
             del payload["R"]
-        else:
+        elif edit == "skew R":
             payload["R"][0][0] += 0.5
+        else:
+            payload["convention"] = 5
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["eval", "--data", str(root), "--model", str(model_path), "--split", "train"])

@@ -78,6 +78,13 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("convention", [5, None, ["y = R x + t"]])
+    def test_json_non_string_convention_is_a_value_error(self, convention):
+        payload = json.loads(RigidTransform(np.eye(3), np.zeros(3)).to_json())
+        payload["convention"] = convention
+        with pytest.raises(ValueError, match="convention"):
+            RigidTransform.from_json(json.dumps(payload))
+
 
 class TestKabsch:
     def test_exact_recovery(self):

@@ -15,6 +15,9 @@ from rigiddock import transport
 from rigiddock.autodiff import NonFiniteError
 from rigiddock.transport import solve_uniform_transport
 
+# No exp, log or divide in the solver or its starts may warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @functools.cache
 def enumerate_tables(s, k):
@@ -248,11 +251,16 @@ def perturbed_float_costs(draw):
 def test_property_warm_start_matches_cold_plan(costs):
     c0, c1 = costs
     warm = transport.WarmStart()
-    solve_uniform_transport(c0, warm)
+    guided_plan, guided_objective = solve_uniform_transport(c0, warm)
     plan, objective = solve_uniform_transport(c1, warm)
     cold_plan, cold_objective = solve_uniform_transport(c1)
     np.testing.assert_array_equal(plan, cold_plan)
     assert objective == cold_objective
+    # The empty holder's solve started from the guided basis; the optimum
+    # of a generic float cost is unique, so its plan is the cold one's.
+    nw_plan, nw_objective = solve_uniform_transport(c0)
+    np.testing.assert_array_equal(guided_plan, nw_plan)
+    assert guided_objective == nw_objective
 
 
 @st.composite
@@ -336,3 +344,125 @@ def test_stale_warm_potentials_fail_fast(monkeypatch):
     with pytest.raises(RuntimeError, match="potentials are stale"):
         solve_uniform_transport(cost, warm)
     assert time.monotonic() - start < 5.0
+
+
+def assert_sparse_vertex(plan):
+    """The plan is a scaled integer table with exact marginals and at most S+K-1 nonzeros."""
+    s, k = plan.shape
+    alloc = np.rint(plan * (s * k))
+    np.testing.assert_array_equal(plan, alloc / (s * k))
+    assert np.all(alloc >= 0)
+    assert np.all(alloc.sum(axis=1) == k)
+    assert np.all(alloc.sum(axis=0) == s)
+    assert np.count_nonzero(alloc) <= s + k - 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_integer_costs())
+def test_property_guided_start_optimal_sparse_vertex(cost):
+    # Few distinct costs make ties among the guided order and degenerate
+    # greedy allocations common, so the zero-flow completion is exercised.
+    plan, objective = solve_uniform_transport(cost, transport.WarmStart())
+    assert objective == pytest.approx(linprog_objective(cost), abs=1e-9)
+    assert_sparse_vertex(plan)
+
+
+def test_guided_start_quarters_pivots(monkeypatch):
+    # 404 pivots from the northwest corner, 69 from the guided start; a
+    # least-cost order of the reduced cost without the scaling makes 154.
+    calls = count_pivots(monkeypatch)
+    cost = pocket_cost(np.random.default_rng(14), 87, 50)
+    cold_plan, _ = solve_uniform_transport(cost)
+    cold_pivots = len(calls)
+    calls.clear()
+    warm = transport.WarmStart()
+    plan, _ = solve_uniform_transport(cost, warm)
+    assert len(calls) <= cold_pivots // 4, (len(calls), cold_pivots)
+    np.testing.assert_array_equal(plan, cold_plan)
+    assert warm.shape == (87, 50)
+
+
+@pytest.mark.parametrize("kind", ["pocket", "ties"])
+def test_guided_tree_spans_and_holds_the_greedy_flows(kind):
+    rng = np.random.default_rng(15)
+    if kind == "pocket":
+        cost = pocket_cost(rng, 23, 17)
+    else:
+        # Supplies of 12 and demands of 8 often run out together, so the
+        # greedy forest needs zero-flow cells to span.
+        cost = rng.integers(0, 4, size=(8, 12)).astype(np.float64)
+    s, k = cost.shape
+    parent, flow, children = transport._guided_tree(cost)
+    assert parent[0] == -1
+    alloc = np.zeros((s, k), dtype=np.int64)
+    for node in range(1, s + k):
+        up = parent[node]
+        assert node in children[up]
+        assert (node < s) != (up < s), "a basic cell joins a row and a column"
+        cell = (node, up - s) if node < s else (up, node - s)
+        alloc[cell] = flow[node]
+        seen = {node}
+        while up != -1:  # every node reaches the root without a cycle
+            assert up not in seen
+            seen.add(up)
+            up = parent[up]
+    assert sum(map(len, children)) == s + k - 1
+    assert np.all(alloc.sum(axis=1) == k) and np.all(alloc.sum(axis=0) == s)
+
+
+def _degenerate_costs():
+    rng = np.random.default_rng(16)
+    heavy = rng.uniform(0.0, 1.0, size=(9, 7))
+    heavy[4] *= 1e12
+    return {
+        "constant": np.full((6, 8), 2.5),
+        "one row": rng.uniform(0.0, 1.0, size=(1, 9)),
+        "one column": rng.uniform(0.0, 1.0, size=(9, 1)),
+        "one heavy row": heavy,
+        "near 1e-300": 1e-300 * rng.uniform(1.0, 2.0, size=(7, 5)),
+        "subnormal": 1e-320 * rng.integers(1, 50, size=(7, 5)).astype(np.float64),
+        "near +-1e300": 1e300 * rng.uniform(-1.0, 1.0, size=(6, 9)),
+        "near 1e300": 1e300 * rng.uniform(1.0, 1.5, size=(8, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_degenerate_costs()))
+def test_guided_start_degenerate_costs(name):
+    cost = _degenerate_costs()[name]
+    plan, objective = solve_uniform_transport(cost, transport.WarmStart())
+    _, cold_objective = solve_uniform_transport(cost)
+    assert_sparse_vertex(plan)
+    eps = 1e-12 * (1.0 + float(np.abs(cost).max()))
+    assert abs(objective - cold_objective) <= eps
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (1, 9), (9, 1)])
+def test_guided_order_skips_scaling_when_the_cost_reduces_to_zero(shape, monkeypatch):
+    # A constant cost, and any single row or column, reduce to all zeros:
+    # no scaling runs, and the order is row-major.
+    cost = np.random.default_rng(17).uniform(size=shape)
+    if min(shape) > 1:
+        cost[:] = 2.5
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("the scaling ran")
+
+    monkeypatch.setattr(transport.np, "exp", no_exp)
+    np.testing.assert_array_equal(transport._guided_order(cost), np.arange(cost.size))
+
+
+def test_guided_order_is_a_function_of_the_cost_values(monkeypatch):
+    # The sort keys, not only their order, must not depend on the cost's
+    # memory layout: einsum sums a Fortran-ordered kernel in another order.
+    keys = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        keys.append(a.tobytes())
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(transport.np, "argsort", recording_argsort)
+    cost = pocket_cost(np.random.default_rng(18), 41, 29)
+    order = transport._guided_order(cost)
+    np.testing.assert_array_equal(transport._guided_order(np.asfortranarray(cost)), order)
+    assert keys[0] == keys[1]
