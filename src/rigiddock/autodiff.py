@@ -24,6 +24,14 @@ distances and keep only each row's max and sum, so no n1 x n2 array
 outlives a tile, with or without a tape. ``message_pass`` runs over blocks
 of nodes, so without a tape no array spans all of its edges.
 
+The forward tile loops of ``cross_attention``, ``soft_min`` and
+``message_pass`` go through ``tiles.run``, which may run two tiles at once,
+one on a pool thread. Each tile writes only its own rows or columns of
+the outputs, and its arithmetic does not depend on which thread runs it,
+so the bits are the serial ones. Tile bodies call only private helpers
+and never touch the tape: every tape node is emitted on the calling
+thread, after its loop. Backward loops sum over tiles and stay serial.
+
 ``Tape.backward`` drops each recorded closure once it has run, so the
 forward arrays a closure holds are freed as backward proceeds.
 
@@ -683,10 +691,11 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     Every node has exactly k in-edges, so the sums over j are reshape-sums
     of the (., n, k) edge layout. Z, H and X0 are 3 x n, d x n and 3 x n.
 
-    The forward is one loop over blocks of nodes, each holding the edge
-    arrays of at most ``tiles.TILE_ENTRIES`` entries (the widest of them
-    sets the height), so a tape-free pass allocates no array over all n * k
-    edges. When a tape records the op, the loop also copies each block's
+    The forward is one loop over blocks of nodes (``tiles.run``), each
+    holding the edge arrays of at most ``tiles.TILE_ENTRIES`` entries (the
+    widest of them sets the height), so a tape-free pass allocates no array
+    over all n * k edges; a block drops each edge array once the next is
+    formed. When a tape records the op, the loop also copies each block's
     edge arrays into full ones for backward; a graph that fits one block
     keeps its block's arrays as they are.
     """
@@ -717,36 +726,53 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     m_node = np.empty((hid, n))
     shift = np.empty((3, n))
     height = tiles.tile_rows(k * max(edge_rows, W0d.shape[0], hid, Wx0d.shape[0]))
-    blocks = [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+    blocks = tiles.spans(n, height)
+    one_block = len(blocks) == 1
+    # the edge arrays backward reads, by name, with their rows
+    saved_rows = {"diff": 3, "radial": 1, "edge_in": edge_rows, "pre": W0d.shape[0],
+                  "hidden": W0d.shape[0], "m_edge": hid, "pre_x": Wx0d.shape[0],
+                  "hidden_x": Wx0d.shape[0], "gate": 1}
+    saved = {} if not keep or one_block else {
+        name: np.empty((rows, n * k)) for name, rows in saved_rows.items()}
+
+    def save(lo, hi, name, part):
+        """Keep a block's edge array for backward; one block keeps it as it is."""
+        if keep and one_block:
+            saved[name] = part
+        elif keep:
+            saved[name][:, lo * k:hi * k] = part
+        return part
 
     def edge_block(lo, hi):
-        """Fill m_node and shift for nodes lo:hi; return the edge arrays backward reads."""
+        """Fill m_node and shift for nodes lo:hi, saving the edge arrays backward reads.
+
+        Each edge array is dropped as soon as the next one is formed, so a
+        tape-free block holds only what its current step reads and writes.
+        """
         nbrs = neighbors[lo:hi]
         diff = Zd[:, lo:hi, None] - np.take(Zd, nbrs, axis=1)  # (3, b, k)
-        diff_e = diff.reshape(3, -1)
-        radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
-        edge_in = np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0)
-        pre = _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs)
-        hidden = _leaky_relu_values(pre, slope)
-        m_edge = _affine(W1.data, hidden, b1.data)
+        diff_e = save(lo, hi, "diff", diff.reshape(3, -1))
+        radial = save(lo, hi, "radial",
+                      np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c))
+        edge_in = save(lo, hi, "edge_in",
+                       np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0))
+        pre = save(lo, hi, "pre",
+                   _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs))
+        del edge_in
+        hidden = save(lo, hi, "hidden", _leaky_relu_values(pre, slope))
+        del pre
+        m_edge = save(lo, hi, "m_edge", _affine(W1.data, hidden, b1.data))
+        del hidden
         m_node[:, lo:hi] = _sum_groups(m_edge, k)
-        pre_x = _affine(Wx0d, m_edge, bx0.data)
-        hidden_x = _leaky_relu_values(pre_x, slope)
-        gate = _affine(Wx1.data, hidden_x, bx1.data)
+        pre_x = save(lo, hi, "pre_x", _affine(Wx0d, m_edge, bx0.data))
+        del m_edge
+        hidden_x = save(lo, hi, "hidden_x", _leaky_relu_values(pre_x, slope))
+        del pre_x
+        gate = save(lo, hi, "gate", _affine(Wx1.data, hidden_x, bx1.data))
+        del hidden_x
         shift[:, lo:hi] = _sum_groups((diff * gate.reshape(1, hi - lo, k)).reshape(3, -1), k)
-        return diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate
 
-    saved = None
-    for lo, hi in blocks:
-        parts = edge_block(lo, hi)
-        if keep and len(blocks) == 1:
-            saved = parts
-        elif keep:
-            if saved is None:
-                saved = tuple(np.empty((p.shape[0], n * k)) for p in parts)
-            for full, part in zip(saved, parts):
-                full[:, lo * k:hi * k] = part
-        del parts  # so the next block's arrays replace these rather than join them
+    tiles.run(edge_block, blocks)
     m_node *= 1.0 / k
     shift *= shift_scale
     z_new = X0d * eta
@@ -754,7 +780,8 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     z_new += shift
 
     def backward(g_m, g_z):
-        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = saved
+        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = (
+            saved[name] for name in saved_rows)
         diff = diff_e.reshape(3, n, k)
         if X0.requires_grad:
             _accumulate(X0, g_z * eta)
@@ -825,8 +852,9 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
 
     q is (d, n1), k is (d, n2) and values is (m, n2); the output is (m, n1).
     The logits are formed in row tiles of the ``tiles.TILE_ENTRIES`` budget
-    in one reused buffer. Each tile is shifted by its row maxima and exponentiated
-    in place, and ``values @ E.T`` is divided by the row sums. Only the row
+    (``tiles.run``), in one reused buffer per worker. Each tile is shifted
+    by its row maxima and exponentiated in place, and ``values @ E.T`` is
+    divided by the row sums. Only the row
     maxima and sums are kept: backward rebuilds each tile's attention from
     them and takes the softmax adjoint's row term from the output,
     ``sum_j A_ij dA_ij = g[:, i] . out[:, i]`` (the online-softmax pattern of
@@ -838,19 +866,21 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
         raise ShapeError(f"cross_attention: q {qd.shape}, k {kd.shape}, values {vd.shape}")
     n1, n2 = qd.shape[1], kd.shape[1]
     rows = tiles.tile_rows(n2)
-    spans = [(lo, min(lo + rows, n1)) for lo in range(0, n1, rows)]
+    spans = tiles.spans(n1, rows)
     tile_shape = (min(rows, n1), n2)
     row_max = np.empty(n1)
     row_sum = np.empty(n1)
     out_data = np.empty((vd.shape[0], n1))
-    buf = np.empty(tile_shape)
-    for lo, hi in spans:
+
+    def forward_tile(lo, hi, buf):
         e = np.matmul(qd[:, lo:hi].T, kd, out=buf[:hi - lo])
         e.max(axis=1, out=row_max[lo:hi])
         e -= row_max[lo:hi, None]
         np.exp(e, out=e)
         e.sum(axis=1, out=row_sum[lo:hi])
         np.divide(vd @ e.T, row_sum[lo:hi], out=out_data[:, lo:hi])
+
+    tiles.run(forward_tile, spans, lambda: (np.empty(tile_shape),))
 
     def backward(g):
         row_dot = np.einsum("ij,ij->j", g, out_data)
@@ -879,25 +909,28 @@ def cross_attention(q: Tensor, k: Tensor, values: Tensor) -> Tensor:
 
 
 def _scaled_sqdist_tiles(x: np.ndarray, y: np.ndarray, c: float):
-    """Yield ``(lo, hi, t)``: rows lo:hi of ``c * pairwise_sqdist(x, y)``.
+    """``(spans, scratch, tile)`` for the row tiles of ``c * pairwise_sqdist(x, y)``.
 
-    The arithmetic is ``pairwise_sqdist``'s, ``(x2_i + y2_j) - 2 x_i . y_j``
-    clamped at 0, then scaled as ``scale`` does. Tiles follow the
-    ``tiles.TILE_ENTRIES`` budget and live in one reused buffer, so ``t`` is
-    valid only until the next tile is requested.
+    ``tile(lo, hi, buf, tmp)``, with ``(buf, tmp) = scratch()``, returns rows
+    lo:hi in ``buf``, valid until ``buf`` is reused. The arithmetic is
+    ``pairwise_sqdist``'s, ``(x2_i + y2_j) - 2 x_i . y_j`` clamped at 0, then
+    scaled as ``scale`` does. The spans follow the ``tiles.TILE_ENTRIES``
+    budget.
     """
     m, n2 = x.shape[1], y.shape[1]
     x2, y2 = (x * x).sum(axis=0), (y * y).sum(axis=0)
     rows = tiles.tile_rows(n2)
-    buf, tmp = np.empty((min(rows, m), n2)), np.empty((min(rows, m), n2))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
+    shape = (min(rows, m), n2)
+
+    def tile(lo, hi, buf, tmp):
         out = np.matmul(x[:, lo:hi].T, y, out=buf[:hi - lo])
         out *= 2.0
         np.subtract(np.add.outer(x2[lo:hi], y2, out=tmp[:hi - lo]), out, out=out)
         np.maximum(out, 0.0, out=out)
         out *= c
-        yield lo, hi, out
+        return out
+
+    return tiles.spans(m, rows), lambda: (np.empty(shape), np.empty(shape)), tile
 
 
 def soft_min(x: np.ndarray, y: np.ndarray,
@@ -909,14 +942,20 @@ def soft_min(x: np.ndarray, y: np.ndarray,
     ``-sigma * (row_max_i + ln row_sum_i)`` with ``row_max_i`` the largest
     ``-d2_ij / sigma`` and ``row_sum_i = sum_j exp(-d2_ij / sigma - row_max_i)``,
     so distances up to ~1e4 never overflow. The distances are formed in row
-    tiles (``_scaled_sqdist_tiles``), never as one n1 x n2 array.
+    tiles (``_scaled_sqdist_tiles``) through ``tiles.run``, never as one
+    n1 x n2 array.
     """
     row_max, row_sum = np.empty(x.shape[1]), np.empty(x.shape[1])
-    for lo, hi, e in _scaled_sqdist_tiles(x, y, -1.0 / sigma):
+    spans, scratch, sqdist = _scaled_sqdist_tiles(x, y, -1.0 / sigma)
+
+    def soft_min_tile(lo, hi, buf, tmp):
+        e = sqdist(lo, hi, buf, tmp)
         e.max(axis=1, out=row_max[lo:hi])
         e -= row_max[lo:hi, None]
         np.exp(e, out=e)
         e.sum(axis=1, out=row_sum[lo:hi])
+
+    tiles.run(soft_min_tile, spans, scratch)
     lse = row_max + np.log(row_sum)
     return lse * float(-sigma), row_max, row_sum
 
@@ -953,7 +992,10 @@ def surface_penetration(points: Tensor, cloud: Tensor, gamma: float, sigma: floa
         c = -1.0 / sigma
         g_x = np.empty_like(xd) if points.requires_grad else None
         col_sum = x_w = None
-        for lo, hi, w in _scaled_sqdist_tiles(xd, yd, c):
+        spans, scratch, sqdist = _scaled_sqdist_tiles(xd, yd, c)
+        bufs = scratch()
+        for lo, hi in spans:
+            w = sqdist(lo, hi, *bufs)
             w -= row_max[lo:hi, None]
             np.exp(w, out=w)
             w *= g_lse[lo:hi, None]

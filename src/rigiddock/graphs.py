@@ -9,7 +9,10 @@ Distances between n and m points are formed in row blocks (``distance_blocks``)
 of at most ``tiles.TILE_ENTRIES`` (2**16) entries, so k-NN edges and
 ``contact_pairs``, the one contact search behind pocket points, interface
 residues and the generator's geometry check, need O(m * block) memory, not
-the O(n * m) of a full distance matrix.
+the O(n * m) of a full distance matrix. Both searches run their blocks
+through ``tiles.run``, which may search two blocks at once, each in its own
+buffers and writing only its own rows of the result, so results do not
+depend on how many run at once.
 """
 
 from __future__ import annotations
@@ -92,6 +95,24 @@ def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _squared_distances_into(X, Y, np.empty(shape), np.empty(shape))
 
 
+def _distance_tiles(X: np.ndarray, Y: np.ndarray):
+    """``(spans, scratch, tile)`` for the row blocks of ``squared_distances(X, Y)``.
+
+    ``tile(lo, hi, out, tmp)``, with ``(out, tmp) = scratch()``, returns rows
+    lo:hi in ``out``, valid until ``out`` is reused. The spans cover X's
+    columns in order, each within the tile budget of ``tiles.TILE_ENTRIES``
+    (at least one row).
+    """
+    n, m = X.shape[1], Y.shape[1]
+    rows = tiles.tile_rows(m)
+    shape = (min(rows, n), m)
+
+    def tile(lo, hi, out, tmp):
+        return _squared_distances_into(X[:, lo:hi], Y, out[:hi - lo], tmp[:hi - lo])
+
+    return tiles.spans(n, rows), lambda: (np.empty(shape), np.empty(shape)), tile
+
+
 def distance_blocks(X: np.ndarray, Y: np.ndarray):
     """Yield ``(lo, hi, d2)``: squared distances from X's columns lo:hi to all of Y.
 
@@ -100,15 +121,13 @@ def distance_blocks(X: np.ndarray, Y: np.ndarray):
     ``squared_distances(X, Y)[lo:hi]`` bit for bit. ``d2`` lives in one of
     two buffers reused for every block, so it is valid only until the next
     block is requested; memory is O(m * block) for m columns of Y, not
-    O(n * m).
+    O(n * m). ``contact_pairs`` and ``knn_edges`` form the same blocks, two
+    at a time through ``tiles.run``.
     """
-    n, m = X.shape[1], Y.shape[1]
-    rows = tiles.tile_rows(m)
-    out = np.empty((min(rows, n), m))
-    tmp = np.empty_like(out)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        yield lo, hi, _squared_distances_into(X[:, lo:hi], Y, out[:hi - lo], tmp[:hi - lo])
+    spans, scratch, tile = _distance_tiles(X, Y)
+    bufs = scratch()
+    for lo, hi in spans:
+        yield lo, hi, tile(lo, hi, *bufs)
 
 
 def contact_pairs(X: np.ndarray, Y: np.ndarray,
@@ -117,18 +136,22 @@ def contact_pairs(X: np.ndarray, Y: np.ndarray,
 
     A pair counts when ``d2 < cutoff * cutoff``; pairs come in row-major
     (i, j) order, with intp indices and d2 bit for bit the entry of
-    ``squared_distances``. Formed one ``distance_blocks`` block at a time,
-    so memory is O(m * block) plus the pairs found.
+    ``squared_distances``. Formed one ``distance_blocks`` block at a time
+    per worker, so memory is O(m * block) plus the pairs found.
     """
     m = Y.shape[1]
-    flat, dd = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for lo, _, d2 in distance_blocks(X, Y):
+    spans, scratch, distances = _distance_tiles(X, Y)
+    found = {}  # block start -> (flat indices, d2) of its pairs
+
+    def contact_block(lo, hi, out, tmp):
+        d2 = distances(lo, hi, out, tmp)
         hits = np.flatnonzero(d2 < cutoff * cutoff)
-        if hits.size:
-            flat.append(hits + lo * m)
-            dd.append(d2.reshape(-1)[hits])
+        found[lo] = hits + lo * m, d2.reshape(-1)[hits]
+
+    tiles.run(contact_block, spans, scratch)
+    flat = [np.empty(0, dtype=np.intp)] + [found[lo][0] for lo, _ in spans]
     i, j = np.divmod(np.concatenate(flat), m)
-    return i, j, np.concatenate(dd)
+    return i, j, np.concatenate([np.empty(0)] + [found[lo][1] for lo, _ in spans])
 
 
 def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,16 +159,21 @@ def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Edges are grouped by dst in node order, so ``src.reshape(n, k)`` is the
     neighbor array, each row ordered by (distance, node index). Brute-force
-    O(n^2) distances, formed in row blocks (``distance_blocks``): memory is
-    O(n * block) for block rows per block, plus the n x k result, never n x n.
-    Ties resolved toward lower node index.
+    O(n^2) distances, formed in the row blocks of ``distance_blocks`` and
+    searched through ``tiles.run``: memory is O(n * block) per worker, plus
+    the n x k result, never n x n. Ties resolved toward lower node index.
     """
     n = X.shape[1]
     neighbors = np.empty((n, k), dtype=np.intp)
-    for lo, hi, d2 in distance_blocks(X, X):
+    spans, scratch, distances = _distance_tiles(X, X)
+
+    def knn_block(lo, hi, out, tmp):
+        d2 = distances(lo, hi, out, tmp)
         rows = np.arange(hi - lo)
         d2[rows, rows + lo] = np.inf
         neighbors[lo:hi] = _nearest(d2, k)
+
+    tiles.run(knn_block, spans, scratch)
     return neighbors.reshape(-1), np.repeat(np.arange(n), k)
 
 

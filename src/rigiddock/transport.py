@@ -167,6 +167,12 @@ class _Basis:
             self.edge_cost[node] = self.cost[i][j]
         for node in self.children[0]:
             self._refresh(node)
+        # Every node the walk reached has depth >= 1. One it missed would make
+        # the pivot's cycle walk loop forever, so fail here instead.
+        missed = self.depth.count(0) - 1
+        if missed:
+            raise RuntimeError(f"transportation simplex: the start's basis tree misses "
+                               f"{missed} of its {n - 1} non-root nodes")
 
     def _northwest_corner(self, s: int, k: int) -> None:
         """Integer NW-corner start: supplies of k per row, demands of s per column."""

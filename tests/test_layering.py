@@ -38,3 +38,23 @@ def test_only_graphs_walks_distance_blocks():
     names = {path.stem for path in PACKAGE_DIR.glob("*.py")
              if "distance_blocks" in path.read_text()}
     assert names == {"graphs"}
+
+
+def imports_concurrent(path: Path) -> bool:
+    """Whether one source file imports ``concurrent`` or a module under it."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "concurrent" for name in names):
+            return True
+    return False
+
+
+def test_only_tiles_imports_concurrent_futures():
+    """The one pool thread belongs to ``tiles.run``; other modules run tiles through it."""
+    names = {path.stem for path in PACKAGE_DIR.glob("*.py") if imports_concurrent(path)}
+    assert names == {"tiles"}

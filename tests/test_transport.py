@@ -346,6 +346,20 @@ def test_stale_warm_potentials_fail_fast(monkeypatch):
     assert time.monotonic() - start < 5.0
 
 
+def test_warm_tree_missing_a_node_raises():
+    # A holder whose tree no longer reaches its last node, as a caller edit
+    # or a start that fails to span would leave it. That node's parent -1
+    # reads as itself, so the first pivot's cycle walk looped forever.
+    rng = np.random.default_rng(13)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+    node = 50 + 87 - 1
+    warm.children[warm.parent[node]].remove(node)
+    warm.parent[node] = -1
+    with pytest.raises(RuntimeError, match=r"misses \d+ of its 136 non-root nodes"):
+        solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+
+
 def assert_sparse_vertex(plan):
     """The plan is a scaled integer table with exact marginals and at most S+K-1 nonzeros."""
     s, k = plan.shape
