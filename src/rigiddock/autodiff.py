@@ -42,6 +42,7 @@ training needs one tape per thread.
 
 from __future__ import annotations
 
+import collections
 import threading
 from dataclasses import dataclass
 
@@ -727,52 +728,57 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     shift = np.empty((3, n))
     height = tiles.tile_rows(k * max(edge_rows, W0d.shape[0], hid, Wx0d.shape[0]))
     blocks = tiles.spans(n, height)
-    one_block = len(blocks) == 1
-    # the edge arrays backward reads, by name, with their rows
-    saved_rows = {"diff": 3, "radial": 1, "edge_in": edge_rows, "pre": W0d.shape[0],
-                  "hidden": W0d.shape[0], "m_edge": hid, "pre_x": Wx0d.shape[0],
-                  "hidden_x": Wx0d.shape[0], "gate": 1}
-    saved = {} if not keep or one_block else {
-        name: np.empty((rows, n * k)) for name, rows in saved_rows.items()}
 
-    def save(lo, hi, name, part):
-        """Keep a block's edge array for backward; one block keeps it as it is."""
-        if keep and one_block:
-            saved[name] = part
-        elif keep:
-            saved[name][:, lo * k:hi * k] = part
-        return part
+    def edge_arrays(lo, hi):
+        """Fill m_node and shift for nodes lo:hi, yielding the edge arrays backward reads.
 
-    def edge_block(lo, hi):
-        """Fill m_node and shift for nodes lo:hi, saving the edge arrays backward reads.
-
-        Each edge array is dropped as soon as the next one is formed, so a
-        tape-free block holds only what its current step reads and writes.
+        Each array is yielded once formed and dropped here once the next is
+        formed, so a caller that keeps none holds only what the current step
+        reads and writes.
         """
         nbrs = neighbors[lo:hi]
         diff = Zd[:, lo:hi, None] - np.take(Zd, nbrs, axis=1)  # (3, b, k)
-        diff_e = save(lo, hi, "diff", diff.reshape(3, -1))
-        radial = save(lo, hi, "radial",
-                      np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c))
-        edge_in = save(lo, hi, "edge_in",
-                       np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0))
-        pre = save(lo, hi, "pre",
-                   _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs))
+        diff_e = diff.reshape(3, -1)
+        yield diff_e
+        radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
+        yield radial
+        edge_in = np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0)
+        del radial
+        yield edge_in
+        pre = _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs)
         del edge_in
-        hidden = save(lo, hi, "hidden", _leaky_relu_values(pre, slope))
+        yield pre
+        hidden = _leaky_relu_values(pre, slope)
         del pre
-        m_edge = save(lo, hi, "m_edge", _affine(W1.data, hidden, b1.data))
+        yield hidden
+        m_edge = _affine(W1.data, hidden, b1.data)
         del hidden
+        yield m_edge
         m_node[:, lo:hi] = _sum_groups(m_edge, k)
-        pre_x = save(lo, hi, "pre_x", _affine(Wx0d, m_edge, bx0.data))
+        pre_x = _affine(Wx0d, m_edge, bx0.data)
         del m_edge
-        hidden_x = save(lo, hi, "hidden_x", _leaky_relu_values(pre_x, slope))
+        yield pre_x
+        hidden_x = _leaky_relu_values(pre_x, slope)
         del pre_x
-        gate = save(lo, hi, "gate", _affine(Wx1.data, hidden_x, bx1.data))
+        yield hidden_x
+        gate = _affine(Wx1.data, hidden_x, bx1.data)
         del hidden_x
+        yield gate
         shift[:, lo:hi] = _sum_groups((diff * gate.reshape(1, hi - lo, k)).reshape(3, -1), k)
 
-    tiles.run(edge_block, blocks)
+    if not keep:  # run each block keeping none of its edge arrays
+        tiles.run(lambda lo, hi: collections.deque(edge_arrays(lo, hi), maxlen=0), blocks)
+    elif len(blocks) == 1:
+        saved = tuple(edge_arrays(0, n))
+    else:
+        saved = tuple(np.empty((rows, n * k)) for rows in (
+            3, 1, edge_rows, W0d.shape[0], W0d.shape[0], hid, Wx0d.shape[0], Wx0d.shape[0], 1))
+
+        def edge_block(lo, hi):
+            for i, part in enumerate(edge_arrays(lo, hi)):
+                saved[i][:, lo * k:hi * k] = part
+
+        tiles.run(edge_block, blocks)
     m_node *= 1.0 / k
     shift *= shift_scale
     z_new = X0d * eta
@@ -780,8 +786,7 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     z_new += shift
 
     def backward(g_m, g_z):
-        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = (
-            saved[name] for name in saved_rows)
+        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = saved
         diff = diff_e.reshape(3, n, k)
         if X0.requires_grad:
             _accumulate(X0, g_z * eta)

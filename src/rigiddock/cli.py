@@ -5,16 +5,21 @@ Exit codes: 0 success, 1 usage or configuration error, 2 input parse
 failure, 3 numerical or degenerate failure. Output files are written to a
 temporary sibling and renamed, so failures never leave partial files.
 The RIGIDDOCK_LOG_LEVEL environment variable (DEBUG/INFO/WARNING/ERROR)
-controls logging; there is no verbosity flag.
+controls logging; there is no verbosity flag. A command runs numpy's
+bundled OpenBLAS on one thread, since ``tiles.run`` already keeps two cores
+busy with forward tiles.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -281,6 +286,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _openblas_threads():
+    """``(get, set)``, the thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            names = (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                return tuple(getattr(lib, name) for name in names)
+    return None
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run OpenBLAS on one thread inside the block, then restore its thread count.
+
+    The forward tiles of ``tiles.run`` occupy two cores, and a BLAS that
+    threads each product over the same cores competes with them. The count
+    is set at run time because numpy, and BLAS with it, is loaded before
+    ``main`` runs; a BLAS without these functions is left as it is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=os.environ.get("RIGIDDOCK_LOG_LEVEL", "INFO").upper(),
@@ -289,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with _blas_on_one_thread():
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

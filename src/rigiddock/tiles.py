@@ -14,15 +14,15 @@ calling thread runs the first half of the tiles and one pool thread the
 second, so at most ``WORKERS`` (two) tiles are in flight, each worker with
 its own scratch buffers. The tiles are whole tiles of ``tile_rows``
 whatever the worker count, so every result bit is the serial one (a
-message pass rounds by its block width). The pool is used only when BLAS
-was pinned to one thread (``OPENBLAS_NUM_THREADS``, then
-``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS`` set to 1): a multi-threaded
-BLAS already keeps the cores busy, and two tiles would only compete with
-it. Backward loops sum over tiles and stay serial.
+message pass rounds by its block width). The two workers expect BLAS on
+one thread each: the ``rigiddock`` command pins it so, and a library
+caller running a multi-threaded BLAS gets both sets of threads competing
+for the cores. Backward loops sum over tiles and stay serial.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 
@@ -30,8 +30,6 @@ TILE_ENTRIES = 2**16
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 WORKERS = min(2, _CPUS or 1)  # tiles in flight at most
 
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_blas_serial: bool | None = None  # decided at the first call that could use the pool
 _pool = None  # the ThreadPoolExecutor of the one pool thread
 _pool_lock = threading.Lock()
 _in_worker = threading.local()
@@ -52,18 +50,24 @@ def run(fn, tile_spans: list[tuple[int, int]], scratch=tuple) -> None:
 
     ``scratch()`` is called once per worker, so no buffer it returns is
     shared between threads. Each call must write only outputs that no other
-    tile writes. One tile, one worker, an unpinned BLAS and a call from a
-    pool thread all run the tiles in order on the calling thread. Otherwise
-    the caller runs the first half while the pool runs the second. An error
-    in either half is raised here once both halves have stopped; the
-    caller's own error wins when both fail.
+    tile writes. One tile, one worker and a call from a pool thread run the
+    tiles in order on the calling thread. Otherwise the caller runs the
+    first half while the pool runs the second, in a copy of the caller's
+    context, so both halves see the same numpy error state. An error in
+    either half is raised here once both halves have stopped; the caller's
+    own error wins when both fail.
     """
-    pool = _pool_for_call() if len(tile_spans) > 1 else None
+    if len(tile_spans) < 2:
+        for lo, hi in tile_spans:
+            fn(lo, hi, *scratch())
+        return
+    pool = _pool_for_call()
     if pool is None:
         _run_in_order(fn, tile_spans, scratch)
         return
     half = (len(tile_spans) + 1) // 2
-    second = pool.submit(_run_in_order, fn, tile_spans[half:], scratch)
+    second = pool.submit(contextvars.copy_context().run,
+                         _run_in_order, fn, tile_spans[half:], scratch)
     try:
         _run_in_order(fn, tile_spans[:half], scratch)
     except BaseException:
@@ -80,12 +84,8 @@ def _run_in_order(fn, tile_spans, scratch) -> None:
 
 def _pool_for_call():
     """The one pool thread's executor, created at first use; None when tiles run inline."""
-    global _blas_serial, _pool
+    global _pool
     if WORKERS < 2 or getattr(_in_worker, "active", False):
-        return None
-    if _blas_serial is None:
-        _blas_serial = _blas_pinned_to_one_thread()
-    if not _blas_serial:
         return None
     with _pool_lock:
         if _pool is None:
@@ -95,18 +95,6 @@ def _pool_for_call():
             _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigiddock-tiles",
                                        initializer=_mark_worker)
         return _pool
-
-
-def _blas_pinned_to_one_thread() -> bool:
-    """Whether the first of ``_BLAS_ENV`` set to a positive count, as OpenBLAS reads them, is 1."""
-    for name in _BLAS_ENV:
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
 
 
 def _mark_worker() -> None:

@@ -480,3 +480,28 @@ class TestAtomicWrites:
                      "--model", str(model_path), "--out-pdb", str(out)])
         assert code == EXIT_PARSE
         assert not out.exists()
+
+
+def test_command_runs_openblas_on_one_thread(tmp_path, monkeypatch):
+    """A command runs with OpenBLAS on one thread, and the count is restored afterwards."""
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS does not expose its thread count here")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS runs at most one thread here")
+        seen = []
+
+        def generate(*args, **kwargs):
+            seen.append(get())
+            return []
+
+        monkeypatch.setattr(cli, "generate_dataset", generate)
+        assert main(["gen-synthetic", "--out", str(tmp_path / "data"), "--pairs", "1"]) == EXIT_OK
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(before)

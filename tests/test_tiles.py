@@ -1,7 +1,7 @@
 """The tile runner: parallel forward tiles give the serial bits, and its edge cases.
 
 Every loop that goes through ``tiles.run`` is run with one worker and with
-two, as if BLAS were pinned to one thread, at shapes with at least three
+two, at shapes with at least three
 tiles and a one-row last tile. Outputs and gradients must be equal bit for
 bit, since the tiles and their arithmetic do not depend on the worker count.
 """
@@ -36,7 +36,6 @@ def tile_workers(count):
         return run_in_order(*args)
 
     with mock.patch.object(tiles, "WORKERS", count), \
-            mock.patch.object(tiles, "_blas_serial", True), \
             mock.patch.object(tiles, "_run_in_order", recording):
         yield threads
 
@@ -243,6 +242,23 @@ def test_error_is_raised_after_both_halves_stop(failing, finished):
     assert pool_threads(threads)
 
 
+def test_pool_half_sees_the_callers_error_state():
+    """Only the last tile overflows, and with two workers the pool thread runs it.
+
+    ``np.errstate`` lives in a context variable, so the pool half must run
+    in a copy of the caller's context to raise as the serial loop does.
+    """
+    rng = np.random.default_rng(46)
+    x, y = rng.standard_normal((3, 7)), rng.standard_normal((3, 10))
+    x[:, 6] += 1e5  # d2 ~ 1e10 overflows when scaled by 1 / sigma; the others stay finite
+    for count in (1, 2):
+        with tile_workers(count) as threads, mock.patch.object(tiles, "TILE_ENTRIES", 30), \
+                np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                ad.soft_min(x, y, 1e-300)
+        assert bool(pool_threads(threads)) == (count == 2), threads
+
+
 def test_nested_call_from_a_worker_runs_inline():
     outer = tiles.spans(4, 1)
     inner_threads = {}
@@ -288,20 +304,3 @@ def test_forked_child_starts_its_own_pool():
         child.start()
         child.join(timeout=60)
     assert child.exitcode == 0
-
-
-@pytest.mark.parametrize("env, pinned", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, False),
-])
-def test_blas_pinning_is_read_as_openblas_reads_it(monkeypatch, env, pinned):
-    for name in tiles._BLAS_ENV:
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    assert tiles._blas_pinned_to_one_thread() is pinned
