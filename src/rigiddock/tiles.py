@@ -15,9 +15,9 @@ second, so at most ``WORKERS`` (two) tiles are in flight, each worker with
 its own scratch buffers. The tiles are whole tiles of ``tile_rows``
 whatever the worker count, so every result bit is the serial one (a
 message pass rounds by its block width). The two workers expect BLAS on
-one thread each: the ``rigiddock`` command pins it so, and a library
-caller running a multi-threaded BLAS gets both sets of threads competing
-for the cores. Backward loops sum over tiles and stay serial.
+one thread each: the ``rigiddock`` command holds it so while it runs, and
+a library caller running a multi-threaded BLAS gets both sets of threads
+competing for the cores. Backward loops sum over tiles and stay serial.
 """
 
 from __future__ import annotations
