@@ -5,7 +5,7 @@ to its k nearest residues by CA distance (ties broken toward the lower
 sequence index). Per-edge features are expressed in residue i's local frame,
 so the whole feature set is unchanged by any rigid motion of the protein.
 
-Distances between n and m points are formed in row blocks (``distance_blocks``)
+Distances between n and m points are formed in row blocks (``_distance_tiles``)
 of at most ``tiles.TILE_ENTRIES`` (2**16) entries, so k-NN edges and
 ``contact_pairs``, the one contact search behind pocket points, interface
 residues and the generator's geometry check, need O(m * block) memory, not
@@ -113,30 +113,13 @@ def _distance_tiles(X: np.ndarray, Y: np.ndarray):
     return tiles.spans(n, rows), lambda: (np.empty(shape), np.empty(shape)), tile
 
 
-def distance_blocks(X: np.ndarray, Y: np.ndarray):
-    """Yield ``(lo, hi, d2)``: squared distances from X's columns lo:hi to all of Y.
-
-    The blocks cover X's columns in order, each within the tile budget of
-    ``tiles.TILE_ENTRIES`` (at least one row), and every entry equals
-    ``squared_distances(X, Y)[lo:hi]`` bit for bit. ``d2`` lives in one of
-    two buffers reused for every block, so it is valid only until the next
-    block is requested; memory is O(m * block) for m columns of Y, not
-    O(n * m). ``contact_pairs`` and ``knn_edges`` form the same blocks, two
-    at a time through ``tiles.run``.
-    """
-    spans, scratch, tile = _distance_tiles(X, Y)
-    bufs = scratch()
-    for lo, hi in spans:
-        yield lo, hi, tile(lo, hi, *bufs)
-
-
 def contact_pairs(X: np.ndarray, Y: np.ndarray,
                   cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(i, j, d2)`` for every pair of X's and Y's columns closer than ``cutoff``.
 
     A pair counts when ``d2 < cutoff * cutoff``; pairs come in row-major
     (i, j) order, with intp indices and d2 bit for bit the entry of
-    ``squared_distances``. Formed one ``distance_blocks`` block at a time
+    ``squared_distances``. Formed one ``_distance_tiles`` block at a time
     per worker, so memory is O(m * block) plus the pairs found.
     """
     m = Y.shape[1]
@@ -159,7 +142,7 @@ def knn_edges(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Edges are grouped by dst in node order, so ``src.reshape(n, k)`` is the
     neighbor array, each row ordered by (distance, node index). Brute-force
-    O(n^2) distances, formed in the row blocks of ``distance_blocks`` and
+    O(n^2) distances, formed in the row blocks of ``_distance_tiles`` and
     searched through ``tiles.run``: memory is O(n * block) per worker, plus
     the n x k result, never n x n. Ties resolved toward lower node index.
     """

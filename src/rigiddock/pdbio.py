@@ -169,32 +169,24 @@ def parse_pdb_file(path: str, chain_filter: set[str] | None = None) -> ResidueSe
         return parse_pdb(fh.read(), chain_filter)
 
 
-def _atom_line(serial: int, atom: str, name: str, chain: str, seq: str,
-               icode: str, xyz: np.ndarray) -> str:
-    element = atom.strip()[0]
-    return (
-        f"ATOM  {serial:5d} {atom:<4s} {name:>3s} {chain:1s}{seq:>4s}{icode:1s}   "
-        f"{xyz[0]:8.3f}{xyz[1]:8.3f}{xyz[2]:8.3f}  1.00  0.00          {element:>2s}"
-    )
-
-
 def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     """Render a ResidueSet as PDB text, CA records only by default.
 
     full_backbone additionally writes the N and C records; used by the
     synthetic dataset writer so the files round-trip through parse_pdb.
     """
+    atoms = [(" N", rs.n_atom), (" CA", rs.ca), (" C", rs.c_atom)] if full_backbone \
+        else [(" CA", rs.ca)]
+    columns = [(f"{atom:<4s}", f"{atom.strip()[0]:>2s}", xyz.T.tolist()) for atom, xyz in atoms]
     lines = []
     serial = 1
-    for i in range(len(rs)):
-        args = (rs.names[i], rs.chains[i], rs.seq_ids[i], rs.icodes[i])
-        if full_backbone:
-            lines.append(_atom_line(serial, " N", *args, rs.n_atom[:, i]))
-            serial += 1
-        lines.append(_atom_line(serial, " CA", *args, rs.ca[:, i]))
-        serial += 1
-        if full_backbone:
-            lines.append(_atom_line(serial, " C", *args, rs.c_atom[:, i]))
+    for i, (name, chain, seq, icode) in enumerate(
+            zip(rs.names, rs.chains, rs.seq_ids, rs.icodes)):
+        residue = f"{name:>3s} {chain:1s}{seq:>4s}{icode:1s}   "
+        for atom, element, coords in columns:
+            x, y, z = coords[i]
+            lines.append(f"ATOM  {serial:5d} {atom} {residue}{x:8.3f}{y:8.3f}{z:8.3f}"
+                         f"  1.00  0.00          {element}")
             serial += 1
     lines.append("END")
     return "\n".join(lines) + "\n"

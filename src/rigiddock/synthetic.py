@@ -21,11 +21,23 @@ Layout under the output directory::
 
 Generation is deterministic: the same seed reproduces every byte. Each
 file is written atomically.
+
+The point samplers are rejection samplers with a fixed contract: they draw
+the same random numbers, make the same accept/reject decisions and leave
+the generator in the same state as the one-candidate-at-a-time loops they
+stand for, so faster sampling never changes a pair. ``_blob`` draws its
+candidates in blocks and answers the separation test from a background
+grid; any distance within a relative ``_TIE`` of its threshold is decided
+by the loop's own expression. An ``accept`` predicate passed to ``_blob``
+must be pure, since it is called only on candidates that pass the other
+tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,6 +56,13 @@ CONTACT_RING = 5          # constructed contacts per pair
 MARKER_TYPES = tuple(TYPE_INDEX[name] for name in ("TRP", "TYR", "PHE", "HIS", "MET"))
 MAX_PAIR_ATTEMPTS = 1000
 _BLOB_RADIUS_COEFF = 2.7
+_TRIES = 400              # candidates per blob point before giving up
+_TIE = 1e-12              # relative band around a threshold that the serial expression decides
+_CELL = MIN_SEPARATION / np.sqrt(3.0) * (1.0 - 1e-9)  # blob grid cell: diagonal < MIN_SEPARATION
+_REACH = 2                # cells between a candidate and a point closer than MIN_SEPARATION
+_BLOCK_POINTS = 16        # points a candidate block is sized for
+_MIN_BLOCK = 128          # candidates per block at least ...
+_MAX_BLOCK = 512          # ... and at most
 
 
 class GenerationError(RuntimeError):
@@ -65,24 +84,113 @@ class DockingPair:
         return self.truth.apply(self.ligand.ca)
 
 
+class _Grid:
+    """Placed blob points by background cell, for the separation test.
+
+    A cell's side is ``_CELL``, so its diagonal is below MIN_SEPARATION and
+    it holds one point at most; a point closer than MIN_SEPARATION to a
+    candidate lies within ``_REACH`` cells of it along each axis. The grid
+    covers the cube that candidates are drawn from.
+    """
+
+    def __init__(self, center: np.ndarray, radius: float):
+        self.lo = center - radius
+        self.side = int(2.0 * radius / _CELL) + 2 * _REACH + 4
+        self.cells = np.full(self.side ** 3, -1, dtype=np.intp)  # point index or -1
+        r = np.arange(-_REACH, _REACH + 1)
+        self.offsets = ((r[:, None, None] * self.side + r[None, :, None]) * self.side
+                        + r[None, None, :]).reshape(-1)
+
+    def flat(self, xyz: np.ndarray) -> np.ndarray:
+        """Flat cell index of each row of ``xyz``."""
+        ijk = np.floor((xyz - self.lo) / _CELL).astype(np.intp) + (_REACH + 1)
+        return (ijk[:, 0] * self.side + ijk[:, 1]) * self.side + ijk[:, 2]
+
+    def least(self, cands: np.ndarray, flat: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Per candidate, its distance to the nearest point in reach (inf if none)."""
+        nbrs = self.cells[flat[:, None] + self.offsets]
+        row, col = np.nonzero(nbrs >= 0)
+        diff = points[nbrs[row, col]] - cands[row]
+        least = np.full(len(cands), np.inf)
+        np.minimum.at(least, row, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        return least
+
+    def add(self, cell: int, index: int) -> None:
+        if self.cells[cell] >= 0:
+            raise RuntimeError("blob grid: two points in one cell")
+        self.cells[cell] = index
+
+
 def _blob(rng: np.random.Generator, n: int, center: np.ndarray,
           accept=None) -> np.ndarray:
-    """Random points with pairwise separation >= MIN_SEPARATION."""
+    """Random points with pairwise separation >= MIN_SEPARATION.
+
+    Point i takes the first candidate ``center + rng.uniform(-radius,
+    radius, size=3)`` that lies within ``radius`` of the center, is at least
+    MIN_SEPARATION from points 0..i-1 and passes ``accept``, trying at most
+    ``_TRIES`` candidates per point. ``accept`` must be a pure predicate: it
+    is called only on candidates that pass the other two tests, in draw
+    order. Candidates are drawn a block at a time and tested against a
+    background grid of the points placed before the block; a distance
+    within ``_TIE`` of its threshold is decided by the one-candidate
+    expression. ``rng`` is left as if the candidates had been drawn one at
+    a time, and a failure names the same point.
+    """
     radius = _BLOB_RADIUS_COEFF * n ** (1.0 / 3.0) + 1.5
-    points = np.empty((n, 3))  # rows 0:i are the points placed so far
-    for i in range(n):
-        for _ in range(400):
-            cand = center + rng.uniform(-radius, radius, size=3)
-            if np.linalg.norm(cand - center) > radius:
+    close, far = MIN_SEPARATION * (1.0 - _TIE), MIN_SEPARATION * (1.0 + _TIE)
+    points = np.empty((n, 3))  # rows 0:placed are the points placed so far
+    grid = _Grid(center, radius)
+    placed = 0
+    start = 0   # draw index of the current point's first candidate
+    drawn = 0   # candidates drawn so far
+    while placed < n:
+        # a power of two, so that few array sizes recur: enough candidates
+        # for _BLOCK_POINTS points at the rate seen so far
+        want = (start + 2) * min(n - placed, _BLOCK_POINTS) // (placed + 1)
+        m = min(_MAX_BLOCK, max(_MIN_BLOCK, 1 << want.bit_length()))
+        saved = rng.bit_generator.state
+        cands = center + rng.uniform(-radius, radius, size=(m, 3))
+        base, drawn = drawn, drawn + m
+        diff = cands - center
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        tie = np.abs(dist - radius) <= _TIE * radius
+        inside = (dist < radius) | tie
+        for j in np.flatnonzero(tie):
+            inside[j] = not np.linalg.norm(cands[j] - center) > radius
+        flat = grid.flat(cands)
+        least = grid.least(cands, flat, points)
+        unsure = np.abs(least - MIN_SEPARATION) <= _TIE * MIN_SEPARATION
+        free = inside & ((least >= MIN_SEPARATION) | unsure)
+        unsure, flat, xyz = unsure.tolist(), flat.tolist(), cands.tolist()
+        mine = []  # [x, y, z] of the points this block places
+        for j in itertools.compress(range(m), free.tolist()):
+            if base + j - start >= _TRIES:
+                break
+            near = min(map(math.dist, mine, itertools.repeat(xyz[j])), default=np.inf)
+            if near < close:
+                continue
+            cand = cands[j]
+            if (unsure[j] or near <= far) and \
+                    np.min(np.linalg.norm(points[:placed] - cand, axis=1)) < MIN_SEPARATION:
                 continue
             if accept is not None and not accept(cand):
                 continue
-            if i and np.min(np.linalg.norm(points[:i] - cand, axis=1)) < MIN_SEPARATION:
-                continue
-            points[i] = cand
-            break
-        else:
-            raise GenerationError(f"could not place point {i + 1} of {n}")
+            points[placed] = cand
+            grid.add(flat[j], placed)
+            mine.append(xyz[j])
+            placed += 1
+            start = base + j + 1
+            if placed == n:
+                break
+        if placed < n and drawn - start < _TRIES:
+            continue
+        # Leave rng where the serial loop stops: after the last point's
+        # candidate, or after the failing point's last try.
+        end = start if placed == n else start + _TRIES
+        rng.bit_generator.state = saved
+        rng.uniform(-radius, radius, size=(end - base, 3))
+        if placed < n:
+            raise GenerationError(f"could not place point {placed + 1} of {n}")
     return points.T
 
 
@@ -93,6 +201,22 @@ def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = np.cross(direction, ref)
     e1 /= np.linalg.norm(e1)
     return e1, np.cross(direction, e1)
+
+
+def _too_close(cand: np.ndarray, receptor: np.ndarray, pad: list) -> bool:
+    """Whether ``cand`` is closer than MIN_SEPARATION to a receptor or pad point.
+
+    Decides as the norm over ``receptor`` and ``pad`` concatenated does, with
+    no per-candidate concatenation; a least distance within ``_TIE`` of the
+    threshold is decided by that expression itself.
+    """
+    least = np.min(np.linalg.norm(receptor - cand[:, None], axis=0))
+    if pad:
+        least = min(least, np.min(np.linalg.norm(np.array(pad) - cand, axis=1)))
+    if abs(least - MIN_SEPARATION) > _TIE * MIN_SEPARATION:
+        return least < MIN_SEPARATION
+    others = np.concatenate([receptor, np.array(pad).T], axis=1) if pad else receptor
+    return np.min(np.linalg.norm(others - cand[:, None], axis=0)) < MIN_SEPARATION
 
 
 def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
@@ -112,8 +236,7 @@ def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
             radius = rng.uniform(3.8, 5.5)
             dip = rng.uniform(-0.4, 0.0)
             cand = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
-            others = np.concatenate([receptor, np.array(pad).T], axis=1) if pad else receptor
-            if np.min(np.linalg.norm(others - cand[:, None], axis=0)) < MIN_SEPARATION:
+            if _too_close(cand, receptor, pad):
                 continue
             flat = np.array(pad + [anchor])
             tang = flat - cand

@@ -157,6 +157,7 @@ class _Basis:
             # Copies, so a failed solve leaves the holder as it was.
             self.parent, self.flow = list(warm.parent), list(warm.flow)
             self.children = [list(c) for c in warm.children]
+            self._check_listing(n)
         elif warm is not None and warm.shape is None:
             self.parent, self.flow, self.children = _guided_tree(cost)
         else:
@@ -173,6 +174,25 @@ class _Basis:
         if missed:
             raise RuntimeError(f"transportation simplex: the start's basis tree misses "
                                f"{missed} of its {n - 1} non-root nodes")
+
+    def _check_listing(self, n: int) -> None:
+        """Raise unless each non-root node is listed at most once, under its parent.
+
+        A node listed twice, or under a node that is not its parent (itself,
+        say), would make ``_refresh``'s walk revisit it forever. A node
+        listed nowhere is left to the depth check after the walk.
+        """
+        parent = self.parent
+        listed = [False] * n
+        for up, kids in enumerate(self.children):
+            for node in kids:
+                if not 0 < node < n or parent[node] != up:
+                    raise RuntimeError(f"transportation simplex: the start's basis tree "
+                                       f"lists node {node} under {up}, not its parent")
+                if listed[node]:
+                    raise RuntimeError(f"transportation simplex: the start's basis tree "
+                                       f"lists node {node} twice")
+                listed[node] = True
 
     def _northwest_corner(self, s: int, k: int) -> None:
         """Integer NW-corner start: supplies of k per row, demands of s per column."""

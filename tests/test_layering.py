@@ -33,13 +33,6 @@ def test_module_layering():
     assert {name for name, deps in imports.items() if "checks" in deps} == {"cli"}
 
 
-def test_only_graphs_walks_distance_blocks():
-    """Other modules search for contacts through ``graphs.contact_pairs``."""
-    names = {path.stem for path in PACKAGE_DIR.glob("*.py")
-             if "distance_blocks" in path.read_text()}
-    assert names == {"graphs"}
-
-
 def imports_concurrent(path: Path) -> bool:
     """Whether one source file imports ``concurrent`` or a module under it."""
     for node in ast.walk(ast.parse(path.read_text())):

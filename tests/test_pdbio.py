@@ -193,6 +193,36 @@ def test_ca_pdb_round_trip(fixture20_text):
     np.testing.assert_allclose(back.n_atom, rs.n_atom, atol=1e-3)
 
 
+def reference_format_ca_pdb(rs, full_backbone=False):
+    """The record-at-a-time writer ``format_ca_pdb`` replaced."""
+    def atom_line(serial, atom, name, chain, seq, icode, xyz):
+        return (f"ATOM  {serial:5d} {atom:<4s} {name:>3s} {chain:1s}{seq:>4s}{icode:1s}   "
+                f"{xyz[0]:8.3f}{xyz[1]:8.3f}{xyz[2]:8.3f}  1.00  0.00          "
+                f"{atom.strip()[0]:>2s}")
+
+    lines, serial = [], 1
+    for i in range(len(rs)):
+        args = (rs.names[i], rs.chains[i], rs.seq_ids[i], rs.icodes[i])
+        atoms = ((" N", rs.n_atom), (" CA", rs.ca), (" C", rs.c_atom)) if full_backbone \
+            else ((" CA", rs.ca),)
+        for atom, xyz in atoms:
+            lines.append(atom_line(serial, atom, *args, xyz[:, i]))
+            serial += 1
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("full_backbone", [False, True])
+def test_format_ca_pdb_matches_record_at_a_time_writer(fixture20_text, full_backbone):
+    rs = pdbio.parse_pdb(fixture20_text)
+    rs.seq_ids[3], rs.icodes[3] = "117", "A"
+    # signed zeros, rounding ties, wide and non-finite values
+    rs.ca[:, :6] = [[-0.0, 0.0005, -0.0005, 1e5, -12345.6789, np.nan],
+                    [0.0004999, 2.5e-4, -2.5e-4, np.inf, -np.inf, 1e-300],
+                    [999.9995, -999.9995, 0.1235, 0.1245, 3.0, -7.0]]
+    assert pdbio.format_ca_pdb(rs, full_backbone) == reference_format_ca_pdb(rs, full_backbone)
+
+
 def test_ca_only_output_has_no_n_records(fixture20_text):
     rs = pdbio.parse_pdb(fixture20_text)
     out = pdbio.format_ca_pdb(rs)

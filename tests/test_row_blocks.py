@@ -1,10 +1,11 @@
 """Row-blocked pair distances against the full-matrix code they replaced.
 
-``graphs.distance_blocks`` feeds k-NN edges and ``graphs.contact_pairs`` one
+``graphs._distance_tiles`` feeds k-NN edges and ``graphs.contact_pairs`` one
 block of rows at a time; the contact search serves interface residues, pocket
 points and the generator's geometry check. Each test below keeps the full
 n x m version as the reference and requires the same bits for block heights
-1, 2, 7 and one taller than the input.
+1, 2, 7 and one taller than the input. The blob sampler is checked here too,
+against the one-candidate-at-a-time sampler it replaced.
 """
 
 import tracemalloc
@@ -23,7 +24,7 @@ BLOCK_HEIGHTS = (1, 2, 7, None)  # None: one block taller than the input
 
 
 def block_rows(height, n, m):
-    """Patch the block budget so ``distance_blocks`` over m columns yields ``height`` rows."""
+    """Patch the block budget so a distance tile over m columns holds ``height`` rows."""
     return mock.patch.object(tiles, "TILE_ENTRIES", (height or n + 3) * m)
 
 
@@ -234,20 +235,108 @@ def test_blob_failure_names_the_same_point():
             sampler(np.random.default_rng(0), 4, center, lambda cand: False)
 
 
-def test_distance_blocks_cover_rows_in_order_within_budget():
+def keep_out(center, reach):
+    """A pure ``accept`` that keeps points at least ``reach`` from ``center``."""
+    return lambda cand: np.linalg.norm(cand - center) >= reach
+
+
+def keep_in(center, reach):
+    """A pure ``accept`` that keeps points within ``reach`` of ``center``."""
+    return lambda cand: np.linalg.norm(cand - center) <= reach
+
+
+def assert_same_draws(n, center, accept, bit_generator, seed):
+    """Both samplers give the same points, or fail at the same point, and leave rng alike."""
+    rngs = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    outcomes = []
+    for sampler, rng in zip((synthetic._blob, reference_blob), rngs):
+        try:
+            outcomes.append(sampler(rng, n, center, accept))
+        except synthetic.GenerationError as exc:
+            outcomes.append(str(exc))
+    got, expected = outcomes
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        np.testing.assert_array_equal(got, expected)
+        assert got.shape == (3, n)
+    np.testing.assert_equal(rngs[0].bit_generator.state, rngs[1].bit_generator.state)
+    return expected
+
+
+@pytest.mark.parametrize("use_accept", [False, True])
+@pytest.mark.parametrize("n, seed", [(1, 7), (2, 8), (9, 9), (64, 10), (333, 11), (1000, 12)])
+def test_blob_matches_list_based_sampler_over_sizes(n, seed, use_accept):
+    center = np.array([-3.0, 12.5, 0.25])
+    accept = keep_out(center + 2.0, 6.0) if use_accept else None
+    assert_same_draws(n, center, accept, np.random.PCG64, seed)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_blob_matches_list_based_sampler_for_other_bit_generators(bit_generator):
+    """Restoring the block's saved state and redrawing needs no PCG64-only call."""
+    center = np.zeros(3)
+    assert_same_draws(150, center, keep_out(center, 5.0), bit_generator, 3)
+    assert "could not place" in assert_same_draws(40, center, keep_in(center, 5.0),
+                                                  bit_generator, 3)
+
+
+@pytest.mark.parametrize("n, reach", [(4, 0.0), (30, 4.0), (30, 6.0), (300, 9.0)])
+def test_blob_failure_leaves_rng_as_list_based_sampler(n, reach):
+    """Only a few points fit inside ``reach``; both samplers give up on the same one."""
+    center = np.array([1.0, 2.0, 3.0])
+    message = assert_same_draws(n, center, keep_in(center, reach), np.random.PCG64, 21)
+    assert message.startswith("could not place point") and message.endswith(f"of {n}")
+
+
+@pytest.mark.parametrize("tie", [0.05, 0.5])
+def test_blob_decides_near_threshold_distances_as_list_based_sampler(monkeypatch, tie):
+    """A wide tie band sends many radius and separation tests to the serial expression."""
+    monkeypatch.setattr(synthetic, "_TIE", tie)
+    center = np.array([0.5, 0.0, -0.5])
+    for n, accept in ((120, None), (120, keep_out(center, 4.0)), (30, keep_in(center, 5.0))):
+        assert_same_draws(n, center, accept, np.random.PCG64, 5)
+
+
+def test_blob_calls_accept_only_on_passing_candidates_in_draw_order():
+    center, n = np.zeros(3), 50
+    seen = []
+
+    def accept(cand):
+        seen.append(cand.copy())
+        return cand[0] >= -2.0
+
+    points = synthetic._blob(np.random.default_rng(2), n, center, accept).T
+    radius = synthetic._BLOB_RADIUS_COEFF * n ** (1.0 / 3.0) + 1.5
+    placed = []
+    for cand in seen:
+        assert np.linalg.norm(cand - center) <= radius
+        assert not placed or np.min(np.linalg.norm(np.array(placed) - cand, axis=1)) \
+            >= synthetic.MIN_SEPARATION
+        if cand[0] >= -2.0:
+            placed.append(cand)
+    np.testing.assert_array_equal(np.array(placed), points)
+    assert len(seen) > n
+
+
+def test_distance_tiles_cover_rows_in_order_within_budget():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(3, 700)), rng.normal(size=(3, 300))
     full = graphs.squared_distances(X, Y)
+    spans, scratch, tile = graphs._distance_tiles(X, Y)
+    assert spans == tiles.spans(700, tiles.tile_rows(300))
+    bufs = scratch()
     seen = 0
-    for lo, hi, d2 in graphs.distance_blocks(X, Y):
+    for lo, hi in spans:
+        d2 = tile(lo, hi, *bufs)
         assert lo == seen and d2.shape == (hi - lo, 300)
         assert d2.size <= tiles.TILE_ENTRIES
         np.testing.assert_array_equal(d2, full[lo:hi])
         seen = hi
     assert seen == 700
     # a row wider than the budget still comes one row at a time
-    blocks = list(graphs.distance_blocks(Y[:, :2], rng.normal(size=(3, tiles.TILE_ENTRIES + 1))))
-    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 1), (1, 2)]
+    spans, _, _ = graphs._distance_tiles(Y[:, :2], rng.normal(size=(3, tiles.TILE_ENTRIES + 1)))
+    assert spans == [(0, 1), (1, 2)]
 
 
 def test_knn_edges_and_interface_indices_hold_no_n_by_n_array():

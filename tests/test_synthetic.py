@@ -1,5 +1,6 @@
 """Synthetic docking pair generator: geometry guarantees and persistence."""
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,85 @@ from rigiddock.synthetic import (
     load_pair,
     load_split,
 )
+
+
+# SHA-256 (see ``tree_sha256``) of what ``generate_dataset(root, n_pairs=4, seed=0)``
+# wrote with the one-candidate-at-a-time blob and landing pad samplers.
+GENERATED_TREE_SHA256 = "a4bd837571b3900ccc5da0f9f16e127dea9885310b2f70e042c9a4187c3b0c05"
+
+
+def tree_sha256(root):
+    """Digest of every file under ``root``: relative path, NUL, bytes, NUL, in sorted order."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def reference_landing_pad(rng, receptor, anchor, direction):
+    """The landing pad sampler ``_landing_pad`` replaced: it concatenates the
+    receptor and the pad so far for every candidate."""
+    e1, e2 = synthetic._tangent_basis(direction)
+    pad = []
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    for j in range(synthetic.CONTACT_RING - 1):
+        for _ in range(100):
+            angle = (phase + 2.0 * np.pi * (j + 1) / synthetic.CONTACT_RING
+                     + rng.uniform(-0.35, 0.35))
+            radius = rng.uniform(3.8, 5.5)
+            dip = rng.uniform(-0.4, 0.0)
+            cand = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
+            others = np.concatenate([receptor, np.array(pad).T], axis=1) if pad else receptor
+            if np.min(np.linalg.norm(others - cand[:, None], axis=0)) < synthetic.MIN_SEPARATION:
+                continue
+            flat = np.array(pad + [anchor])
+            tang = flat - cand
+            tang -= np.outer(tang @ direction, direction)
+            if np.min(np.linalg.norm(tang, axis=1)) < 3.6:
+                continue
+            pad.append(cand)
+            break
+        else:
+            raise GenerationError("no room for a landing pad point")
+    return np.array(pad).T
+
+
+def landing_site(seed, n, ring=0, ring_radius=4.65):
+    """Receptor, anchor and direction as ``_bound_complex`` builds them, with
+    ``ring`` extra receptor points around the anchor to crowd the pad."""
+    rng = np.random.default_rng(seed)
+    receptor = synthetic._blob(rng, n, np.zeros(3))
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    anchor = receptor[:, int(np.argmax(direction @ receptor))]
+    e1, e2 = synthetic._tangent_basis(direction)
+    angles = np.linspace(0.0, 2.0 * np.pi, ring, endpoint=False)
+    crowd = anchor[:, None] + ring_radius * (np.outer(e1, np.cos(angles))
+                                             + np.outer(e2, np.sin(angles)))
+    return np.concatenate([receptor, crowd], axis=1), anchor, direction
+
+
+def assert_same_pad(site, seed):
+    """Both samplers build the same pad, or fail alike, and leave rng alike; returns the outcome."""
+    rngs = [np.random.default_rng([seed, 1]) for _ in range(2)]
+    outcomes = []
+    for sampler, rng in zip((synthetic._landing_pad, reference_landing_pad), rngs):
+        try:
+            outcomes.append(sampler(rng, *site))
+        except GenerationError as exc:
+            outcomes.append(str(exc))
+    if isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+    else:
+        np.testing.assert_array_equal(outcomes[0], outcomes[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    return outcomes[1]
 
 
 def all_cross_distances(A, B):
@@ -121,3 +201,29 @@ class TestDataset:
         pb = load_pair(str(b / "pairs" / "pair0000"))
         assert pa.receptor.ca.shape != pb.receptor.ca.shape or \
             np.max(np.abs(pa.receptor.ca - pb.receptor.ca)) > 1.0
+
+
+class TestSamplersAgainstReference:
+    @pytest.mark.parametrize("n", [16, 40, 75, 300])
+    def test_landing_pad_matches_concatenating_sampler(self, n):
+        # an exposed anchor often has no room, as in generate_pair's retries
+        pads = [assert_same_pad(landing_site(seed, n), seed) for seed in range(10)]
+        built = [pad for pad in pads if not isinstance(pad, str)]
+        assert len(built) >= 2
+        assert all(pad.shape == (3, synthetic.CONTACT_RING - 1) for pad in built)
+
+    def test_landing_pad_failure_matches_concatenating_sampler(self):
+        # 40 points on the pad's circle leave no room for any pad point
+        for seed in range(4):
+            assert assert_same_pad(landing_site(seed, 40, ring=40), seed) \
+                == "no room for a landing pad point"
+
+    def test_landing_pad_ties_decided_by_concatenated_norm(self, monkeypatch):
+        # a wide tie band sends most separation tests to the concatenated expression
+        monkeypatch.setattr(synthetic, "_TIE", 0.5)
+        pads = [assert_same_pad(landing_site(seed, 40), seed) for seed in range(10)]
+        assert not all(isinstance(pad, str) for pad in pads)
+
+    def test_generated_dataset_bytes_are_pinned(self, tmp_path):
+        generate_dataset(str(tmp_path), n_pairs=4, seed=0)
+        assert tree_sha256(str(tmp_path)) == GENERATED_TREE_SHA256

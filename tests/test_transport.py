@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import multiprocessing
 import time
 
 import numpy as np
@@ -357,6 +358,50 @@ def test_warm_tree_missing_a_node_raises():
     warm.children[warm.parent[node]].remove(node)
     warm.parent[node] = -1
     with pytest.raises(RuntimeError, match=r"misses \d+ of its 136 non-root nodes"):
+        solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+
+
+def _solve_and_report(conn, cost, warm):
+    try:
+        solve_uniform_transport(cost, warm)
+        conn.send("solved")
+    except RuntimeError as exc:
+        conn.send(str(exc))
+
+
+def test_warm_tree_with_a_cycle_raises_instead_of_hanging():
+    # A leaf listed among its own children: the walk that sets depths and
+    # potentials revisited it forever. The solve runs in a child process, so
+    # a hang fails this test after 15 s instead of stalling the suite.
+    rng = np.random.default_rng(13)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+    leaf = 0
+    while warm.children[leaf]:
+        leaf = warm.children[leaf][0]
+    warm.children[leaf].append(leaf)
+    ctx = multiprocessing.get_context("spawn")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_solve_and_report, args=(send, pocket_cost(rng, 50, 87), warm))
+    child.start()
+    try:
+        answered = receive.poll(15.0)
+    finally:
+        child.kill()
+        child.join(10.0)
+    assert not child.is_alive()
+    assert answered, "the solve did not return within 15 s of starting its process"
+    assert receive.recv() == (f"transportation simplex: the start's basis tree lists node "
+                              f"{leaf} under {leaf}, not its parent")
+
+
+def test_warm_tree_listing_a_node_twice_raises():
+    rng = np.random.default_rng(13)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+    node = warm.children[0][0]
+    warm.children[0].append(node)
+    with pytest.raises(RuntimeError, match=f"lists node {node} twice"):
         solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
 
 
