@@ -31,6 +31,8 @@ the outputs, and its arithmetic does not depend on which thread runs it,
 so the bits are the serial ones. Tile bodies call only private helpers
 and never touch the tape: every tape node is emitted on the calling
 thread, after its loop. Backward loops sum over tiles and stay serial.
+Whole ops run on the pool thread only without a tape, as part of a model
+layer's ``tiles.branches`` half (``recording`` tells the model which).
 
 ``Tape.backward`` drops each recorded closure once it has run, so the
 forward arrays a closure holds are freed as backward proceeds.
@@ -64,6 +66,11 @@ _ACTIVE = threading.local()
 
 def _active_tape():
     return getattr(_ACTIVE, "tape", None)
+
+
+def recording() -> bool:
+    """Whether a Tape is active in the calling thread."""
+    return _active_tape() is not None
 
 
 class Tensor:
@@ -821,7 +828,9 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
 
     The MLP is ``mlp(W0, b0, W1, b1, x, slope)`` on x, H stacked over the
     context tensors (all with H's columns). With ``normalize`` the result is
-    passed through ``layer_norm`` over its rows.
+    passed through ``layer_norm`` over its rows. Without a tape that records
+    it, the stacked input and the MLP's hidden arrays are freed as soon as
+    they are read, since two layer halves may run updates at once.
     """
     parts = (H, *context)
     if any(p.data.ndim != 2 or p.data.shape[1] != H.data.shape[1] for p in parts):
@@ -832,7 +841,13 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     if W1.data.shape[0] != H.data.shape[0]:
         raise ShapeError(f"node_update: output weight {W1.data.shape} for H {H.data.shape}")
     W0d = W0.data
-    mix, head_backward = _mlp_head(_affine(W0d, x, b0.data), W1, b1, slope)
+    keep = _active_tape() is not None and any(p.requires_grad for p in parts + (W0, b0, W1, b1))
+    pre = _affine(W0d, x, b0.data)
+    if not keep:  # nothing will run backward, so free each input array once it is read
+        x = None
+    mix, head_backward = _mlp_head(pre, W1, b1, slope)
+    if not keep:
+        pre = head_backward = None
     h = H.data * (1.0 - beta)
     h += mix * beta
     out_data, norm_backward = _layer_norm(h, 0, 1e-5) if normalize else (h, None)

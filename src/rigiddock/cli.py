@@ -6,8 +6,10 @@ failure, 3 numerical or degenerate failure. Output files are written to a
 temporary sibling and renamed, so failures never leave partial files.
 The RIGIDDOCK_LOG_LEVEL environment variable (DEBUG/INFO/WARNING/ERROR)
 controls logging; there is no verbosity flag. A command runs numpy's
-bundled OpenBLAS on one thread, since ``tiles.run`` already keeps two cores
-busy with forward tiles.
+bundled OpenBLAS on one thread, since the tile runner already keeps two
+cores busy: ``tiles.run`` with forward tiles, and ``tiles.branches`` with
+one protein each when ``dock`` and ``eval`` featurize and dock a pair
+larger than one tile.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .checkpoint import CheckpointError, load_named_tensors
 from .checks import (check_complex_invariance, check_pairwise_equivariance,
                      check_role_swap, check_transform_covariance)
 from .docking import DegenerateKeypointsError, predict_dock
-from .graphs import DEFAULT_K, build_graph
+from .graphs import DEFAULT_K, build_graph, build_graph_pair
 from .model import DockingModel, ModelConfig
 from .pdbio import PdbParseError, format_ca_pdb, parse_pdb_file, transform_atom_records
 from .synthetic import (DatasetError, GenerationError, generate_dataset, generate_pair,
@@ -84,8 +86,7 @@ def _cmd_dock(args) -> int:
     ligand = parse_pdb_file(args.ligand, _chain_set(args.chains_ligand))
     receptor = parse_pdb_file(args.receptor, _chain_set(args.chains_receptor))
     model = _load_model(args.model)
-    g_lig = build_graph(ligand, model.config.neighbors)
-    g_rec = build_graph(receptor, model.config.neighbors)
+    g_lig, g_rec = build_graph_pair(ligand, receptor, model.config.neighbors)
     tr = predict_dock(model, g_lig, g_rec)
     if args.out_pdb:
         if args.copy_full_atoms:
@@ -194,8 +195,7 @@ def _cmd_check_equivariance(args) -> int:
         model = DockingModel(ModelConfig(hidden_dim=16, layers=3, heads=8), seed=args.seed)
     rng = np.random.default_rng(args.seed)
     pair = generate_pair(rng, "check", 20, 30)
-    g1 = build_graph(pair.ligand, model.config.neighbors)
-    g2 = build_graph(pair.receptor, model.config.neighbors)
+    g1, g2 = build_graph_pair(pair.ligand, pair.receptor, model.config.neighbors)
     checks = {
         "pairwise equivariance": check_pairwise_equivariance(model, g1, g2, seed=args.seed,
                                                              trials=args.trials),

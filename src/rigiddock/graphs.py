@@ -244,19 +244,25 @@ def _edge_feature_block(
     src: np.ndarray,
     dst: np.ndarray,
 ) -> np.ndarray:
-    """27 features per edge j->i, all expressed in i's (n, u, v) basis."""
+    """27 features per edge j->i, all expressed in i's (n, u, v) basis.
+
+    Written in place into the columns of one E x 27 array, returned as its
+    27 x E transpose (strides (8, 216)), so no per-feature block is copied.
+    """
     n_ax, u_ax, v_ax = frames
     # basis[i] has rows n_i, u_i, v_i
     basis = np.stack([n_ax.T, u_ax.T, v_ax.T], axis=1)
     b_dst = basis[dst]  # E x 3 x 3
     rel = (X[:, src] - X[:, dst]).T  # E x 3
-    p = np.einsum("eab,eb->ea", b_dst, rel)
-    q = np.einsum("eab,eb->ea", b_dst, n_ax[:, src].T)
-    k = np.einsum("eab,eb->ea", b_dst, u_ax[:, src].T)
-    t = np.einsum("eab,eb->ea", b_dst, v_ax[:, src].T)
+    out = np.empty((src.size, EDGE_FEATURE_DIM))
+    # p, then the source's n, u and v axes (q, k, t), each in the basis of dst
+    for j, vec in enumerate((rel, n_ax[:, src].T, u_ax[:, src].T, v_ax[:, src].T)):
+        np.einsum("eab,eb->ea", b_dst, vec, out=out[:, 3 * j:3 * j + 3])
     d2 = np.sum(rel * rel, axis=1)
-    rbf = np.exp(-d2[:, None] / (2.0 * np.asarray(RBF_SIGMAS) ** 2))
-    return np.concatenate([p, q, k, t, rbf], axis=1).T
+    rbf = out[:, 12:]
+    np.divide(-d2[:, None], 2.0 * np.asarray(RBF_SIGMAS) ** 2, out=rbf)
+    np.exp(rbf, out=rbf)
+    return out.T
 
 
 def build_graph(rs: ResidueSet, k: int = DEFAULT_K) -> ProteinGraph:
@@ -288,3 +294,18 @@ def build_graph(rs: ResidueSet, k: int = DEFAULT_K) -> ProteinGraph:
         residues=rs,
         k=k_eff,
     )
+
+
+def build_graph_pair(ligand: ResidueSet, receptor: ResidueSet,
+                     k: int = DEFAULT_K) -> tuple[ProteinGraph, ProteinGraph]:
+    """``(build_graph(ligand, k), build_graph(receptor, k))``, built as two branches.
+
+    The graphs are independent, so ``tiles.branches`` builds the ligand's on
+    this thread and the receptor's on the pool thread when the larger
+    protein's n x n distances span more than one tile. The graphs are the
+    serial ones bit for bit, and when both builds fail the ligand's error
+    is raised.
+    """
+    n = max(len(ligand), len(receptor))
+    return tiles.branches(lambda: build_graph(ligand, k), lambda: build_graph(receptor, k),
+                          tiles.spans(n, tiles.tile_rows(n)))

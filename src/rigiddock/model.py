@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import tiles
 from .graphs import EDGE_FEATURE_DIM, ProteinGraph
 from .pdbio import RESIDUE_TYPES
 
@@ -155,23 +156,40 @@ class DockingModel:
         return ad.cross_attention(q, k, self._cross_values(prefix, H_from, Z_from))
 
     def _layer(self, l: int, state1, state2, g1: ProteinGraph, g2: ProteinGraph):
-        cfg = self.config
+        """Both proteins' halves of layer l, in ligand, receptor order.
+
+        Each half reads only the layer's input states, so tape-free halves
+        go through ``tiles.branches``, the ligand's on this thread and the
+        receptor's on the pool thread when the n1 x n2 logits span more than
+        one tile. Under a tape they run in order here: tapes are
+        thread-local, so a half on the pool thread would record nothing.
+        """
         prefix = self._layer_prefix(l)
-        (Z1, H1, X1_0, F1), (Z2, H2, X2_0, F2) = state1, state2
-        out = []
-        cross_pairs = ((H1, H2, Z2), (H2, H1, Z1))
-        intra = ((Z1, H1, X1_0, F1, g1), (Z2, H2, X2_0, F2, g2))
-        for (Z, H, X0, F, g), (H_to, H_from, Z_from) in zip(intra, cross_pairs):
-            # every node has exactly k in-edges, so the mean update divides by k
-            m_node, z_new = ad.message_pass(
-                self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
-                Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
-                cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
-            mu = self._cross_messages(prefix, H_to, H_from, Z_from)
-            h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
-                                   cfg.beta, cfg.leaky_slope, cfg.normalize_h)
-            out.append((z_new, h_new, X0, F))
-        return out[0], out[1]
+
+        def ligand():
+            return self._half_layer(prefix, state1, g1, state2)
+
+        def receptor():
+            return self._half_layer(prefix, state2, g2, state1)
+
+        if ad.recording():
+            return ligand(), receptor()
+        return tiles.branches(ligand, receptor,
+                              tiles.spans(g1.n_nodes, tiles.tile_rows(g2.n_nodes)))
+
+    def _half_layer(self, prefix: str, state, g: ProteinGraph, other):
+        """One protein's new state: its message pass, cross messages and node update."""
+        cfg = self.config
+        Z, H, X0, F = state
+        # every node has exactly k in-edges, so the mean update divides by k
+        m_node, z_new = ad.message_pass(
+            self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
+            Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
+            cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
+        mu = self._cross_messages(prefix, H, other[1], other[0])
+        h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
+                               cfg.beta, cfg.leaky_slope, cfg.normalize_h)
+        return z_new, h_new, X0, F
 
     def forward(self, g1: ProteinGraph, g2: ProteinGraph,
                 X1: np.ndarray | None = None, X2: np.ndarray | None = None):

@@ -158,7 +158,9 @@ def _blob(rng: np.random.Generator, n: int, center: np.ndarray,
         for j in np.flatnonzero(tie):
             inside[j] = not np.linalg.norm(cands[j] - center) > radius
         flat = grid.flat(cands)
-        least = grid.least(cands, flat, points)
+        least = np.full(m, np.inf)  # the separation test only matters inside the ball
+        ball = np.flatnonzero(inside)
+        least[ball] = grid.least(cands[ball], flat[ball], points)
         unsure = np.abs(least - MIN_SEPARATION) <= _TIE * MIN_SEPARATION
         free = inside & ((least >= MIN_SEPARATION) | unsure)
         unsure, flat, xyz = unsure.tolist(), flat.tolist(), cands.tolist()
@@ -203,20 +205,14 @@ def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(direction, e1)
 
 
-def _too_close(cand: np.ndarray, receptor: np.ndarray, pad: list) -> bool:
-    """Whether ``cand`` is closer than MIN_SEPARATION to a receptor or pad point.
+def _too_close(cand: np.ndarray, receptor: np.ndarray) -> bool:
+    """Whether ``cand`` is closer than MIN_SEPARATION to a receptor point.
 
-    Decides as the norm over ``receptor`` and ``pad`` concatenated does, with
-    no per-candidate concatenation; a least distance within ``_TIE`` of the
-    threshold is decided by that expression itself.
+    The pad points placed so far need no test here: the tangential test
+    that follows rejects any candidate within 3.6 of one in the exposure
+    plane, and the distance in space is at least the one in the plane.
     """
-    least = np.min(np.linalg.norm(receptor - cand[:, None], axis=0))
-    if pad:
-        least = min(least, np.min(np.linalg.norm(np.array(pad) - cand, axis=1)))
-    if abs(least - MIN_SEPARATION) > _TIE * MIN_SEPARATION:
-        return least < MIN_SEPARATION
-    others = np.concatenate([receptor, np.array(pad).T], axis=1) if pad else receptor
-    return np.min(np.linalg.norm(others - cand[:, None], axis=0)) < MIN_SEPARATION
+    return np.min(np.linalg.norm(receptor - cand[:, None], axis=0)) < MIN_SEPARATION
 
 
 def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
@@ -236,7 +232,7 @@ def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
             radius = rng.uniform(3.8, 5.5)
             dip = rng.uniform(-0.4, 0.0)
             cand = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
-            if _too_close(cand, receptor, pad):
+            if _too_close(cand, receptor):
                 continue
             flat = np.array(pad + [anchor])
             tang = flat - cand

@@ -1,9 +1,11 @@
-"""The tile runner: parallel forward tiles give the serial bits, and its edge cases.
+"""The tile runner: parallel forward tiles and branches give the serial bits, and its edge cases.
 
 Every loop that goes through ``tiles.run`` is run with one worker and with
 two, at shapes with at least three
 tiles and a one-row last tile. Outputs and gradients must be equal bit for
 bit, since the tiles and their arithmetic do not depend on the worker count.
+The same holds for ``tiles.branches``, which runs a pair's two proteins'
+halves of a layer, or their graphs, at once.
 """
 
 import contextlib
@@ -19,7 +21,12 @@ import pytest
 
 from rigiddock import autodiff as ad
 from rigiddock import graphs, tiles
+from rigiddock.docking import predict_dock
+from rigiddock.model import DockingModel, ModelConfig
+from rigiddock.synthetic import generate_pair
+from rigiddock.training import TrainConfig, evaluate, train
 
+from conftest import random_residue_set
 from test_autodiff import _grads_of_outputs, _message_pass_blocks_case
 
 POOL_PREFIX = "rigiddock-tiles"
@@ -151,18 +158,27 @@ def test_contact_pairs_parallel_equals_serial():
 
 
 def test_concurrent_callers_share_one_pool_and_keep_their_bits():
-    """Six caller threads race to start the pool and then share it, with a short switch interval."""
+    """Six caller threads race to start the pool and then share it, with a short switch interval.
+
+    Each caller runs tile halves and, in ``build_graph_pair``, branches.
+    """
     rng = np.random.default_rng(45)
     X, Y = 4.0 * rng.standard_normal((3, 7)), 4.0 * rng.standard_normal((3, 10))
+    ligand, receptor = random_residue_set(rng, 7), random_residue_set(rng, 10)
+
+    def build():
+        graph_arrays = [a for g in graphs.build_graph_pair(ligand, receptor, 3)
+                        for a in (g.neighbors, g.edge_feats, g.rho)]
+        return list(graphs.contact_pairs(X, Y, 4.0)) + list(graphs.knn_edges(Y, 3)) + graph_arrays
+
     with mock.patch.object(tiles, "TILE_ENTRIES", 30):
-        expected = list(graphs.contact_pairs(X, Y, 4.0)) + list(graphs.knn_edges(Y, 3))
+        expected = build()
     failures = []
 
     def caller():
         try:
             for _ in range(30):
-                got = list(graphs.contact_pairs(X, Y, 4.0)) + list(graphs.knn_edges(Y, 3))
-                assert_same_bits(expected, got)
+                assert_same_bits(expected, build())
         except BaseException as exc:  # reported by the main thread below
             failures.append(exc)
 
@@ -304,3 +320,178 @@ def test_forked_child_starts_its_own_pool():
         child.start()
         child.join(timeout=60)
     assert child.exitcode == 0
+
+
+# --- branches: one protein's share each ----------------------------------------
+
+
+@contextlib.contextmanager
+def callers_of(module, name):
+    """Yields a list that gets ``(columns of the first argument, thread)`` per call of ``module.name``.
+
+    The first argument is a ResidueSet (``build_graph``) or the node features
+    H (``node_update``), so its column count tells the two proteins apart.
+    """
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        first = args[0] if name == "build_graph" else args[4]
+        calls.append((len(first) if name == "build_graph" else first.data.shape[1],
+                      threading.current_thread()))
+        return original(*args, **kwargs)
+
+    with mock.patch.object(module, name, recording):
+        yield calls
+
+
+def threads_by_protein(calls):
+    found = {}
+    for n, thread in calls:
+        found.setdefault(n, set()).add(thread)
+    return found
+
+
+def small_dock_case(seed):
+    """A 12- and a 14-residue protein and a model whose gates are not zero."""
+    rng = np.random.default_rng(seed)
+    model = DockingModel(ModelConfig(hidden_dim=8, layers=2, heads=4), seed=seed)
+    for p in model.params.values():
+        p.data = p.data + rng.uniform(-0.2, 0.2, p.data.shape)  # the gates start at 0
+    return model, random_residue_set(rng, 12), random_residue_set(rng, 14)
+
+
+def test_pair_featurization_and_predict_dock_branches_equal_serial():
+    """Above one tile (12 x 14 logits, 14 x 14 distances at a budget of 60) each
+    protein's graph and layer halves run on one thread, the ligand's on the caller's."""
+    model, ligand, receptor = small_dock_case(50)
+    caller = threading.current_thread()
+    results = []
+    for count in (1, 2):
+        with tile_workers(count), mock.patch.object(tiles, "TILE_ENTRIES", 60), \
+                callers_of(graphs, "build_graph") as built, \
+                callers_of(ad, "node_update") as updated:
+            g1, g2 = graphs.build_graph_pair(ligand, receptor, 8)
+            tr = predict_dock(model, g1, g2)
+        results.append([g1.X, g1.rho, g1.neighbors, g1.edge_feats,
+                        g2.X, g2.rho, g2.neighbors, g2.edge_feats, tr.R, tr.t])
+        assert len(built) == 2 and len(updated) == 2 * model.config.layers
+        for calls in (built, updated):
+            threads = threads_by_protein(calls)
+            assert threads[12] == {caller}
+            if count == 1:
+                assert threads[14] == {caller}
+            else:
+                (pool,) = threads[14]
+                assert pool.name.startswith(POOL_PREFIX)
+    assert_same_bits(*results)
+    assert results[0][3].strides == results[1][3].strides == (8, 8 * graphs.EDGE_FEATURE_DIM)
+
+
+def test_taped_layers_stay_on_the_calling_thread():
+    """A tape is thread-local: under one, both halves of every layer run on the caller."""
+    model, ligand, receptor = small_dock_case(51)
+    g1, g2 = graphs.build_graph_pair(ligand, receptor, 8)
+    params = list(model.params.values())
+    runs = []
+    for count in (1, 2):
+        for p in params:
+            p.zero_grad()
+        with tile_workers(count), mock.patch.object(tiles, "TILE_ENTRIES", 60), \
+                callers_of(ad, "node_update") as updated:
+            with ad.Tape() as tape:
+                outs = model.forward(g1, g2)
+                nodes = len(tape)
+                loss = ad.reduce_sum(ad.mul(outs[0], outs[0]))
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(outs[1], outs[1])))
+                loss = ad.add(loss, ad.scale(ad.reduce_sum(ad.mul(outs[2], outs[2])), 0.3))
+                loss = ad.add(loss, ad.reduce_sum(outs[3]))
+                tape.backward(loss)
+        assert {thread for _, thread in updated} == {threading.current_thread()}
+        runs.append((nodes, [o.data for o in outs] + [p.grad for p in params]))
+    assert runs[0][0] == runs[1][0]
+    assert_same_bits(runs[0][1], runs[1][1])
+
+
+def test_toy_pairs_and_toy_training_never_start_the_pool():
+    """Pairs of 30-80 residues fit one tile everywhere, so nothing starts the pool thread."""
+    rng = np.random.default_rng(52)
+    pairs = [generate_pair(rng, f"toy{i}") for i in range(3)]
+    model = DockingModel(ModelConfig(), seed=0)
+    with mock.patch.object(tiles, "WORKERS", 2), mock.patch.object(tiles, "_pool", None):
+        g1, g2 = graphs.build_graph_pair(pairs[0].ligand, pairs[0].receptor)
+        predict_dock(model, g1, g2)
+        train(model, pairs[:2], pairs[2:], TrainConfig(max_epochs=1, seed=0))
+        evaluate(model, pairs[2:])
+        assert tiles._pool is None
+
+
+def test_one_work_span_runs_branches_in_order_without_a_pool():
+    ran = []
+
+    def branch(name):
+        ran.append((name, threading.current_thread()))
+        return name
+
+    with mock.patch.object(tiles, "WORKERS", 2), mock.patch.object(tiles, "_pool", None):
+        got = tiles.branches(lambda: branch("ligand"), lambda: branch("receptor"), [(0, 5)])
+        assert tiles._pool is None
+    assert got == ("ligand", "receptor")
+    assert ran == [("ligand", threading.current_thread()), ("receptor", threading.current_thread())]
+
+
+def test_tiles_inside_branches_run_inline_on_their_own_thread():
+    seen = {}  # branch -> threads that ran its tiles
+
+    def branch(name):
+        def body():
+            tiles.run(lambda lo, hi: seen.setdefault(name, set()).add(threading.current_thread()),
+                      tiles.spans(4, 1))
+            return name
+        return body
+
+    with tile_workers(2):
+        got = tiles.branches(branch("ligand"), branch("receptor"), tiles.spans(2, 1))
+    assert got == ("ligand", "receptor")
+    assert seen["ligand"] == {threading.current_thread()}
+    (pool,) = seen["receptor"]
+    assert pool.name.startswith(POOL_PREFIX)
+
+
+@pytest.mark.parametrize("failing", [{"ligand"}, {"receptor"}, {"ligand", "receptor"}])
+def test_branch_error_is_raised_after_both_branches_stop(failing):
+    """The first branch to fail fails at once; its error waits for the other branch,
+    and when both fail the ligand's (the caller's) error wins."""
+    stopped = []
+
+    def branch(name, delay):
+        def body():
+            time.sleep(delay)
+            stopped.append(name)
+            if name in failing:
+                raise ValueError(name)
+            return name
+        return body
+
+    slow = 0.05
+    ligand = branch("ligand", 0.0 if "ligand" in failing else slow)
+    receptor = branch("receptor", slow if "ligand" in failing else 0.0)
+    with mock.patch.object(tiles, "WORKERS", 2):
+        with pytest.raises(ValueError, match="ligand" if "ligand" in failing else "receptor"):
+            tiles.branches(ligand, receptor, tiles.spans(2, 1))
+        assert sorted(stopped) == ["ligand", "receptor"]
+        failing.clear()  # the pool still works
+        assert tiles.branches(ligand, receptor, tiles.spans(2, 1)) == ("ligand", "receptor")
+
+
+def test_pool_branch_sees_the_callers_error_state():
+    threads = []
+
+    def receptor():
+        threads.append(threading.current_thread())
+        return np.float64(1e300) * 1e10
+
+    with mock.patch.object(tiles, "WORKERS", 2), np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            tiles.branches(lambda: None, receptor, tiles.spans(2, 1))
+    assert threads[0].name.startswith(POOL_PREFIX)
