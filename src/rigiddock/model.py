@@ -181,12 +181,13 @@ class DockingModel:
         """One protein's new state: its message pass, cross messages and node update."""
         cfg = self.config
         Z, H, X0, F = state
+        Z_other, H_other = other[:2]
         # every node has exactly k in-edges, so the mean update divides by k
         m_node, z_new = ad.message_pass(
             self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
             Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
             cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
-        mu = self._cross_messages(prefix, H, other[1], other[0])
+        mu = self._cross_messages(prefix, H, H_other, Z_other)
         h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
                                cfg.beta, cfg.leaky_slope, cfg.normalize_h)
         return z_new, h_new, X0, F

@@ -205,16 +205,6 @@ def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(direction, e1)
 
 
-def _too_close(cand: np.ndarray, receptor: np.ndarray) -> bool:
-    """Whether ``cand`` is closer than MIN_SEPARATION to a receptor point.
-
-    The pad points placed so far need no test here: the tangential test
-    that follows rejects any candidate within 3.6 of one in the exposure
-    plane, and the distance in space is at least the one in the plane.
-    """
-    return np.min(np.linalg.norm(receptor - cand[:, None], axis=0)) < MIN_SEPARATION
-
-
 def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
                  anchor: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Four extra receptor points ringing the anchor at its exposure plane.
@@ -232,7 +222,10 @@ def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
             radius = rng.uniform(3.8, 5.5)
             dip = rng.uniform(-0.4, 0.0)
             cand = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
-            if _too_close(cand, receptor):
+            # No separation test against the pad points placed so far: the
+            # tangential test below rejects any candidate within 3.6 A of one
+            # in the exposure plane, and the distance in space is no shorter.
+            if np.min(np.linalg.norm(receptor - cand[:, None], axis=0)) < MIN_SEPARATION:
                 continue
             flat = np.array(pad + [anchor])
             tang = flat - cand

@@ -326,23 +326,25 @@ def test_forked_child_starts_its_own_pool():
 
 
 @contextlib.contextmanager
-def callers_of(module, name):
-    """Yields a list that gets ``(columns of the first argument, thread)`` per call of ``module.name``.
-
-    The first argument is a ResidueSet (``build_graph``) or the node features
-    H (``node_update``), so its column count tells the two proteins apart.
-    """
+def callers_of(module, name, protein):
+    """Yields a list that gets ``(protein(*args), thread)`` for each call of ``module.name``."""
     calls = []
     original = getattr(module, name)
 
     def recording(*args, **kwargs):
-        first = args[0] if name == "build_graph" else args[4]
-        calls.append((len(first) if name == "build_graph" else first.data.shape[1],
-                      threading.current_thread()))
+        calls.append((protein(*args), threading.current_thread()))
         return original(*args, **kwargs)
 
     with mock.patch.object(module, name, recording):
         yield calls
+
+
+def graph_size(rs, k):
+    return len(rs)
+
+
+def update_size(*args):
+    return args[4].data.shape[1]  # the columns of H, node_update's fifth argument
 
 
 def threads_by_protein(calls):
@@ -369,8 +371,8 @@ def test_pair_featurization_and_predict_dock_branches_equal_serial():
     results = []
     for count in (1, 2):
         with tile_workers(count), mock.patch.object(tiles, "TILE_ENTRIES", 60), \
-                callers_of(graphs, "build_graph") as built, \
-                callers_of(ad, "node_update") as updated:
+                callers_of(graphs, "build_graph", graph_size) as built, \
+                callers_of(ad, "node_update", update_size) as updated:
             g1, g2 = graphs.build_graph_pair(ligand, receptor, 8)
             tr = predict_dock(model, g1, g2)
         results.append([g1.X, g1.rho, g1.neighbors, g1.edge_feats,
@@ -398,7 +400,7 @@ def test_taped_layers_stay_on_the_calling_thread():
         for p in params:
             p.zero_grad()
         with tile_workers(count), mock.patch.object(tiles, "TILE_ENTRIES", 60), \
-                callers_of(ad, "node_update") as updated:
+                callers_of(ad, "node_update", update_size) as updated:
             with ad.Tape() as tape:
                 outs = model.forward(g1, g2)
                 nodes = len(tape)
