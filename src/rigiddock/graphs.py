@@ -301,11 +301,12 @@ def build_graph_pair(ligand: ResidueSet, receptor: ResidueSet,
     """``(build_graph(ligand, k), build_graph(receptor, k))``, built as two branches.
 
     The graphs are independent, so ``tiles.branches`` builds the ligand's on
-    this thread and the receptor's on the pool thread when the larger
-    protein's n x n distances span more than one tile. The graphs are the
-    serial ones bit for bit, and when both builds fail the ligand's error
-    is raised.
+    this thread and the receptor's on the pool thread when the smaller
+    protein's n x n distances span more than one tile. Below that, one graph
+    takes so little of the time that splitting the tiles of each graph in
+    turn is quicker. The graphs are the serial ones bit for bit, and when
+    both builds fail the ligand's error is raised.
     """
-    n = max(len(ligand), len(receptor))
+    n = min(len(ligand), len(receptor))
     return tiles.branches(lambda: build_graph(ligand, k), lambda: build_graph(receptor, k),
                           tiles.spans(n, tiles.tile_rows(n)))
