@@ -822,15 +822,14 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
 
 
 def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
-                context: list[Tensor], beta: float, slope: float,
-                normalize: bool) -> Tensor:
-    """Residual node update: (1 - beta) * H + beta * mlp([H; context]).
+                context: list[Tensor], beta: float, slope: float) -> Tensor:
+    """Residual node update: layer_norm((1 - beta) * H + beta * mlp([H; context])).
 
     The MLP is ``mlp(W0, b0, W1, b1, x, slope)`` on x, H stacked over the
-    context tensors (all with H's columns). With ``normalize`` the result is
-    passed through ``layer_norm`` over its rows. Without a tape that records
-    it, the stacked input and the MLP's hidden arrays are freed as soon as
-    they are read, since two layer halves may run updates at once.
+    context tensors (all with H's columns), and ``layer_norm`` runs over the
+    rows of the mixed result. Without a tape that records it, the stacked
+    input and the MLP's hidden arrays are freed as soon as they are read,
+    since two layer halves may run updates at once.
     """
     parts = (H, *context)
     if any(p.data.ndim != 2 or p.data.shape[1] != H.data.shape[1] for p in parts):
@@ -850,12 +849,11 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
         pre = head_backward = None
     h = H.data * (1.0 - beta)
     h += mix * beta
-    out_data, norm_backward = _layer_norm(h, 0, 1e-5) if normalize else (h, None)
+    out_data, norm_backward = _layer_norm(h, 0, 1e-5)
     bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
-        if normalize:
-            g = norm_backward(g)
+        g = norm_backward(g)
         g_pre = head_backward(g * beta)
         _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
         _accumulate(W0, g_pre @ x.T)

@@ -54,15 +54,6 @@ def ot_pocket_loss(Y1: ad.Tensor, Y2: ad.Tensor, P1: np.ndarray, P2: np.ndarray,
     return ad.reduce_sum(ad.mul(cost, ad.constant(plan)))
 
 
-def surface_G(x, X, sigma: float = INTERSECTION_SIGMA) -> float:
-    """Surface function at one probe position: the soft-min squared distance to X.
-
-    G(x) = -sigma * ln sum_i exp(-||x - x_i||^2 / sigma) (``ad.soft_min``).
-    """
-    probe = np.asarray(x, dtype=np.float64).reshape(3, 1)
-    return float(ad.soft_min(probe, np.asarray(X, dtype=np.float64), sigma)[0][0])
-
-
 def intersection_loss(X1: ad.Tensor | np.ndarray, X2: ad.Tensor | np.ndarray,
                       gamma: float = INTERSECTION_GAMMA,
                       sigma: float = INTERSECTION_SIGMA) -> ad.Tensor:

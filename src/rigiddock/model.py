@@ -1,12 +1,14 @@
 """Graph matching network over protein pairs, equivariant by construction.
 
-Each layer passes messages along the frozen k-NN edges of both proteins,
-exchanges feature-only attention messages across the pair, and moves
-coordinates along difference vectors scaled by learned gates. Feature
-channels see only rigid-motion-invariant quantities (initial features,
-distances, latent embeddings), so arbitrary independent rigid motions of
-the two inputs carry through to the coordinate outputs and leave the
-feature outputs untouched.
+Each layer has its own parameters. It passes messages along the frozen
+k-NN edges of both proteins, exchanges feature-only attention messages
+across the pair, moves coordinates by the sum of their in-edges'
+difference vectors scaled by learned gates, and layer-normalizes the
+updated features. The network has this one shape; its config sets only
+sizes and scalar weights. Feature channels see only rigid-motion-invariant
+quantities (initial features, distances, latent embeddings), so arbitrary
+independent rigid motions of the two inputs carry through to the
+coordinate outputs and leave the feature outputs untouched.
 
 Parameters live in a flat name -> Tensor mapping whose keys
 (``iegmn.layer{l}.*``, ``embed.*``, ``keypoints.*``) are the checkpoint
@@ -15,6 +17,7 @@ interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +28,10 @@ from .graphs import EDGE_FEATURE_DIM, ProteinGraph
 from .pdbio import RESIDUE_TYPES
 
 SURFACE_FEATURES = 5
+
+# Variant switches that checkpoints of earlier versions store, each with the
+# one value the network now always has.
+_RETIRED = {"share_layers": False, "normalize_h": True, "mean_coord_update": False}
 
 
 @dataclass
@@ -37,23 +44,34 @@ class ModelConfig:
     eta: float = 0.25           # weight pulling coordinates back to the input
     beta: float = 0.5           # mixing weight of the feature update
     sigma_msg: float = 30.0     # squared-distance scale inside edge messages
-    share_layers: bool = False  # layers after the first reuse one parameter set
-    normalize_h: bool = True
-    mean_coord_update: bool = False
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if self.heads < 1:
-            raise ValueError("heads must be >= 1")
+        for name in ("hidden_dim", "layers", "heads", "neighbors"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not (0.0 <= self.eta <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError("eta and beta must lie in [0, 1]")
+        if not (math.isfinite(self.sigma_msg) and self.sigma_msg > 0.0):
+            raise ValueError(f"sigma_msg must be finite and > 0, got {self.sigma_msg!r}")
+        if not math.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config ``to_dict`` wrote, also from checkpoints of earlier versions.
+
+        Those carry the retired variant switches of ``_RETIRED``; each is
+        dropped when it holds the one value the network now has, and any
+        other value raises ``ValueError`` naming the key.
+        """
+        d = dict(d)
+        for key, built_in in _RETIRED.items():
+            if key in d and (value := d.pop(key)) is not built_in:
+                raise ValueError(f"{key} is retired and accepts only {built_in}, got {value!r}")
         return cls(**d)
 
 
@@ -76,7 +94,7 @@ class DockingModel:
         self._param(rng, "embed.project.W", d, feat)
         self._zero("embed.project.b", d, 1)
 
-        for l in range(self._unique_layers()):
+        for l in range(config.layers):
             p = f"iegmn.layer{l}."
             self._param(rng, p + "phi_e.lin0.W", d, 2 * d + 1 + EDGE_FEATURE_DIM)
             self._zero(p + "phi_e.lin0.b", d, 1)
@@ -106,16 +124,6 @@ class DockingModel:
 
     def _zero(self, name: str, rows: int, cols: int) -> None:
         self.params[name] = ad.parameter(np.zeros((rows, cols)))
-
-    def _unique_layers(self) -> int:
-        if self.config.share_layers and self.config.layers > 1:
-            return 2
-        return self.config.layers
-
-    def _layer_prefix(self, l: int) -> str:
-        if self.config.share_layers and l > 0:
-            return "iegmn.layer1."
-        return f"iegmn.layer{l}."
 
     # -- building blocks ---------------------------------------------------
 
@@ -164,7 +172,7 @@ class DockingModel:
         one tile. Under a tape they run in order here: tapes are
         thread-local, so a half on the pool thread would record nothing.
         """
-        prefix = self._layer_prefix(l)
+        prefix = f"iegmn.layer{l}."
 
         def ligand():
             return self._half_layer(prefix, state1, g1, state2)
@@ -182,14 +190,12 @@ class DockingModel:
         cfg = self.config
         Z, H, X0, F = state
         Z_other, H_other = other[:2]
-        # every node has exactly k in-edges, so the mean update divides by k
         m_node, z_new = ad.message_pass(
             self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
-            Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
-            cfg.eta, 1.0 / g.k if cfg.mean_coord_update else 1.0)
+            Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg, cfg.eta, 1.0)
         mu = self._cross_messages(prefix, H, H_other, Z_other)
         h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
-                               cfg.beta, cfg.leaky_slope, cfg.normalize_h)
+                               cfg.beta, cfg.leaky_slope)
         return z_new, h_new, X0, F
 
     def forward(self, g1: ProteinGraph, g2: ProteinGraph,

@@ -399,8 +399,13 @@ def load_pair(pair_dir: str) -> DockingPair:
 
 
 def load_split(root: str, split: str) -> list[DockingPair]:
-    with open(os.path.join(root, "splits.json")) as fh:
+    path = os.path.join(root, "splits.json")
+    with open(path) as fh:
         splits = json.load(fh)
+    if not (isinstance(splits, dict) and all(
+            isinstance(ids, list) and all(isinstance(pid, str) for pid in ids)
+            for ids in splits.values())):
+        raise DatasetError(f"{path}: expected an object mapping split names to lists of pair ids")
     if split not in splits:
         raise ValueError(f"unknown split {split!r}; have {sorted(splits)}")
     return [load_pair(os.path.join(root, "pairs", pid)) for pid in splits[split]]

@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -49,6 +49,17 @@ class TrainConfig:
     w_ni: float = 1.0
     translation_scale: float = 30.0
     seed: int = 0
+
+    def __post_init__(self):
+        """Reject a value of the wrong type, for example one read from a config file."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("max_epochs", "patience", "seed"):
+                if type(value) is not int:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, (int, float))
+                  or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
     @classmethod
     def fine_tune(cls, **overrides) -> "TrainConfig":

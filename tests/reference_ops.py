@@ -29,11 +29,11 @@ def message_pass(phi_e, phi_x, Z, H, X0, edge_feats, neighbors, slope, sigma, et
     return m_node, z_new
 
 
-def node_update(W0, b0, W1, b1, H, context, beta, slope, normalize):
+def node_update(W0, b0, W1, b1, H, context, beta, slope):
     """``ad.node_update`` as concat, ``mlp``, the residual mix and ``layer_norm``."""
     h_mix = ad.mlp(W0, b0, W1, b1, ad.concat([H, *context], axis=0), slope)
     h_new = ad.add(ad.scale(H, 1.0 - beta), ad.scale(h_mix, beta))
-    return ad.layer_norm(h_new, axis=0) if normalize else h_new
+    return ad.layer_norm(h_new, axis=0)
 
 
 def keypoint_attention(W, b, w_prime, Z, H, H_other, heads, slope):

@@ -43,7 +43,7 @@ def spiked_model(config: ModelConfig, seed: int) -> DockingModel:
     model = DockingModel(config, seed=seed)
     rng = np.random.default_rng(seed + 7777)
     for l in range(config.layers):
-        name = model._layer_prefix(l) + "phi_x.lin1.W"
+        name = f"iegmn.layer{l}.phi_x.lin1.W"
         model.params[name].data = rng.uniform(-0.2, 0.2, model.params[name].data.shape)
     return model
 
@@ -244,7 +244,7 @@ def _primitive_op_cases(rng):
         ("message_pass", message, message_pass),
         ("node_update", update,
          lambda W0, b0, W1, b1, H, m, mu: ad.reduce_sum(ad.mul(
-             ad.node_update(W0, b0, W1, b1, H, [m, mu], 0.5, 0.1, True), p34u))),
+             ad.node_update(W0, b0, W1, b1, H, [m, mu], 0.5, 0.1), p34u))),
         ("keypoint_attention", keypoint, keypoint_attention),
         ("surface_penetration", penetration,
          lambda x, y: ad.surface_penetration(x, y, 10.0, 25.0)),

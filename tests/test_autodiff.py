@@ -637,7 +637,7 @@ def node_update_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shapes = [(hid, d + sum(rows)), (hid, 1), (d, hid), (d, 1), (d, n)] + [(r, n) for r in rows]
     options = dict(beta=draw(st.sampled_from([0.0, 0.5, 1.0])),
-                   slope=draw(st.sampled_from([0.01, 0.2])), normalize=draw(st.booleans()))
+                   slope=draw(st.sampled_from([0.01, 0.2])))
     return [rng.standard_normal(s) for s in shapes], options
 
 
@@ -683,7 +683,7 @@ def test_fused_layer_ops_record_one_node_and_reject_bad_shapes():
     nbrs = np.array([[1, 2], [0, 2], [3, 0], [2, 1]])
     with ad.Tape() as tape:
         ad.message_pass(phi_e, phi_x, Z, H, Z, edge_feats, nbrs, 0.01, 30.0, 0.25, 1.0)
-        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 4)], 0.5, 0.01, True)
+        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 4)], 0.5, 0.01)
         ad.keypoint_attention(P(2, 2), P(2, 1), P(6, 2), Z, H, P(2, 5), 3, 0.01)
         assert len(tape) == 3
     with pytest.raises(ad.ShapeError, match="message_pass.*outside"):
@@ -694,7 +694,7 @@ def test_fused_layer_ops_record_one_node_and_reject_bad_shapes():
         ad.message_pass(phi_e, phi_x[:2] + (P(2, 2), P(2, 1)), Z, H, Z, edge_feats, nbrs,
                         0.01, 30.0, 0.25, 1.0)
     with pytest.raises(ad.ShapeError, match="node_update"):
-        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 3)], 0.5, 0.01, True)
+        ad.node_update(P(2, 4), P(2, 1), P(2, 2), P(2, 1), H, [P(2, 3)], 0.5, 0.01)
     with pytest.raises(ad.ShapeError, match="keypoint_attention"):
         ad.keypoint_attention(P(2, 2), P(2, 1), P(5, 2), Z, H, P(2, 5), 3, 0.01)
 

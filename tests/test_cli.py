@@ -167,6 +167,20 @@ class TestPipeline:
                      str(workdir / "x.npz"), "--config", str(cfg)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_epochs", "2"), ("patience", 1.5), ("seed", True), ("lr", None),
+        ("w_ot", float("nan")),
+    ], ids=["string-epochs", "float-patience", "bool-seed", "null-rate", "nan-weight"])
+    def test_train_rejects_mistyped_config_values(self, workdir, dataset, key, value, capsys):
+        cfg = workdir / "mistyped.json"
+        cfg.write_text(json.dumps({"max_epochs": 1, key: value}))
+        out_model = workdir / "mistyped.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--config", str(cfg), "--hidden-dim", "8", "--layers", "1", "--heads", "2"])
+        assert code == EXIT_USAGE
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out_model.exists()
+
 
 class TestDock:
     def test_transform_reproduces_pdb(self, workdir, ligand_pdb, receptor_pdb, model_path):
@@ -376,6 +390,12 @@ class TestExitCodes:
         {"dropout": 0.1},   # unknown key
         {"layers": 0},      # rejected by ModelConfig validation
         {"eta": 2.0},
+        {"hidden_dim": 0},
+        {"sigma_msg": 0.0},
+        {"neighbors": 0},
+        {"share_layers": True},     # retired keys, at the value the network no longer has
+        {"normalize_h": False},
+        {"mean_coord_update": True},
     ])
     def test_checkpoint_config_rejected(self, workdir, ligand_pdb, receptor_pdb, change, capsys):
         model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
@@ -386,6 +406,36 @@ class TestExitCodes:
                      "--receptor", str(receptor_pdb), "--model", str(path)])
         assert code == EXIT_PARSE
         assert "input error" in capsys.readouterr().err
+
+    def test_checkpoint_with_retired_switches_docks_alike(self, workdir, ligand_pdb,
+                                                          receptor_pdb):
+        """A header that still stores the three switches at their built-in values docks alike."""
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
+        rng = np.random.default_rng(7)
+        for p in model.params.values():   # the gates start at 0
+            p.data = p.data + rng.uniform(-0.2, 0.2, p.data.shape)
+        config = model.config.to_dict()
+        headers = {"current": config,
+                   "earlier": {**config, "share_layers": False, "normalize_h": True,
+                               "mean_coord_update": False}}
+        transforms = []
+        for name, header in headers.items():
+            path = workdir / f"{name}-config.npz"
+            save_named_tensors(str(path), model.state_arrays(), extra={"config": header})
+            out = workdir / f"{name}-transform.json"
+            assert main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                         "--model", str(path), "--out-transform", str(out)]) == EXIT_OK
+            transforms.append(out.read_bytes())
+        assert transforms[0] == transforms[1]
+
+    @pytest.mark.parametrize("splits", ["5", '{"train": "pair0000"}'],
+                             ids=["not-an-object", "split-not-a-list"])
+    def test_malformed_splits_file(self, tmp_path, model_path, splits, capsys):
+        (tmp_path / "splits.json").write_text(splits)
+        code = main(["eval", "--data", str(tmp_path), "--model", str(model_path),
+                     "--split", "train"])
+        assert code == EXIT_PARSE
+        assert f"input error: {tmp_path / 'splits.json'}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tamper", ["rename", "reshape"])
     def test_checkpoint_tensors_do_not_fit_config(self, workdir, ligand_pdb, receptor_pdb,

@@ -1,11 +1,13 @@
 """Import layering between the package's modules, read from their source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import rigiddock
 
 PACKAGE_DIR = Path(rigiddock.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -51,3 +53,16 @@ def test_only_tiles_imports_concurrent_futures():
     """The one pool thread belongs to ``tiles.run``; other modules run tiles through it."""
     names = {path.stem for path in PACKAGE_DIR.glob("*.py") if imports_concurrent(path)}
     assert names == {"tiles"}
+
+
+def test_every_benchmark_trace_site_resolves():
+    """Every name perfbench's tracer patches exists, read with the tracer's own ``binding``.
+
+    Dropping one then fails here rather than in a traced benchmark run.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr, _ in tracing.SITES:
+        owner, name = tracing.binding(rigiddock, module, attr)
+        assert callable(getattr(owner, name, None)), f"{module}.{attr}"

@@ -7,7 +7,7 @@ from rigiddock import autodiff as ad
 from rigiddock.geometry import random_rotation
 from rigiddock.losses import (INTERSECTION_GAMMA, INTERSECTION_SIGMA, NoContactError,
                               intersection_loss, mse_loss, ot_pocket_loss,
-                              pocket_points, surface_G, total_loss)
+                              pocket_points, total_loss)
 
 
 def brute_force_pockets(X1, X2, tau=8.0):
@@ -76,15 +76,17 @@ def test_pocket_tau_parameter():
 
 def test_field_value_on_and_off_a_single_point():
     X = np.zeros((3, 1))
-    assert surface_G(np.zeros(3), X) == pytest.approx(0.0, abs=1e-12)
-    assert surface_G(np.array([5.0, 0.0, 0.0]), X) == pytest.approx(25.0, abs=1e-10)
+    on = ad.soft_min(np.zeros((3, 1)), X, INTERSECTION_SIGMA)[0][0]
+    off = ad.soft_min(np.array([[5.0], [0.0], [0.0]]), X, INTERSECTION_SIGMA)[0][0]
+    assert on == pytest.approx(0.0, abs=1e-12)
+    assert off == pytest.approx(25.0, abs=1e-10)
 
 
 def test_field_value_for_coincident_cloud():
     n = 7
     X = np.zeros((3, n))
     D = 4.0
-    got = surface_G(np.array([D, 0.0, 0.0]), X)
+    got = ad.soft_min(np.array([[D], [0.0], [0.0]]), X, INTERSECTION_SIGMA)[0][0]
     assert got == pytest.approx(D * D - INTERSECTION_SIGMA * np.log(n), abs=1e-10)
 
 
