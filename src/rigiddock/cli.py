@@ -32,8 +32,9 @@ from .checks import (check_complex_invariance, check_pairwise_equivariance,
                      check_role_swap, check_transform_covariance)
 from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph, build_graph_pair
-from .model import DockingModel, ModelConfig
-from .pdbio import PdbParseError, format_ca_pdb, parse_pdb_file, transform_atom_records
+from .model import DockingModel, ModelConfig, check_state_arrays
+from .pdbio import (PdbFormatError, PdbParseError, format_ca_pdb, parse_pdb_file,
+                    transform_atom_records)
 from .synthetic import (DatasetError, GenerationError, generate_dataset, generate_pair,
                         load_split)
 from .training import TrainConfig, evaluate, train, write_eval_csv
@@ -70,10 +71,14 @@ def _load_model(path: str) -> DockingModel:
     if not isinstance(extra, dict) or "config" not in extra:
         raise CheckpointError(f"{path}: missing model configuration")
     try:
-        model = DockingModel(ModelConfig.from_dict(extra["config"]), seed=0)
-        model.load_state_arrays(tensors)
+        config = ModelConfig.from_dict(extra["config"])
+        # checked before any model exists, so the header's sizes allocate
+        # nothing unless the file's own tensors have them
+        check_state_arrays(config, tensors)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: checkpoint does not fit its configuration: {exc}") from None
+    model = DockingModel(config, seed=0)
+    model.load_state_arrays(tensors)
     return model
 
 
@@ -339,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateKeypointsError, GenerationError, NonFiniteError) as exc:
+    except (DegenerateKeypointsError, GenerationError, NonFiniteError, PdbFormatError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tiles
-from .pdbio import ResidueSet, local_frames
+from .pdbio import PdbParseError, ResidueSet, local_frames
 
 log = logging.getLogger(__name__)
 
@@ -269,11 +269,12 @@ def build_graph(rs: ResidueSet, k: int = DEFAULT_K) -> ProteinGraph:
     """Featurized k-NN graph over a residue set.
 
     k is lowered to n-1 when the protein is smaller than k+1 residues.
-    Raises ValueError for proteins with fewer than 2 residues.
+    Raises PdbParseError for proteins with fewer than 2 residues, and
+    ValueError for k < 1.
     """
     n = len(rs)
     if n < 2:
-        raise ValueError(f"build_graph: need at least 2 residues, got {n}")
+        raise PdbParseError(f"build_graph: need at least 2 residues, got {n}")
     if k < 1:
         raise ValueError(f"build_graph: k must be >= 1, got {k}")
     k_eff = min(k, n - 1)

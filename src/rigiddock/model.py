@@ -5,19 +5,21 @@ k-NN edges of both proteins, exchanges feature-only attention messages
 across the pair, moves coordinates by the sum of their in-edges'
 difference vectors scaled by learned gates, and layer-normalizes the
 updated features. The network has this one shape; its config sets only
-sizes and scalar weights. Feature channels see only rigid-motion-invariant
-quantities (initial features, distances, latent embeddings), so arbitrary
-independent rigid motions of the two inputs carry through to the
-coordinate outputs and leave the feature outputs untouched.
+sizes, and its scalar weights are the module constants ``LEAKY_SLOPE``,
+``ETA``, ``BETA`` and ``SIGMA_MSG``. Feature channels see only
+rigid-motion-invariant quantities (initial features, distances, latent
+embeddings), so arbitrary independent rigid motions of the two inputs
+carry through to the coordinate outputs and leave the feature outputs
+untouched.
 
 Parameters live in a flat name -> Tensor mapping whose keys
 (``iegmn.layer{l}.*``, ``embed.*``, ``keypoints.*``) are the checkpoint
-interface.
+interface. ``parameter_table`` lists each one's name, shape and init once;
+the model is built from it and checkpoints are checked against it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,9 +31,15 @@ from .pdbio import RESIDUE_TYPES
 
 SURFACE_FEATURES = 5
 
-# Variant switches that checkpoints of earlier versions store, each with the
-# one value the network now always has.
-_RETIRED = {"share_layers": False, "normalize_h": True, "mean_coord_update": False}
+LEAKY_SLOPE = 0.01
+ETA = 0.25          # weight pulling coordinates back to the input
+BETA = 0.5          # mixing weight of the feature update
+SIGMA_MSG = 30.0    # squared-distance scale inside edge messages
+
+# Config keys that checkpoints of earlier versions store, each with the one
+# value the network now always has.
+_RETIRED = {"share_layers": False, "normalize_h": True, "mean_coord_update": False,
+            "leaky_slope": LEAKY_SLOPE, "eta": ETA, "beta": BETA, "sigma_msg": SIGMA_MSG}
 
 
 @dataclass
@@ -40,22 +48,12 @@ class ModelConfig:
     layers: int = 5
     heads: int = 50
     neighbors: int = 10
-    leaky_slope: float = 0.01
-    eta: float = 0.25           # weight pulling coordinates back to the input
-    beta: float = 0.5           # mixing weight of the feature update
-    sigma_msg: float = 30.0     # squared-distance scale inside edge messages
 
     def __post_init__(self):
         for name in ("hidden_dim", "layers", "heads", "neighbors"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (0.0 <= self.eta <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("eta and beta must lie in [0, 1]")
-        if not (math.isfinite(self.sigma_msg) and self.sigma_msg > 0.0):
-            raise ValueError(f"sigma_msg must be finite and > 0, got {self.sigma_msg!r}")
-        if not math.isfinite(self.leaky_slope):
-            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -64,15 +62,77 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config ``to_dict`` wrote, also from checkpoints of earlier versions.
 
-        Those carry the retired variant switches of ``_RETIRED``; each is
-        dropped when it holds the one value the network now has, and any
-        other value raises ``ValueError`` naming the key.
+        Those carry the retired keys of ``_RETIRED``: three variant switches
+        and four scalar weights that are now module constants. Each is
+        dropped when it holds the one value the network now has, with the
+        same type (so a bool never stands for a number), and any other
+        value raises ``ValueError`` naming the key.
         """
         d = dict(d)
         for key, built_in in _RETIRED.items():
-            if key in d and (value := d.pop(key)) is not built_in:
-                raise ValueError(f"{key} is retired and accepts only {built_in}, got {value!r}")
+            if key in d:
+                value = d.pop(key)
+                if type(value) is not type(built_in) or value != built_in:
+                    raise ValueError(
+                        f"{key} is retired and accepts only {built_in}, got {value!r}")
         return cls(**d)
+
+
+def parameter_table(config: ModelConfig):
+    """Every parameter as ``(name, shape, glorot)``, in creation and draw order.
+
+    A Glorot-uniform row draws from the init generator in this order; a zero
+    row draws nothing. Rows are yielded one at a time, so a walk that stops
+    at the first mismatch costs no more than the rows it saw, whatever sizes
+    the config asks for.
+    """
+    d = config.hidden_dim
+    feat = d + SURFACE_FEATURES
+    yield "embed.table", (d, len(RESIDUE_TYPES)), True
+    yield "embed.project.W", (d, feat), True
+    yield "embed.project.b", (d, 1), False
+    for l in range(config.layers):
+        p = f"iegmn.layer{l}."
+        yield p + "phi_e.lin0.W", (d, 2 * d + 1 + EDGE_FEATURE_DIM), True
+        yield p + "phi_e.lin0.b", (d, 1), False
+        yield p + "phi_e.lin1.W", (d, d), True
+        yield p + "phi_e.lin1.b", (d, 1), False
+        yield p + "phi_x.lin0.W", (d, d), True
+        yield p + "phi_x.lin0.b", (d, 1), False
+        # zero-initialized gate: the network starts coordinate-preserving
+        yield p + "phi_x.lin1.W", (1, d), False
+        yield p + "phi_x.lin1.b", (1, 1), False
+        yield p + "phi_h.lin0.W", (d, 3 * d + feat), True
+        yield p + "phi_h.lin0.b", (d, 1), False
+        yield p + "phi_h.lin1.W", (d, d), True
+        yield p + "phi_h.lin1.b", (d, 1), False
+        yield p + "cross.W", (d, d), True
+        yield p + "att_q.W", (d, d), True
+        yield p + "att_q.b", (d, 1), False
+        yield p + "att_k.W", (d, d), True
+        yield p + "att_k.b", (d, 1), False
+    yield "keypoints.phi.W", (d, d), True
+    yield "keypoints.phi.b", (d, 1), False
+    yield "keypoints.w_prime", (config.heads * d, d), True
+
+
+def check_state_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` unless ``arrays`` holds exactly the parameters of ``config``.
+
+    Names and shapes are compared with ``parameter_table`` row by row, and
+    the first missing or misshaped tensor raises, so nothing of the config's
+    sizes is allocated or walked past the arrays at hand.
+    """
+    seen = set()
+    for name, shape, _ in parameter_table(config):
+        if name not in arrays:
+            raise ValueError(f"parameter name mismatch: missing {name!r}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name}: shape {arrays[name].shape}, expected {shape}")
+        seen.add(name)
+    extra = set(arrays) - seen
+    if extra:
+        raise ValueError(f"parameter name mismatch: unexpected {sorted(extra)}")
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -85,45 +145,10 @@ class DockingModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.params: dict[str, ad.Tensor] = {}
         rng = np.random.default_rng(seed)
-        d = config.hidden_dim
-        feat = d + SURFACE_FEATURES
-
-        self._param(rng, "embed.table", d, len(RESIDUE_TYPES))
-        self._param(rng, "embed.project.W", d, feat)
-        self._zero("embed.project.b", d, 1)
-
-        for l in range(config.layers):
-            p = f"iegmn.layer{l}."
-            self._param(rng, p + "phi_e.lin0.W", d, 2 * d + 1 + EDGE_FEATURE_DIM)
-            self._zero(p + "phi_e.lin0.b", d, 1)
-            self._param(rng, p + "phi_e.lin1.W", d, d)
-            self._zero(p + "phi_e.lin1.b", d, 1)
-            self._param(rng, p + "phi_x.lin0.W", d, d)
-            self._zero(p + "phi_x.lin0.b", d, 1)
-            # zero-initialized gate: the network starts coordinate-preserving
-            self._zero(p + "phi_x.lin1.W", 1, d)
-            self._zero(p + "phi_x.lin1.b", 1, 1)
-            self._param(rng, p + "phi_h.lin0.W", d, 3 * d + feat)
-            self._zero(p + "phi_h.lin0.b", d, 1)
-            self._param(rng, p + "phi_h.lin1.W", d, d)
-            self._zero(p + "phi_h.lin1.b", d, 1)
-            self._param(rng, p + "cross.W", d, d)
-            self._param(rng, p + "att_q.W", d, d)
-            self._zero(p + "att_q.b", d, 1)
-            self._param(rng, p + "att_k.W", d, d)
-            self._zero(p + "att_k.b", d, 1)
-
-        self._param(rng, "keypoints.phi.W", d, d)
-        self._zero("keypoints.phi.b", d, 1)
-        self._param(rng, "keypoints.w_prime", config.heads * d, d)
-
-    def _param(self, rng, name: str, rows: int, cols: int) -> None:
-        self.params[name] = ad.parameter(_glorot(rng, rows, cols))
-
-    def _zero(self, name: str, rows: int, cols: int) -> None:
-        self.params[name] = ad.parameter(np.zeros((rows, cols)))
+        self.params: dict[str, ad.Tensor] = {
+            name: ad.parameter(_glorot(rng, *shape) if glorot else np.zeros(shape))
+            for name, shape, glorot in parameter_table(config)}
 
     # -- building blocks ---------------------------------------------------
 
@@ -187,15 +212,14 @@ class DockingModel:
 
     def _half_layer(self, prefix: str, state, g: ProteinGraph, other):
         """One protein's new state: its message pass, cross messages and node update."""
-        cfg = self.config
         Z, H, X0, F = state
         Z_other, H_other = other[:2]
         m_node, z_new = ad.message_pass(
             self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
-            Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg, cfg.eta, 1.0)
+            Z, H, X0, g.edge_feats, g.neighbors, LEAKY_SLOPE, SIGMA_MSG, ETA, 1.0)
         mu = self._cross_messages(prefix, H, H_other, Z_other)
         h_new = ad.node_update(*self._mlp_params(prefix + "phi_h"), H, [m_node, mu, F],
-                               cfg.beta, cfg.leaky_slope)
+                               BETA, LEAKY_SLOPE)
         return z_new, h_new, X0, F
 
     def forward(self, g1: ProteinGraph, g2: ProteinGraph,
@@ -224,7 +248,7 @@ class DockingModel:
         p = self.params
         return ad.keypoint_attention(p["keypoints.phi.W"], p["keypoints.phi.b"],
                                      p["keypoints.w_prime"], Z, H, H_other,
-                                     self.config.heads, self.config.leaky_slope)
+                                     self.config.heads, LEAKY_SLOPE)
 
     # -- serialization -----------------------------------------------------
 
@@ -232,12 +256,6 @@ class DockingModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
-        if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
+        check_state_arrays(self.config, arrays)
         for name, value in arrays.items():
-            current = self.params[name]
-            if current.data.shape != value.shape:
-                raise ValueError(f"{name}: shape {value.shape}, expected {current.data.shape}")
-            current.data = np.asarray(value, dtype=np.float64, order="C").copy()
+            self.params[name].data = np.asarray(value, dtype=np.float64, order="C").copy()

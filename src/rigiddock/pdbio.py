@@ -30,6 +30,10 @@ class PdbParseError(ValueError):
     pass
 
 
+class PdbFormatError(ValueError):
+    """A coordinate does not fit the 8-column field of a PDB atom record."""
+
+
 @dataclass
 class ResidueSet:
     """Backbone coordinates and identity of every complete residue, in file order.
@@ -169,11 +173,23 @@ def parse_pdb_file(path: str, chain_filter: set[str] | None = None) -> ResidueSe
         return parse_pdb(fh.read(), chain_filter)
 
 
+def _unfit(where: str, x: float, y: float, z: float) -> PdbFormatError:
+    """The error for x, y, z whose ``%8.3f`` columns would not read back as written.
+
+    A value that rounds below -999.999 or above 9999.999 widens its 8-column
+    field, and ``parse_pdb`` refuses a non-finite one.
+    """
+    return PdbFormatError(f"{where}: coordinate ({x}, {y}, {z}) does not fit "
+                          "the 8-column PDB field")
+
+
 def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     """Render a ResidueSet as PDB text, CA records only by default.
 
     full_backbone additionally writes the N and C records; used by the
     synthetic dataset writer so the files round-trip through parse_pdb.
+    Raises PdbFormatError naming the residue when a coordinate does not fit
+    its field.
     """
     atoms = [(" N", rs.n_atom), (" CA", rs.ca), (" C", rs.c_atom)] if full_backbone \
         else [(" CA", rs.ca)]
@@ -185,7 +201,10 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
         residue = f"{name:>3s} {chain:1s}{seq:>4s}{icode:1s}   "
         for atom, element, coords in columns:
             x, y, z = coords[i]
-            lines.append(f"ATOM  {serial:5d} {atom} {residue}{x:8.3f}{y:8.3f}{z:8.3f}"
+            xyz = f"{x:8.3f}{y:8.3f}{z:8.3f}"
+            if len(xyz) != 24 or not math.isfinite(x + y + z):
+                raise _unfit(f"residue {chain}:{seq}{icode.strip()}", x, y, z)
+            lines.append(f"ATOM  {serial:5d} {atom} {residue}{xyz}"
                          f"  1.00  0.00          {element}")
             serial += 1
     lines.append("END")
@@ -196,6 +215,8 @@ def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndar
     """Rewrite coordinates of every ATOM/HETATM record by x -> R x + t.
 
     All other columns, and non-atom lines, pass through byte for byte.
+    Raises PdbFormatError naming the line when a moved coordinate does not
+    fit its field.
     """
     rotation = np.asarray(rotation, dtype=np.float64)
     t = np.asarray(translation, dtype=np.float64).reshape(3)
@@ -207,8 +228,10 @@ def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndar
                 _parse_coord(line, 38, 46, lineno),
                 _parse_coord(line, 46, 54, lineno),
             ])
-            moved = rotation @ xyz + t
-            coords = f"{moved[0]:8.3f}{moved[1]:8.3f}{moved[2]:8.3f}"
+            x, y, z = (rotation @ xyz + t).tolist()
+            coords = f"{x:8.3f}{y:8.3f}{z:8.3f}"
+            if len(coords) != 24 or not math.isfinite(x + y + z):
+                raise _unfit(f"line {lineno}", x, y, z)
             line = line[:30] + coords + line[54:]
         out.append(line)
     return "\n".join(out) + "\n"
@@ -218,8 +241,9 @@ def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-residue orthonormal basis (n, u, v), each 3 x n.
 
     u is the unit CA->N vector, t the unit CA->C vector, n the unit normal
-    u x t, and v = n x u. Raises ValueError naming the residue when the
-    backbone is collinear (||u x t|| <= 1e-6 after normalization).
+    u x t, and v = n x u. Raises PdbParseError naming the residue when the
+    backbone is degenerate or collinear (||u x t|| <= 1e-6 after
+    normalization).
     """
     u = rs.n_atom - rs.ca
     t = rs.c_atom - rs.ca
@@ -228,7 +252,7 @@ def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.where((u_norm < 1e-12) | (t_norm < 1e-12))[0]
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"degenerate backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
+        raise PdbParseError(f"degenerate backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
     u = u / u_norm
     t = t / t_norm
     n = np.cross(u, t, axis=0)
@@ -236,7 +260,7 @@ def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.where(n_norm <= 1e-6)[0]
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"collinear backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
+        raise PdbParseError(f"collinear backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
     n = n / n_norm
     v = np.cross(n, u, axis=0)
     return n, u, v

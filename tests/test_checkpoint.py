@@ -1,9 +1,14 @@
 """Named-tensor file format: bit-exact round trips and malformed input handling."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rigiddock import checkpoint as ckpt
 
@@ -24,6 +29,29 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert list(loaded.keys()) == list(tensors.keys())
     for name, arr in tensors.items():
         assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+_TENSORS = st.dictionaries(
+    st.text(max_size=6),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_TENSORS)
+@example({"scalar": np.array(-0.0), "empty": np.zeros((3, 0)), "signs": np.array([-0.0, 0.0]),
+          "": np.full((2, 1), 5e-324)})
+def test_property_round_trip_is_bit_exact(tensors):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.ckpt")
+        ckpt.save_named_tensors(path, tensors)
+        loaded, extra = ckpt.load_named_tensors(path)
+    assert extra == {}
+    assert list(loaded) == list(tensors)
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
         assert loaded[name].tobytes() == arr.tobytes()
 
 

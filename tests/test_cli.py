@@ -338,12 +338,43 @@ class TestExitCodes:
         assert main(["transmogrify"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_malformed_pdb(self, workdir, model_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "ATOM  mangled beyond recognition\n",
+        # one complete residue: too few for a graph
+        "ATOM      1  N   ALA A   1       1.460   0.000   0.000  1.00  0.00           N\n"
+        "ATOM      2  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
+        "ATOM      3  C   ALA A   1       0.000   1.520   0.000  1.00  0.00           C\n",
+        # N, CA and C on one line: no local frame
+        "ATOM      1  N   ALA A   1       1.460   0.000   0.000  1.00  0.00           N\n"
+        "ATOM      2  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
+        "ATOM      3  C   ALA A   1       2.920   0.000   0.000  1.00  0.00           C\n"
+        "ATOM      4  N   GLY A   2       3.800   1.000   0.000  1.00  0.00           N\n"
+        "ATOM      5  CA  GLY A   2       4.500   2.200   0.000  1.00  0.00           C\n"
+        "ATOM      6  C   GLY A   2       6.000   2.000   0.500  1.00  0.00           C\n",
+    ], ids=["mangled", "one-residue", "collinear"])
+    def test_malformed_pdb(self, workdir, text, capsys):
         bad = workdir / "bad.pdb"
-        bad.write_text("ATOM  mangled beyond recognition\n")
+        bad.write_text(text)
         code = main(["features", "--input", str(bad)])
         assert code == EXIT_PARSE
-        capsys.readouterr()
+        assert "input error" in capsys.readouterr().err
+
+    def test_features_with_no_neighbors_is_a_usage_error(self, ligand_pdb, capsys):
+        assert main(["features", "--input", str(ligand_pdb), "--neighbors", "0"]) == EXIT_USAGE
+        assert "k must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("copy_full_atoms", [False, True], ids=["ca", "full-atoms"])
+    def test_dock_pose_outside_the_pdb_field(self, workdir, ligand_pdb, receptor_pdb, model_path,
+                                             copy_full_atoms, monkeypatch, capsys):
+        far = RigidTransform(np.eye(3), np.array([20000.0, 0.0, 0.0]))
+        monkeypatch.setattr(cli, "predict_dock", lambda model, g1, g2: far)
+        out_pdb, out_json = workdir / "far.pdb", workdir / "far.json"
+        argv = ["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                "--model", str(model_path), "--out-pdb", str(out_pdb),
+                "--out-transform", str(out_json)]
+        assert main(argv + ["--copy-full-atoms"] * copy_full_atoms) == EXIT_NUMERICAL
+        assert "does not fit the 8-column PDB field" in capsys.readouterr().err
+        assert not out_pdb.exists() and not out_json.exists()
 
     def test_missing_input_file(self, workdir, model_path):
         code = main(["dock", "--ligand", str(workdir / "nope.pdb"),
@@ -396,6 +427,10 @@ class TestExitCodes:
         {"share_layers": True},     # retired keys, at the value the network no longer has
         {"normalize_h": False},
         {"mean_coord_update": True},
+        # sizes the tensors do not have, refused before anything of that size exists
+        {"heads": 10**12},
+        {"hidden_dim": 10**12},
+        {"layers": 10**9},
     ])
     def test_checkpoint_config_rejected(self, workdir, ligand_pdb, receptor_pdb, change, capsys):
         model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
@@ -409,7 +444,7 @@ class TestExitCodes:
 
     def test_checkpoint_with_retired_switches_docks_alike(self, workdir, ligand_pdb,
                                                           receptor_pdb):
-        """A header that still stores the three switches at their built-in values docks alike."""
+        """A header that still stores the retired keys at their built-in values docks alike."""
         model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
         rng = np.random.default_rng(7)
         for p in model.params.values():   # the gates start at 0
@@ -417,7 +452,8 @@ class TestExitCodes:
         config = model.config.to_dict()
         headers = {"current": config,
                    "earlier": {**config, "share_layers": False, "normalize_h": True,
-                               "mean_coord_update": False}}
+                               "mean_coord_update": False, "leaky_slope": 0.01, "eta": 0.25,
+                               "beta": 0.5, "sigma_msg": 30.0}}
         transforms = []
         for name, header in headers.items():
             path = workdir / f"{name}-config.npz"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from rigiddock import autodiff as ad
@@ -77,6 +79,15 @@ class TestRigidTransform:
         payload["convention"] = "x = R y - t"
         with pytest.raises(ValueError):
             RigidTransform.from_json(json.dumps(payload))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+    def test_property_json_round_trip_is_bit_exact(self, seed, t):
+        tr = RigidTransform(random_rotation(np.random.default_rng(seed)), np.array(t))
+        back = RigidTransform.from_json(tr.to_json())
+        assert back.R.tobytes() == tr.R.tobytes()
+        assert back.t.tobytes() == tr.t.tobytes()
 
     @pytest.mark.parametrize("convention", [5, None, ["y = R x + t"]])
     def test_json_non_string_convention_is_a_value_error(self, convention):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rigiddock import autodiff as ad
 from rigiddock.checks import check_pairwise_equivariance
 from rigiddock.graphs import build_graph
-from rigiddock.model import DockingModel, ModelConfig
+from rigiddock.model import BETA, ETA, LEAKY_SLOPE, SIGMA_MSG, DockingModel, ModelConfig
 from rigiddock.pdbio import ResidueSet
 
 import reference_ops
@@ -164,17 +164,35 @@ def test_state_round_trip_and_mismatch(small_model):
         bad = dict(arrays)
         bad["embed.table"] = np.zeros((2, 2))
         clone.load_state_arrays(bad)
+    with pytest.raises(ValueError, match=r"unexpected \['extra'\]"):
+        clone.load_state_arrays({**arrays, "extra": np.zeros(1)})
 
 
 def test_config_round_trip_and_validation():
-    cfg = ModelConfig(hidden_dim=24, layers=3, heads=12, sigma_msg=12.5)
+    cfg = ModelConfig(hidden_dim=24, layers=3, heads=12, neighbors=7)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         ModelConfig(layers=0)
-    with pytest.raises(ValueError):
-        ModelConfig(eta=1.5)
+    with pytest.raises(ValueError, match="eta"):
+        ModelConfig.from_dict({"eta": 1.5})
     with pytest.raises(ValueError):
         ModelConfig(heads=0)
+
+
+@pytest.mark.parametrize("key, value, accepted", [
+    ("leaky_slope", 0.01, True), ("eta", 0.25, True), ("beta", 0.5, True),
+    ("sigma_msg", 30.0, True), ("share_layers", False, True),
+    ("sigma_msg", 30, False),       # an int, not the float to_dict wrote
+    ("beta", 0.5000001, False), ("leaky_slope", float("nan"), False),
+    ("eta", True, False), ("normalize_h", 1, False),
+])
+def test_retired_keys_accept_only_their_built_in_value(key, value, accepted):
+    d = {**ModelConfig().to_dict(), key: value}
+    if accepted:
+        assert ModelConfig.from_dict(d) == ModelConfig()
+    else:
+        with pytest.raises(ValueError, match=f"{key} is retired"):
+            ModelConfig.from_dict(d)
 
 
 def test_coordinate_override_shape_checked(small_model, small_pair):
@@ -187,7 +205,6 @@ class PrimitiveModel(DockingModel):
     """DockingModel with its layers and keypoint head built from primitive ops."""
 
     def _layer(self, l, state1, state2, g1, g2):
-        cfg = self.config
         prefix = f"iegmn.layer{l}."
         (Z1, H1, X1_0, F1), (Z2, H2, X2_0, F2) = state1, state2
         out = []
@@ -196,11 +213,10 @@ class PrimitiveModel(DockingModel):
                 ((H1, H2, Z2), (H2, H1, Z1))):
             m_node, z_new = reference_ops.message_pass(
                 self._mlp_params(prefix + "phi_e"), self._mlp_params(prefix + "phi_x"),
-                Z, H, X0, g.edge_feats, g.neighbors, cfg.leaky_slope, cfg.sigma_msg,
-                cfg.eta, 1.0)
+                Z, H, X0, g.edge_feats, g.neighbors, LEAKY_SLOPE, SIGMA_MSG, ETA, 1.0)
             mu = self._cross_messages(prefix, H_to, H_from, Z_from)
             h_new = reference_ops.node_update(*self._mlp_params(prefix + "phi_h"), H,
-                                              [m_node, mu, F], cfg.beta, cfg.leaky_slope)
+                                              [m_node, mu, F], BETA, LEAKY_SLOPE)
             out.append((z_new, h_new, X0, F))
         return out[0], out[1]
 
@@ -208,7 +224,7 @@ class PrimitiveModel(DockingModel):
         p = self.params
         return reference_ops.keypoint_attention(
             p["keypoints.phi.W"], p["keypoints.phi.b"], p["keypoints.w_prime"], Z, H, H_other,
-            self.config.heads, self.config.leaky_slope)
+            self.config.heads, LEAKY_SLOPE)
 
 
 def _outputs_and_grads(model, g1, g2):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigiddock import pdbio
 from rigiddock.geometry import random_rotation
@@ -216,11 +218,29 @@ def reference_format_ca_pdb(rs, full_backbone=False):
 def test_format_ca_pdb_matches_record_at_a_time_writer(fixture20_text, full_backbone):
     rs = pdbio.parse_pdb(fixture20_text)
     rs.seq_ids[3], rs.icodes[3] = "117", "A"
-    # signed zeros, rounding ties, wide and non-finite values
-    rs.ca[:, :6] = [[-0.0, 0.0005, -0.0005, 1e5, -12345.6789, np.nan],
-                    [0.0004999, 2.5e-4, -2.5e-4, np.inf, -np.inf, 1e-300],
-                    [999.9995, -999.9995, 0.1235, 0.1245, 3.0, -7.0]]
+    # signed zeros, rounding ties and the widest values that fit the field
+    rs.ca[:, :6] = [[-0.0, 0.0005, -0.0005, 9999.9995, -999.9994, 9999.999],
+                    [0.0004999, 2.5e-4, -2.5e-4, -999.999, 1e-300, 1000.0],
+                    [999.9995, -999.4995, 0.1235, 0.1245, 3.0, -7.0]]
     assert pdbio.format_ca_pdb(rs, full_backbone) == reference_format_ca_pdb(rs, full_backbone)
+
+
+@pytest.mark.parametrize("value", [1e5, -12345.6789, 10000.0, -999.9995, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("full_backbone", [False, True])
+def test_format_ca_pdb_refuses_a_coordinate_outside_the_field(fixture20_text, value,
+                                                              full_backbone):
+    rs = pdbio.parse_pdb(fixture20_text)
+    rs.ca[1, 3] = value
+    with pytest.raises(pdbio.PdbFormatError,
+                       match=f"residue {rs.chains[3]}:{rs.seq_ids[3]}: coordinate"):
+        pdbio.format_ca_pdb(rs, full_backbone)
+
+
+@pytest.mark.parametrize("translation, lineno", [((10000.0, 0.0, 0.0), 1),
+                                                  ((-1000.0, 0.0, 0.0), 2)])
+def test_transform_atom_records_refuses_a_coordinate_outside_the_field(translation, lineno):
+    with pytest.raises(pdbio.PdbFormatError, match=f"line {lineno}: coordinate"):
+        pdbio.transform_atom_records(ALA_LINES, np.eye(3), np.array(translation))
 
 
 def test_ca_only_output_has_no_n_records(fixture20_text):
@@ -257,3 +277,27 @@ def test_transformed_residue_set_moves_all_atoms(fixture20_text):
     moved = rs.transformed(q, g)
     np.testing.assert_allclose(moved.ca, q @ rs.ca + g[:, None], atol=1e-12)
     np.testing.assert_allclose(moved.c_atom, q @ rs.c_atom + g[:, None], atol=1e-12)
+
+
+_LABEL = "ABCXYZ019"
+_RESIDUES = st.lists(
+    st.tuples(st.text(_LABEL, min_size=1, max_size=3),        # name
+              st.sampled_from(" AB9"),                        # chain
+              st.integers(-999, 9999).map(str),               # sequence number
+              st.sampled_from(" AZ")),                        # insertion code
+    min_size=1, max_size=8, unique_by=lambda r: (r[1], r[2], r[3]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_RESIDUES, st.data())
+def test_property_written_backbone_reads_back_to_the_same_text(residues, data):
+    """For coordinates inside the field, write -> parse -> write repeats the text byte for byte."""
+    n = len(residues)
+    xyz = data.draw(st.lists(st.floats(-999.999, 9999.999), min_size=9 * n, max_size=9 * n))
+    n_atom, ca, c_atom = np.array(xyz).reshape(3, 3, n)
+    names, chains, seq_ids, icodes = (list(column) for column in zip(*residues))
+    rs = pdbio.ResidueSet(ca=ca, n_atom=n_atom, c_atom=c_atom,
+                          types=np.zeros(n, dtype=np.int64),
+                          names=names, chains=chains, seq_ids=seq_ids, icodes=icodes)
+    text = pdbio.format_ca_pdb(rs, full_backbone=True)
+    assert pdbio.format_ca_pdb(pdbio.parse_pdb(text), full_backbone=True) == text
