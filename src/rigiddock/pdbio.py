@@ -31,7 +31,7 @@ class PdbParseError(ValueError):
 
 
 class PdbFormatError(ValueError):
-    """A coordinate does not fit the 8-column field of a PDB atom record."""
+    """A coordinate or residue label does not fit its columns of a PDB atom record."""
 
 
 @dataclass
@@ -189,7 +189,10 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     full_backbone additionally writes the N and C records; used by the
     synthetic dataset writer so the files round-trip through parse_pdb.
     Raises PdbFormatError naming the residue when a coordinate does not fit
-    its field.
+    its field, a residue name is wider than 3 columns, a residue number
+    wider than 4, or a chain id or insertion code is not 1 character. The
+    atom serial, which ``parse_pdb`` does not read, is written modulo
+    100,000, so that it keeps its 5 columns from atom 100,000 on.
     """
     atoms = [(" N", rs.n_atom), (" CA", rs.ca), (" C", rs.c_atom)] if full_backbone \
         else [(" CA", rs.ca)]
@@ -198,13 +201,17 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     serial = 1
     for i, (name, chain, seq, icode) in enumerate(
             zip(rs.names, rs.chains, rs.seq_ids, rs.icodes)):
-        residue = f"{name:>3s} {chain:1s}{seq:>4s}{icode:1s}   "
+        if len(name) > 3 or len(seq) > 4 or len(chain) != 1 or len(icode) != 1:
+            raise PdbFormatError(
+                f"residue {chain}:{seq}{icode.strip()}: name {name!r}, chain {chain!r}, number "
+                f"{seq!r} or insertion code {icode!r} does not fit its PDB columns")
+        residue = f"{name:>3s} {chain}{seq:>4s}{icode}   "
         for atom, element, coords in columns:
             x, y, z = coords[i]
             xyz = f"{x:8.3f}{y:8.3f}{z:8.3f}"
             if len(xyz) != 24 or not math.isfinite(x + y + z):
                 raise _unfit(f"residue {chain}:{seq}{icode.strip()}", x, y, z)
-            lines.append(f"ATOM  {serial:5d} {atom} {residue}{xyz}"
+            lines.append(f"ATOM  {serial % 100_000:5d} {atom} {residue}{xyz}"
                          f"  1.00  0.00          {element}")
             serial += 1
     lines.append("END")

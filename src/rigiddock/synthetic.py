@@ -22,15 +22,20 @@ Layout under the output directory::
 Generation is deterministic: the same seed reproduces every byte. Each
 file is written atomically.
 
-The point samplers are rejection samplers with a fixed contract: they draw
-the same random numbers, make the same accept/reject decisions and leave
-the generator in the same state as the one-candidate-at-a-time loops they
-stand for, so faster sampling never changes a pair. ``_blob`` draws its
-candidates in blocks and answers the separation test from a background
-grid; any distance within a relative ``_TIE`` of its threshold is decided
-by the loop's own expression. An ``accept`` predicate passed to ``_blob``
-must be pure, since it is called only on candidates that pass the other
-tests.
+The two point samplers, ``_blob`` and ``_landing_pad``, are rejection
+samplers with a fixed contract: they draw the same random numbers, make
+the same accept/reject decisions, fail on the same point and leave the
+generator in the same state as the one-candidate-at-a-time loops they
+stand for, so faster sampling never changes a pair. Each draws its
+candidates a block at a time with one ``rng.uniform`` call, tests the
+whole block at once and takes the first candidate that passes; any
+distance within a relative ``_TIE`` of its threshold is decided by the
+loop's own expression. The generator is then reset to where the block
+began and advanced past the candidates the loop would have drawn. ``_blob``
+answers its separation test from a background grid, and an ``accept``
+predicate passed to it must be pure, since it is called only on candidates
+that pass the other tests. ``_landing_pad`` tests each block against the
+whole receptor, one tile of distances at most.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tiles
 from .atomic import atomic_open
 from .geometry import RigidTransform, random_se3
 from .graphs import contact_pairs
@@ -55,6 +61,7 @@ CLASH_FLOOR = 7.2         # least cross-protein distance a verified pair may hav
 CONTACT_RING = 5          # constructed contacts per pair
 MARKER_TYPES = tuple(TYPE_INDEX[name] for name in ("TRP", "TYR", "PHE", "HIS", "MET"))
 MAX_PAIR_ATTEMPTS = 1000
+MAX_WRITTEN_RESIDUES = 9999  # widest protein a written pair holds
 _BLOB_RADIUS_COEFF = 2.7
 _TRIES = 400              # candidates per blob point before giving up
 _TIE = 1e-12              # relative band around a threshold that the serial expression decides
@@ -63,6 +70,10 @@ _REACH = 2                # cells between a candidate and a point closer than MI
 _BLOCK_POINTS = 16        # points a candidate block is sized for
 _MIN_BLOCK = 128          # candidates per block at least ...
 _MAX_BLOCK = 512          # ... and at most
+_PAD_SPACING = 3.6        # least distance between pad points in the exposure plane
+_PAD_TRIES = 100          # candidates per pad point before giving up
+_PAD_MIN_BLOCK = 8        # candidates in a pad point's first block ...
+_PAD_GROWTH = 4           # ... and the factor each next block grows by
 
 
 class GenerationError(RuntimeError):
@@ -205,6 +216,19 @@ def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(direction, e1)
 
 
+def _pad_clears(receptor: np.ndarray, cand: np.ndarray) -> bool:
+    """The landing pad's one-candidate test: ``cand`` keeps MIN_SEPARATION from the receptor."""
+    return not np.min(np.linalg.norm(receptor - cand[:, None], axis=0)) < MIN_SEPARATION
+
+
+def _pad_spaced(flat: np.ndarray, direction: np.ndarray, cand: np.ndarray) -> bool:
+    """The landing pad's one-candidate test: ``cand`` keeps ``_PAD_SPACING`` from
+    each row of ``flat`` in the plane normal to ``direction``."""
+    tang = flat - cand
+    tang -= np.outer(tang @ direction, direction)
+    return not np.min(np.linalg.norm(tang, axis=1)) < _PAD_SPACING
+
+
 def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
                  anchor: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Four extra receptor points ringing the anchor at its exposure plane.
@@ -212,30 +236,64 @@ def _landing_pad(rng: np.random.Generator, receptor: np.ndarray,
     Radii and angles are jittered so the pad pentagon is irregular: the
     matching ligand ring then admits exactly one alignment, making the
     bound orientation recoverable from the geometry.
+
+    Pad point j takes the first candidate ``anchor + radius * (cos(angle) *
+    e1 + sin(angle) * e2) + dip * direction``, with the angle jitter, the
+    radius and the dip drawn by three scalar ``rng.uniform`` calls, that
+    lies at least MIN_SEPARATION from every receptor point and, in the
+    exposure plane, at least ``_PAD_SPACING`` from the anchor and the pad
+    points placed so far, trying at most ``_PAD_TRIES`` candidates. There is
+    no separate test against the pad points in space: the distance in space
+    is no shorter than the one in the plane.
+
+    Candidates are drawn a block at a time: one ``rng.uniform(lows, highs,
+    size=(m, 3))`` call gives the same numbers as m candidates' scalar
+    draws. A point's first block holds ``_PAD_MIN_BLOCK`` candidates, each
+    next one ``_PAD_GROWTH`` times as many, capped by the tries left and by
+    one tile of m x n receptor distances. Both tests run over the whole
+    block, and the point takes the block's first candidate that passes
+    them; a distance within ``_TIE`` of its threshold is decided by the
+    one-candidate expression (``_pad_clears``, ``_pad_spaced``). ``rng``
+    is left as if the candidates had been drawn one at a time: after the
+    accepted candidate, or after a failing point's last try.
     """
     e1, e2 = _tangent_basis(direction)
+    per_tile = tiles.tile_rows(receptor.shape[1])
+    clear_lo, clear_hi = MIN_SEPARATION * (1.0 - _TIE), MIN_SEPARATION * (1.0 + _TIE)
+    space_lo, space_hi = _PAD_SPACING * (1.0 - _TIE), _PAD_SPACING * (1.0 + _TIE)
     pad = []
     phase = rng.uniform(0.0, 2.0 * np.pi)
     for j in range(CONTACT_RING - 1):
-        for _ in range(100):
-            angle = phase + 2.0 * np.pi * (j + 1) / CONTACT_RING + rng.uniform(-0.35, 0.35)
-            radius = rng.uniform(3.8, 5.5)
-            dip = rng.uniform(-0.4, 0.0)
-            cand = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
-            # No separation test against the pad points placed so far: the
-            # tangential test below rejects any candidate within 3.6 A of one
-            # in the exposure plane, and the distance in space is no shorter.
-            if np.min(np.linalg.norm(receptor - cand[:, None], axis=0)) < MIN_SEPARATION:
-                continue
-            flat = np.array(pad + [anchor])
-            tang = flat - cand
-            tang -= np.outer(tang @ direction, direction)
-            if np.min(np.linalg.norm(tang, axis=1)) < 3.6:
-                continue
-            pad.append(cand)
-            break
-        else:
-            raise GenerationError("no room for a landing pad point")
+        flat = np.array(pad + [anchor])
+        tried, size = 0, _PAD_MIN_BLOCK
+        while True:
+            if tried == _PAD_TRIES:
+                raise GenerationError("no room for a landing pad point")
+            m = min(size, _PAD_TRIES - tried, per_tile)
+            saved = rng.bit_generator.state
+            jitter, radius, dip = rng.uniform((-0.35, 3.8, -0.4), (0.35, 5.5, 0.0),
+                                              size=(m, 3)).T[:, :, None]
+            angle = phase + 2.0 * np.pi * (j + 1) / CONTACT_RING + jitter
+            cands = anchor + radius * (np.cos(angle) * e1 + np.sin(angle) * e2) + dip * direction
+            diff = cands[:, :, None] - receptor
+            clearance = np.sqrt(np.einsum("ijk,ijk->ik", diff, diff).min(axis=1))
+            tang = flat - cands[:, None]
+            tang -= (tang @ direction)[:, :, None] * direction
+            spacing = np.sqrt(np.einsum("ijk,ijk->ij", tang, tang).min(axis=1))
+            passing = (k for k in np.flatnonzero((clearance >= clear_lo) & (spacing >= space_lo))
+                       if (clearance[k] > clear_hi or _pad_clears(receptor, cands[k]))
+                       and (spacing[k] > space_hi or _pad_spaced(flat, direction, cands[k])))
+            k = next(passing, None)
+            if k is not None:
+                break
+            tried += m
+            size *= _PAD_GROWTH
+        if k + 1 < m:
+            # Leave rng after the accepted candidate: reset, then advance
+            # past its block's first k + 1 candidates' doubles.
+            rng.bit_generator.state = saved
+            rng.random(3 * (k + 1))
+        pad.append(cands[k])
     return np.array(pad).T
 
 
@@ -360,6 +418,9 @@ def generate_dataset(root: str, n_pairs: int, seed: int = 0,
     """Write ``n_pairs`` pairs plus a split file; returns the pair ids."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if max_residues > MAX_WRITTEN_RESIDUES:
+        raise ValueError(f"max_residues must be <= {MAX_WRITTEN_RESIDUES}: residues are "
+                         "numbered from 1 in the 4-column residue number field of a PDB record")
     rng = np.random.default_rng(seed)
     ids = []
     for i in range(n_pairs):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from rigiddock import cli
+from rigiddock import cli, synthetic
 from rigiddock.atomic import atomic_open
 from rigiddock.checkpoint import load_named_tensors, save_named_tensors
 from rigiddock.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
@@ -362,6 +362,18 @@ class TestExitCodes:
     def test_features_with_no_neighbors_is_a_usage_error(self, ligand_pdb, capsys):
         assert main(["features", "--input", str(ligand_pdb), "--neighbors", "0"]) == EXIT_USAGE
         assert "k must be >= 1" in capsys.readouterr().err
+
+    def test_gen_synthetic_wider_than_the_residue_number_field_is_a_usage_error(
+            self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generated a pair")
+
+        monkeypatch.setattr(synthetic, "generate_pair", refuse)
+        root = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(root), "--pairs", "1",
+                     "--min-residues", "30", "--max-residues", "10000"]) == EXIT_USAGE
+        assert "max_residues must be <= 9999" in capsys.readouterr().err
+        assert not root.exists()
 
     @pytest.mark.parametrize("copy_full_atoms", [False, True], ids=["ca", "full-atoms"])
     def test_dock_pose_outside_the_pdb_field(self, workdir, ligand_pdb, receptor_pdb, model_path,

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import rigiddock
@@ -33,6 +34,23 @@ def test_module_layering():
     assert imports["geometry"] == set()
     assert not imports["synthetic"] & {"model", "docking"}
     assert {name for name, deps in imports.items() if "checks" in deps} == {"cli"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """Every absolute import of the package is the standard library, numpy or itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rigiddock"}
+    found = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update((name.split(".")[0], path.name) for name in names)
+    assert "numpy" in found
+    assert {name: module for name, module in found.items() if name not in allowed} == {}
 
 
 def imports_concurrent(path: Path) -> bool:

@@ -236,6 +236,39 @@ def test_format_ca_pdb_refuses_a_coordinate_outside_the_field(fixture20_text, va
         pdbio.format_ca_pdb(rs, full_backbone)
 
 
+def test_written_backbone_past_atom_99999_reads_back():
+    # 33,400 residues, four chains numbered 1..8350: 100,200 atom records
+    n = 33_400
+    chains = [c for c in "ABCD" for _ in range(n // 4)]
+    seq_ids = [str(i) for _ in range(4) for i in range(1, n // 4 + 1)]
+    ca = np.random.default_rng(0).uniform(-900.0, 900.0, size=(3, n))
+    rs = pdbio.ResidueSet(ca=ca, n_atom=ca + [[1.46], [0.0], [0.0]],
+                          c_atom=ca + [[0.0], [1.52], [0.0]], types=np.zeros(n, dtype=np.int64),
+                          names=["ALA"] * n, chains=chains, seq_ids=seq_ids, icodes=[" "] * n)
+    text = pdbio.format_ca_pdb(rs, full_backbone=True)
+    lines = text.splitlines()
+    assert lines[99_999][6:11] == "    0" and lines[100_000][6:11] == "    1"
+    assert {len(line) for line in lines[:-1]} == {78}
+    back = pdbio.parse_pdb(text)
+    assert back.chains == chains and back.seq_ids == seq_ids
+    np.testing.assert_allclose(back.ca, ca, atol=5e-4)
+    assert pdbio.format_ca_pdb(back, full_backbone=True) == text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq_ids", "10000"), ("names", "ALAX"), ("chains", "AB"), ("chains", ""),
+    ("icodes", ""), ("icodes", "AB"),
+])
+@pytest.mark.parametrize("full_backbone", [False, True])
+def test_format_ca_pdb_refuses_a_label_wider_than_its_columns(fixture20_text, field, value,
+                                                              full_backbone):
+    rs = pdbio.parse_pdb(fixture20_text)
+    getattr(rs, field)[3] = value
+    where = f"residue {rs.chains[3]}:{rs.seq_ids[3]}{rs.icodes[3].strip()}: "
+    with pytest.raises(pdbio.PdbFormatError, match=where + f".*{value!r}.* does not fit"):
+        pdbio.format_ca_pdb(rs, full_backbone)
+
+
 @pytest.mark.parametrize("translation, lineno", [((10000.0, 0.0, 0.0), 1),
                                                   ((-1000.0, 0.0, 0.0), 2)])
 def test_transform_atom_records_refuses_a_coordinate_outside_the_field(translation, lineno):

@@ -7,7 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from rigiddock import synthetic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigiddock import synthetic, tiles
 from rigiddock.losses import intersection_loss, pocket_points
 from rigiddock.synthetic import (
     GenerationError,
@@ -21,6 +24,20 @@ from rigiddock.synthetic import (
 # SHA-256 (see ``tree_sha256``) of what ``generate_dataset(root, n_pairs=4, seed=0)``
 # wrote with the one-candidate-at-a-time blob and landing pad samplers.
 GENERATED_TREE_SHA256 = "a4bd837571b3900ccc5da0f9f16e127dea9885310b2f70e042c9a4187c3b0c05"
+
+# SHA-256 (see ``pairs_sha256``) of what ``generate_pair`` builds from the
+# protein streams [PROTEIN_STREAM, j] that perfbench's workloads use, keyed by
+# (stream indices j, min_residues, max_residues); computed with the
+# one-candidate-at-a-time blob and landing pad samplers.
+PROTEIN_STREAM = 211107786
+PAIR_STREAM_SHA256 = {
+    # train-toy's pairs, with their landing pad failures
+    (tuple(range(16)), 30, 80): "a5b0fa450ae1bcb9994494db15c9468cbe096013754d0a0323d4e5e0b6098a25",
+    # train-interface's first call on each stream
+    (tuple(range(6)), 80, 80): "85ca0274c68a591ab6da8d31690ce94234c2e0c645f26868f3a027083ee3a11c",
+    # dock-large's pair
+    ((4,), 1000, 1000): "abb045b5027ae5f2bff3162353c9fc7af6f4ab6c0e7751f5799de203030292f6",
+}
 
 
 def tree_sha256(root):
@@ -37,14 +54,29 @@ def tree_sha256(root):
     return digest.hexdigest()
 
 
-def reference_landing_pad(rng, receptor, anchor, direction):
-    """The landing pad sampler ``_landing_pad`` replaced: it concatenates the
-    receptor and the pad so far for every candidate."""
+def pairs_sha256(streams, min_residues, max_residues):
+    """Digest of each stream's pair (coordinates, types, truth) and the generator state it leaves."""
+    digest = hashlib.sha256()
+    for j in streams:
+        rng = np.random.default_rng([PROTEIN_STREAM, j])
+        pair = generate_pair(rng, f"pair{j}", min_residues, max_residues)
+        for rs in (pair.ligand, pair.receptor):
+            for array in (rs.ca, rs.n_atom, rs.c_atom, rs.types):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(pair.truth.R.tobytes() + pair.truth.t.tobytes())
+        digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def reference_landing_pad(rng, receptor, anchor, direction, tries=None):
+    """The landing pad sampler ``_landing_pad`` replaced: it draws one candidate
+    at a time and concatenates the receptor and the pad so far for every
+    candidate. Appends to ``tries`` the try on which each pad point was accepted."""
     e1, e2 = synthetic._tangent_basis(direction)
     pad = []
     phase = rng.uniform(0.0, 2.0 * np.pi)
     for j in range(synthetic.CONTACT_RING - 1):
-        for _ in range(100):
+        for attempt in range(1, 101):
             angle = (phase + 2.0 * np.pi * (j + 1) / synthetic.CONTACT_RING
                      + rng.uniform(-0.35, 0.35))
             radius = rng.uniform(3.8, 5.5)
@@ -59,6 +91,8 @@ def reference_landing_pad(rng, receptor, anchor, direction):
             if np.min(np.linalg.norm(tang, axis=1)) < 3.6:
                 continue
             pad.append(cand)
+            if tries is not None:
+                tries.append(attempt)
             break
         else:
             raise GenerationError("no room for a landing pad point")
@@ -80,11 +114,16 @@ def landing_site(seed, n, ring=0, ring_radius=4.65):
     return np.concatenate([receptor, crowd], axis=1), anchor, direction
 
 
-def assert_same_pad(site, seed):
-    """Both samplers build the same pad, or fail alike, and leave rng alike; returns the outcome."""
-    rngs = [np.random.default_rng([seed, 1]) for _ in range(2)]
+def assert_same_pad(site, seed, tries=None, bit_generator=np.random.PCG64):
+    """Both samplers build the same pad, or fail alike, and leave rng alike; returns the outcome.
+
+    ``tries`` is passed on to ``reference_landing_pad``.
+    """
+    rngs = [np.random.Generator(bit_generator([seed, 1])) for _ in range(2)]
+    samplers = (synthetic._landing_pad,
+                lambda *args: reference_landing_pad(*args, tries=tries))
     outcomes = []
-    for sampler, rng in zip((synthetic._landing_pad, reference_landing_pad), rngs):
+    for sampler, rng in zip(samplers, rngs):
         try:
             outcomes.append(sampler(rng, *site))
         except GenerationError as exc:
@@ -93,7 +132,7 @@ def assert_same_pad(site, seed):
         assert outcomes[0] == outcomes[1]
     else:
         np.testing.assert_array_equal(outcomes[0], outcomes[1])
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    np.testing.assert_equal(rngs[0].bit_generator.state, rngs[1].bit_generator.state)
     return outcomes[1]
 
 
@@ -219,11 +258,60 @@ class TestSamplersAgainstReference:
                 == "no room for a landing pad point"
 
     def test_landing_pad_ties_decided_by_concatenated_norm(self, monkeypatch):
-        # a wide tie band sends most separation tests to the concatenated expression
+        # a wide tie band sends most of both tests to the one-candidate expressions
         monkeypatch.setattr(synthetic, "_TIE", 0.5)
+        decided = {"_pad_clears": [], "_pad_spaced": []}
+        for name, outcomes in decided.items():
+            def recorded(*args, test=getattr(synthetic, name), outcomes=outcomes):
+                outcomes.append(test(*args))
+                return outcomes[-1]
+
+            monkeypatch.setattr(synthetic, name, recorded)
         pads = [assert_same_pad(landing_site(seed, 40), seed) for seed in range(10)]
         assert not all(isinstance(pad, str) for pad in pads)
+        # each band decided candidates both ways
+        assert all(set(outcomes) == {False, True} for outcomes in decided.values())
+
+    def test_landing_pad_point_accepted_on_its_last_try(self):
+        tries = []
+        assert assert_same_pad(landing_site(49, 16, ring=4, ring_radius=4.0), 49, tries) \
+            == "no room for a landing pad point"
+        assert tries == [synthetic._PAD_TRIES]
+
+    @pytest.mark.parametrize("seed, n, ring, ring_radius, accepted", [
+        (10, 16, 0, 4.65, 9),     # first of the second block
+        (54, 40, 4, 5.3, 41),     # first of the third block
+        (14, 16, 3, 4.65, 8),     # last of the first block
+        (49, 40, 4, 4.0, 40),     # last of the second block
+    ])
+    @pytest.mark.parametrize("tile_rows", [None, 10])
+    def test_landing_pad_accepts_the_first_or_last_candidate_of_a_block(
+            self, monkeypatch, seed, n, ring, ring_radius, accepted, tile_rows):
+        # blocks of tries 1-8, 9-40 and 41-100; or, capped at 10 rows a tile,
+        # 1-8, 9-18, ..., 89-98 and 99-100
+        monkeypatch.setattr(synthetic, "_PAD_MIN_BLOCK", 8)
+        monkeypatch.setattr(synthetic, "_PAD_GROWTH", 4)
+        if tile_rows is not None:
+            monkeypatch.setattr(tiles, "TILE_ENTRIES", tile_rows * (n + ring))
+        tries = []
+        assert_same_pad(landing_site(seed, n, ring, ring_radius), seed, tries)
+        assert tries[0] == accepted
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 300), ring=st.integers(0, 40),
+           ring_radius=st.floats(3.8, 5.5),
+           bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937,
+                                          np.random.Philox, np.random.SFC64]))
+    def test_property_landing_pad_matches_concatenating_sampler(self, seed, n, ring,
+                                                                 ring_radius, bit_generator):
+        assert_same_pad(landing_site(seed, n, ring, ring_radius), seed, bit_generator=bit_generator)
 
     def test_generated_dataset_bytes_are_pinned(self, tmp_path):
         generate_dataset(str(tmp_path), n_pairs=4, seed=0)
         assert tree_sha256(str(tmp_path)) == GENERATED_TREE_SHA256
+
+    @pytest.mark.parametrize("streams, min_residues, max_residues", list(PAIR_STREAM_SHA256),
+                             ids=["train-toy", "train-interface", "dock-large"])
+    def test_benchmark_stream_pairs_are_pinned(self, streams, min_residues, max_residues):
+        assert pairs_sha256(streams, min_residues, max_residues) \
+            == PAIR_STREAM_SHA256[streams, min_residues, max_residues]
