@@ -32,12 +32,12 @@ from .checks import (check_complex_invariance, check_pairwise_equivariance,
                      check_role_swap, check_transform_covariance)
 from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph, build_graph_pair
-from .model import DockingModel, ModelConfig, check_state_arrays
+from .model import DockingModel, ModelConfig, check_state_arrays, drop_retired_keys
 from .pdbio import (PdbFormatError, PdbParseError, format_ca_pdb, parse_pdb_file,
                     transform_atom_records)
 from .synthetic import (DatasetError, GenerationError, generate_dataset, generate_pair,
                         load_split)
-from .training import TrainConfig, evaluate, train, write_eval_csv
+from .training import RETIRED_KEYS, TrainConfig, evaluate, train, write_eval_csv
 
 logger = logging.getLogger("rigiddock.cli")
 
@@ -115,6 +115,9 @@ def _train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise _UsageError(f"{args.config}: expected a JSON object of training settings")
+        file_values = drop_retired_keys(file_values, RETIRED_KEYS)
         unknown = set(file_values) - set(values)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")

@@ -85,16 +85,13 @@ def total_loss(
     P1: np.ndarray,
     P2: np.ndarray,
     receptor_X: np.ndarray,
-    w_mse: float = 1.0,
-    w_ot: float = 1.0,
-    w_ni: float = 1.0,
     ot_warm: WarmStart | None = None,
 ) -> tuple[ad.Tensor, dict[str, float]]:
-    """Weighted sum of the three objectives plus a per-term breakdown."""
+    """The plain sum ``mse + ot + intersection``, unweighted, plus a per-term breakdown."""
     mse = mse_loss(pred_ligand, true_ligand)
     ot = ot_pocket_loss(Y1, Y2, P1, P2, ot_warm)
     ni = intersection_loss(pred_ligand, ad.constant(receptor_X))
     parts = {"mse": mse.item(), "ot": ot.item(), "intersection": ni.item()}
-    total = ad.add(ad.add(ad.scale(mse, w_mse), ad.scale(ot, w_ot)), ad.scale(ni, w_ni))
+    total = ad.add(ad.add(mse, ot), ni)
     parts["total"] = total.item()
     return total, parts

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tiles
-from .graphs import EDGE_FEATURE_DIM, ProteinGraph
+from .graphs import DEFAULT_K, EDGE_FEATURE_DIM, ProteinGraph
 from .pdbio import RESIDUE_TYPES
 
 SURFACE_FEATURES = 5
@@ -47,7 +47,7 @@ class ModelConfig:
     hidden_dim: int = 32
     layers: int = 5
     heads: int = 50
-    neighbors: int = 10
+    neighbors: int = DEFAULT_K
 
     def __post_init__(self):
         for name in ("hidden_dim", "layers", "heads", "neighbors"):
@@ -62,20 +62,27 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config ``to_dict`` wrote, also from checkpoints of earlier versions.
 
-        Those carry the retired keys of ``_RETIRED``: three variant switches
-        and four scalar weights that are now module constants. Each is
-        dropped when it holds the one value the network now has, with the
-        same type (so a bool never stands for a number), and any other
-        value raises ``ValueError`` naming the key.
+        Those carry the ``_RETIRED`` keys (three variant switches and four
+        scalar weights that are now module constants): see ``drop_retired_keys``.
         """
-        d = dict(d)
-        for key, built_in in _RETIRED.items():
-            if key in d:
-                value = d.pop(key)
-                if type(value) is not type(built_in) or value != built_in:
-                    raise ValueError(
-                        f"{key} is retired and accepts only {built_in}, got {value!r}")
-        return cls(**d)
+        return cls(**drop_retired_keys(d, _RETIRED))
+
+
+def drop_retired_keys(d: dict, retired: dict) -> dict:
+    """``d`` without the keys of ``retired``, the one rule for retired config keys.
+
+    A key is dropped when it holds its value in ``retired`` with the same type
+    (so a bool or an int never stands for a float); any other value raises
+    ``ValueError`` naming the key.
+    """
+    d = dict(d)
+    for key, built_in in retired.items():
+        if key in d:
+            value = d.pop(key)
+            if type(value) is not type(built_in) or value != built_in:
+                raise ValueError(f"{key} must be {built_in!r} if given, since {key} is "
+                                 f"retired; got {value!r}")
+    return d
 
 
 def parameter_table(config: ModelConfig):

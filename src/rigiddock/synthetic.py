@@ -415,9 +415,23 @@ def write_pair(pair: DockingPair, root: str) -> str:
 def generate_dataset(root: str, n_pairs: int, seed: int = 0,
                      val_fraction: float = 0.15, test_fraction: float = 0.15,
                      min_residues: int = 30, max_residues: int = 80) -> list[str]:
-    """Write ``n_pairs`` pairs plus a split file; returns the pair ids."""
+    """Write ``n_pairs`` pairs plus a split file; returns the pair ids.
+
+    Every argument is checked before the first pair, so a refused call writes nothing.
+    """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    for name, fraction in (("val_fraction", val_fraction), ("test_fraction", test_fraction)):
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {fraction}")
+    n_val = int(round(n_pairs * val_fraction))
+    n_test = int(round(n_pairs * test_fraction))
+    n_train = n_pairs - n_val - n_test
+    if n_train < 1:
+        raise ValueError(f"val_fraction and test_fraction leave no training pairs of {n_pairs}")
+    if not CONTACT_RING <= min_residues <= max_residues:
+        raise ValueError(f"min_residues must lie in [{CONTACT_RING}, max_residues], "
+                         f"got {min_residues} with max_residues {max_residues}")
     if max_residues > MAX_WRITTEN_RESIDUES:
         raise ValueError(f"max_residues must be <= {MAX_WRITTEN_RESIDUES}: residues are "
                          "numbered from 1 in the 4-column residue number field of a PDB record")
@@ -427,11 +441,6 @@ def generate_dataset(root: str, n_pairs: int, seed: int = 0,
         pair = generate_pair(rng, f"pair{i:04d}", min_residues, max_residues)
         write_pair(pair, root)
         ids.append(pair.pair_id)
-    n_val = int(round(n_pairs * val_fraction))
-    n_test = int(round(n_pairs * test_fraction))
-    n_train = n_pairs - n_val - n_test
-    if n_train < 1:
-        raise ValueError("split fractions leave no training pairs")
     splits = {
         "train": ids[:n_train],
         "val": ids[n_train:n_train + n_val],

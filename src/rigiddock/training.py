@@ -5,6 +5,8 @@ as the mobile side), the mobile input is re-randomized by a rigid motion
 every step, and validation scores the median unaligned pose error on the
 held-out pairs. Checkpoints are written only when validation improves by
 a real margin, and training stops after a patience window without one.
+There is one recipe, Adam without weight decay on the unweighted loss
+sum; ``TrainConfig`` holds only what the ``train`` command has flags for.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import logging
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -24,7 +26,7 @@ from .checkpoint import save_named_tensors
 from .docking import DegenerateKeypointsError, dock_forward, predict_dock
 from .geometry import RigidTransform, random_se3
 # build_graph stays bound here: perfbench's tracer wraps graph building under this name
-from .graphs import ProteinGraph, build_graph, build_graph_pair  # noqa: F401
+from .graphs import DEFAULT_K, ProteinGraph, build_graph, build_graph_pair  # noqa: F401
 from .losses import pocket_points, total_loss
 from .metrics import NoContactError, complex_rmsd, interface_rmsd, ligand_rmsd
 from .model import DockingModel
@@ -34,58 +36,53 @@ from .transport import WarmStart
 logger = logging.getLogger("rigiddock.training")
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+IMPROVEMENT_FACTOR = 0.98   # an accepted validation improvement beats the best by 2%
+
+# Keys of earlier versions' training config files, each with the one value
+# training now always uses (``model.drop_retired_keys``).
+RETIRED_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS,
+                "weight_decay": 0.0, "improvement_factor": IMPROVEMENT_FACTOR,
+                "translation_scale": 30.0, "w_mse": 1.0, "w_ot": 1.0, "w_ni": 1.0}
+
+
 @dataclass
 class TrainConfig:
+    """The settings the ``train`` command has flags for, and nothing else."""
+
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     max_epochs: int = 200
     patience: int = 30           # epochs without an accepted improvement
-    improvement_factor: float = 0.98
-    w_mse: float = 1.0
-    w_ot: float = 1.0
-    w_ni: float = 1.0
-    translation_scale: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
-        """Reject a value of the wrong type, for example one read from a config file."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("max_epochs", "patience", "seed"):
-                if type(value) is not int:
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif (isinstance(value, bool) or not isinstance(value, (int, float))
-                  or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        """Reject a value of the wrong type or range, for example one read from a config file."""
+        for name in ("max_epochs", "patience", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
+                or not math.isfinite(self.lr) or self.lr < 0):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
 
     @classmethod
-    def fine_tune(cls, **overrides) -> "TrainConfig":
+    def fine_tune(cls) -> "TrainConfig":
         """Preset for refining an already trained model."""
-        base = {"lr": 1e-4, "patience": 150}
-        base.update(overrides)
-        return cls(**base)
+        return cls(lr=1e-4, patience=150)
 
 
 class Adam:
-    """Adam with decoupled weight decay over a named parameter dict.
+    """Adam over a named parameter dict, at the ``ADAM_*`` constants and no weight decay.
 
     Both moments live in one flat buffer each, in parameter order, so a step
     is a handful of vector operations and one in-place subtraction per
     parameter; the parameters themselves stay separate arrays.
     """
 
-    def __init__(self, params: dict[str, ad.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, ad.Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         ends = list(accumulate(p.data.size for p in params.values()))
         self._spans = list(zip([0] + ends, ends))
@@ -106,27 +103,23 @@ class Adam:
         idle = [(a, b) for p, (a, b) in zip(params, self._spans) if p.grad is None]
         held = [(m[a:b].copy(), v[a:b].copy()) for a, b in idle]
         self.step_count += 1
-        b1t = 1.0 - self.beta1 ** self.step_count
-        b2t = 1.0 - self.beta2 ** self.step_count
+        b1t = 1.0 - ADAM_BETA1 ** self.step_count
+        b2t = 1.0 - ADAM_BETA2 ** self.step_count
         # m, v and update = (m / b1t) / (sqrt(v / b2t) + eps), operation for
         # operation as a per-parameter loop would compute them, in two
         # scratch vectors (g, then tmp) instead of a temporary per operation.
         tmp = np.empty_like(g)
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - self.beta2
+        tmp *= 1.0 - ADAM_BETA2
         v += tmp
         np.divide(v, b2t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += ADAM_EPS
         update = np.divide(m, b1t, out=g)
         update /= tmp
-        if self.weight_decay > 0.0:
-            np.concatenate([p.data.ravel() for p in params], out=tmp)
-            tmp *= self.weight_decay
-            update += tmp
         update *= self.lr
         for p, (a, b) in zip(params, self._spans):
             if p.grad is not None:
@@ -161,7 +154,7 @@ class PreparedPair:
     ot_warm: WarmStart = field(default_factory=WarmStart)
 
 
-def prepare_pair(pair: DockingPair, neighbors: int = 10) -> PreparedPair:
+def prepare_pair(pair: DockingPair, neighbors: int = DEFAULT_K) -> PreparedPair:
     """Graphs plus bound-frame geometry reused across epochs.
 
     Raises NoContactError when the bound complex has no contact pairs.
@@ -181,7 +174,7 @@ def prepare_pair(pair: DockingPair, neighbors: int = 10) -> PreparedPair:
 
 
 def _training_step(model: DockingModel, prep: PreparedPair, swap: bool,
-                   move: RigidTransform, config: TrainConfig):
+                   move: RigidTransform):
     """Loss for one direction of one pair with the mobile side re-posed."""
     if swap:
         mobile_g, fixed_g = prep.graph_rec, prep.graph_lig
@@ -191,19 +184,9 @@ def _training_step(model: DockingModel, prep: PreparedPair, swap: bool,
         mobile_bound, fixed_bound = prep.bound_lig, prep.bound_rec
     X_mobile = move.apply(mobile_bound)
     result = dock_forward(model, mobile_g, fixed_g, X_lig=X_mobile, X_rec=fixed_bound)
-    return total_loss(
-        result.ligand_pose,
-        mobile_bound,
-        result.Y1,
-        result.Y2,
-        move.apply(prep.midpoints),
-        prep.midpoints,
-        fixed_bound,
-        w_mse=config.w_mse,
-        w_ot=config.w_ot,
-        w_ni=config.w_ni,
-        ot_warm=prep.ot_warm,
-    )
+    return total_loss(result.ligand_pose, mobile_bound, result.Y1, result.Y2,
+                      move.apply(prep.midpoints), prep.midpoints, fixed_bound,
+                      ot_warm=prep.ot_warm)
 
 
 def validation_metric(model: DockingModel, prepped: list[PreparedPair]) -> float:
@@ -263,8 +246,7 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                                       "val_metric": val_metric, "epoch": epoch})
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.params, config.lr, config.beta1, config.beta2,
-                     config.eps, config.weight_decay)
+    optimizer = Adam(model.params, config.lr)
 
     best_val = np.inf
     best_epoch = -1
@@ -281,11 +263,11 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
             for idx in order:
                 prep = prepped[idx]
                 for swap in (False, True):
-                    move = random_se3(rng, config.translation_scale)
+                    move = random_se3(rng)
                     optimizer.zero_grad()
                     try:
                         with ad.Tape() as tape:
-                            loss, parts = _training_step(model, prep, swap, move, config)
+                            loss, parts = _training_step(model, prep, swap, move)
                             tape.backward(loss)
                     except DegenerateKeypointsError:
                         logger.warning("degenerate keypoints on %s (swap=%s); step skipped",
@@ -309,7 +291,7 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
             mean_loss = epoch_total / max(epoch_steps, 1)
             history.append({"epoch": epoch, "mean_loss": mean_loss, "val": val})
             logger.info("epoch %d: mean loss %.4f, val %.4f", epoch, mean_loss, val)
-            if val_prepped and val < config.improvement_factor * best_val:
+            if val_prepped and val < IMPROVEMENT_FACTOR * best_val:
                 best_val = val
                 best_epoch = epoch
                 save_checkpoint(val, epoch)

@@ -1,6 +1,8 @@
 """Command-line interface: pipelines, round trips, exit codes, atomicity."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 
@@ -180,6 +182,64 @@ class TestPipeline:
         assert code == EXIT_USAGE
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not out_model.exists()
+
+    def test_retired_keys_at_their_built_in_values_train_alike(self, workdir, dataset):
+        retired = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.0,
+                   "improvement_factor": 0.98, "translation_scale": 30.0,
+                   "w_mse": 1.0, "w_ot": 1.0, "w_ni": 1.0}
+        outputs = []
+        for tag, file_values in (("plain", {}), ("retired", retired)):
+            cfg = workdir / f"{tag}.json"
+            cfg.write_text(json.dumps({"lr": 1e-3, "seed": 2, **file_values}))
+            out_model, loss_csv = workdir / f"{tag}-run.npz", workdir / f"{tag}-loss.csv"
+            argv = ["train", "--data", str(dataset), "--out-model", str(out_model),
+                    "--loss-csv", str(loss_csv), "--config", str(cfg), "--max-epochs", "2",
+                    "--hidden-dim", "8", "--layers", "1", "--heads", "4"]
+            assert main(argv) == EXIT_OK
+            # the retired keys are dropped on reading, not kept as settings
+            assert vars(cli._train_config(cli._build_parser().parse_args(argv))) == {
+                "lr": 1e-3, "max_epochs": 2, "patience": 30, "seed": 2}
+            tensors, _ = load_named_tensors(str(out_model))
+            outputs.append(([(name, tensors[name].tobytes()) for name in sorted(tensors)],
+                            loss_csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 0.8), ("weight_decay", 0.05), ("w_ot", 2.0), ("w_ni", True),
+        ("w_mse", 1),       # an int, not the float the key held
+    ])
+    def test_train_rejects_retired_keys_off_their_built_in_value(self, workdir, dataset,
+                                                                 key, value, capsys):
+        cfg = workdir / "retired.json"
+        cfg.write_text(json.dumps({"max_epochs": 1, key: value}))
+        out_model = workdir / "retired.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--config", str(cfg), "--hidden-dim", "8", "--layers", "1", "--heads", "4"])
+        assert code == EXIT_USAGE
+        assert f"{key} is retired" in capsys.readouterr().err
+        assert not out_model.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-epochs", "0"], "max_epochs must be an integer >= 1"),
+        (["--max-epochs", "-3"], "max_epochs must be an integer >= 1"),
+        (["--lr=-1e-3"], "lr must be a finite number >= 0"),
+    ], ids=["zero-epochs", "negative-epochs", "negative-rate"])
+    def test_train_rejects_out_of_range_settings(self, workdir, dataset, flags, message,
+                                                 capsys):
+        out_model = workdir / "out-of-range.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--hidden-dim", "8", "--layers", "1", "--heads", "4"] + flags)
+        assert code == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_model.exists()
+
+    def test_train_config_holds_only_the_flag_settings(self):
+        """A setting only a config file could reach would have no flag: there is none."""
+        [sub] = [a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        flags = {"--lr", "--max-epochs", "--patience", "--seed"}
+        dests = {a.dest for a in sub.choices["train"]._actions if set(a.option_strings) & flags}
+        assert {f.name for f in dataclasses.fields(TrainConfig)} == dests
 
 
 class TestDock:
@@ -544,6 +604,31 @@ class TestExitCodes:
         code = main(["train", "--data", str(dataset), "--out-model",
                      str(workdir / "y.npz"), "--config", str(cfg)])
         assert code == EXIT_PARSE
+
+    def test_train_config_that_is_not_an_object(self, workdir, dataset, capsys):
+        cfg = workdir / "scalar.json"
+        cfg.write_text("5")
+        code = main(["train", "--data", str(dataset), "--out-model",
+                     str(workdir / "z.npz"), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pairs", "3", "--val-fraction", "0.5", "--test-fraction", "0.5"],
+         "val_fraction and test_fraction leave no training pairs"),
+        (["--pairs", "3", "--val-fraction", "-0.5"], "val_fraction must lie in [0, 1]"),
+        (["--pairs", "3", "--test-fraction", "1.5"], "test_fraction must lie in [0, 1]"),
+        (["--pairs", "3", "--min-residues", "3"], "min_residues must lie in [5, max_residues]"),
+        (["--pairs", "3", "--min-residues", "50", "--max-residues", "40"],
+         "min_residues must lie in [5, max_residues]"),
+    ], ids=["no-training-pairs", "negative-fraction", "fraction-above-one",
+            "fewer-residues-than-contacts", "min-above-max"])
+    def test_gen_synthetic_checks_arguments_before_the_first_pair(self, tmp_path, flags,
+                                                                  message, capsys):
+        root = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(root)] + flags) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not root.exists()
 
 
 class TestAtomicWrites:

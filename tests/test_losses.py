@@ -230,9 +230,8 @@ def test_total_loss_combines_parts():
     P1 = rng.uniform(0, 10, size=(3, 4))
     P2 = rng.uniform(0, 10, size=(3, 4))
     receptor = rng.uniform(0, 10, size=(3, 5))
-    loss, parts = total_loss(pred, true, Y1, Y2, P1, P2, receptor,
-                             w_mse=2.0, w_ot=0.5, w_ni=3.0)
+    loss, parts = total_loss(pred, true, Y1, Y2, P1, P2, receptor)
     assert set(parts) == {"mse", "ot", "intersection", "total"}
-    expected = 2.0 * parts["mse"] + 0.5 * parts["ot"] + 3.0 * parts["intersection"]
+    expected = parts["mse"] + parts["ot"] + parts["intersection"]
     assert parts["total"] == pytest.approx(expected, abs=1e-9)
     assert loss.item() == pytest.approx(parts["total"], abs=1e-12)

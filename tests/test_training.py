@@ -78,7 +78,7 @@ class TestAdam:
 
     def test_matches_per_parameter_reference_loop(self):
         # The loop Adam.step replaced, kept here as the reference.
-        def reference_step(params, m, v, t, lr, b1, b2, eps, wd):
+        def reference_step(params, m, v, t, lr, b1, b2, eps):
             b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
             for name, p in params.items():
                 if p.grad is None:
@@ -89,14 +89,12 @@ class TestAdam:
                 v[name] *= b2
                 v[name] += (1.0 - b2) * (g * g)
                 update = (m[name] / b1t) / (np.sqrt(v[name] / b2t) + eps)
-                if wd > 0.0:
-                    update = update + wd * p.data
                 p.data -= lr * update
 
         model = DockingModel(COMPACT, seed=0)
         twin = DockingModel(COMPACT, seed=0)
-        hp = dict(lr=3e-2, beta1=0.8, beta2=0.95, eps=1e-8, weight_decay=0.05)
-        opt = Adam(model.params, **hp)
+        lr = 3e-2
+        opt = Adam(model.params, lr)
         m = {name: np.zeros_like(p.data) for name, p in twin.params.items()}
         v = {name: np.zeros_like(p.data) for name, p in twin.params.items()}
         rng = np.random.default_rng(6)
@@ -108,8 +106,8 @@ class TestAdam:
                 twin.params[name].grad = None if g is None else g.copy()
             before = model.params[idle].data.copy()
             assert opt.step()
-            reference_step(twin.params, m, v, t, hp["lr"], hp["beta1"], hp["beta2"],
-                           hp["eps"], hp["weight_decay"])
+            reference_step(twin.params, m, v, t, lr, training.ADAM_BETA1, training.ADAM_BETA2,
+                           training.ADAM_EPS)
             for name, p in model.params.items():
                 assert np.array_equal(p.data, twin.params[name].data), (t, name)
                 assert p.data.flags.c_contiguous
@@ -359,6 +357,6 @@ def test_default_training_step_records_at_most_150_tape_nodes():
     for swap in (False, True):
         move = random_se3(np.random.default_rng(6))
         with ad.Tape() as tape:
-            loss, _ = training._training_step(model, prep, swap, move, TrainConfig())
+            loss, _ = training._training_step(model, prep, swap, move)
             assert len(tape) <= 150
             tape.backward(loss)
