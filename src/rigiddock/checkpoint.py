@@ -12,6 +12,8 @@ Round trips are bit-exact: the payload bytes are the tensors' C-order bytes.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -57,6 +59,8 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns (tensors, extra).
 
     Raises CheckpointError for a malformed file or a tensor holding NaN/Inf.
+    Names must be distinct strings, and each tensor's element count is checked
+    against the payload before numpy reads any of it.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -78,13 +82,18 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     names, shapes, offsets = lists
     if not (len(names) == len(shapes) == len(offsets)):
         raise CheckpointError(f"{path}: header lists have mismatched lengths")
+    if not all(isinstance(name, str) for name in names):
+        raise CheckpointError(f"{path}: tensor names must be strings")
+    twice = [name for name, count in Counter(names).items() if count > 1]
+    if twice:
+        raise CheckpointError(f"{path}: tensor {twice[0]!r} is named more than once")
     tensors: dict[str, np.ndarray] = {}
     for name, shape, off in zip(names, shapes, offsets):
         if not (isinstance(shape, list) and all(_is_count(d) for d in shape) and _is_count(off)):
             raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or offset")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(payload):
+        # Python ints, so a huge shape cannot wrap before it meets the payload length
+        count = math.prod(shape)
+        if off + 8 * count > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} extends past payload end")
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
         if not np.all(np.isfinite(flat)):

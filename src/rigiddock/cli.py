@@ -70,6 +70,8 @@ def _load_model(path: str) -> DockingModel:
     tensors, extra = load_named_tensors(path)
     if not isinstance(extra, dict) or "config" not in extra:
         raise CheckpointError(f"{path}: missing model configuration")
+    if not isinstance(extra["config"], dict):
+        raise CheckpointError(f"{path}: model configuration is not a JSON object")
     try:
         config = ModelConfig.from_dict(extra["config"])
         # checked before any model exists, so the header's sizes allocate

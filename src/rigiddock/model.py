@@ -50,10 +50,11 @@ class ModelConfig:
     neighbors: int = DEFAULT_K
 
     def __post_init__(self):
-        for name in ("hidden_dim", "layers", "heads", "neighbors"):
+        # a rigid fit needs three keypoints, one from each head
+        for name, least in (("hidden_dim", 1), ("layers", 1), ("heads", 3), ("neighbors", 1)):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

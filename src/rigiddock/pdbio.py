@@ -5,13 +5,36 @@ columns 13-16 atom name, 17 altloc, 18-20 residue name, 22 chain id,
 23-26 residue sequence number, 27 insertion code, 31-54 coordinates.
 A residue is kept when all three backbone atoms (N, CA, C) are present;
 the first occurrence wins for duplicated atoms (altloc conformers).
+
+``parse_pdb`` reads in array passes, not line by line. One list pass keeps
+the ATOM/HETATM lines, and their first 54 columns become one array of code
+points. Atom names, residue keys (chain, number, insertion code) and
+residue names are grouped on the raw columns with ``np.unique``; Python's
+``str.strip`` runs only on each distinct field, so its whitespace rules
+hold exactly. Residues are numbered in first-seen file order, keyed by
+(chain, number.strip(), insertion code), and a residue's name comes from
+its first kept record. Only the stored atoms' coordinates are converted,
+each to the value Python's ``float`` gives its field: in one array pass
+when every field has the ``%8.3f`` form, else field by field.
+
+Errors are those of a reader going line by line, in file order:
+  - a stored atom (an N, CA or C in a kept chain, first of its residue)
+    with a malformed or non-finite field raises for the first bad one of
+    x, y, z, with its line number. Three finite fields whose sum would
+    overflow are accepted;
+  - otherwise the first ATOM/HETATM record shorter than 54 columns raises
+    "record too short", even in a chain the filter drops. A bad field in a
+    stored atom before it is reported first;
+  - otherwise a file with no complete residue raises "zero valid residues".
+Line numbers are found by a second scan, on the error path only.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +95,6 @@ class ResidueSet:
         )
 
 
-@dataclass
-class _ResidueAtoms:
-    name: str
-    chain: str
-    seq: str
-    icode: str
-    atoms: dict = field(default_factory=dict)
-
-
 def _parse_coord(line: str, lo: int, hi: int, lineno: int) -> float:
     text = line[lo:hi].strip()
     try:
@@ -92,78 +106,154 @@ def _parse_coord(line: str, lo: int, hi: int, lineno: int) -> float:
     return value
 
 
+_RECORDS = ("ATOM  ", "HETATM")
+_COLUMNS = 54  # a record's columns through z
+_BACKBONE_SLOTS = {"N": 0, "CA": 1, "C": 2}
+# the place value of each column's digit in a field written as ``%8.3f``
+_PLACES = np.array([1e6, 1e5, 1e4, 1e3, 0.0, 1e2, 1e1, 1e0])
+
+
+def _groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an (m, w) code-point array.
+
+    Returns the index of each group's first row and each row's group. The
+    columns are packed into one int64 key in mixed radix; before a column
+    that would overflow the key, the key is replaced by its rank among the
+    distinct keys so far. Equal keys therefore mean equal rows.
+    """
+    key = np.zeros(len(columns), dtype=np.int64)
+    span = 1  # every key is below span
+    for column in columns.T.astype(np.int64, order="C"):
+        base = int(column.max(initial=0)) + 1
+        if span * base > 2**63:
+            _, key = np.unique(key, return_inverse=True)
+            span = len(columns)
+        key = key * base + column
+        span *= base
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return first, group
+
+
+def _record_lines(text: str) -> list[int]:
+    """The line number of every ATOM/HETATM record; only error messages need it."""
+    return [n for n, line in enumerate(text.splitlines(), start=1) if line.startswith(_RECORDS)]
+
+
+def _fixed_point(fields: np.ndarray) -> np.ndarray | None:
+    """The values of (k, 8) code-point fields that all read ``[spaces][-]digits.ddd``.
+
+    That is every field ``%8.3f`` writes. Such a field is N / 1000 for the
+    integer N of its digits, negated after a minus. N < 10**7 and 1000 are
+    exact doubles, and IEEE division rounds to nearest, so N / 1000 is the
+    double nearest the decimal: what Python's ``float`` returns for the same
+    text (Clinger's exact case; ``-0.000`` stays -0.0). Returns None when any
+    field has another form.
+    """
+    if fields.max(initial=0) > 127:
+        return None
+    c = fields.T.astype(np.uint8, order="C")  # one row per column
+    digits = c - ord("0")
+    digit = digits < 10
+    minus = c[:3] == ord("-")
+    # columns 1-3 hold spaces, then an optional minus, then digits up to column 4
+    lead = (c[:3] == ord(" ")) | ((minus | digit[:3]) & digit[1:4])
+    if not (lead.all() and digit[3].all() and (c[4] == ord(".")).all() and digit[5:].all()):
+        return None
+    # N in floating point is exact: each product and partial sum is an integer below 2**53
+    value = _PLACES @ (digits * digit) / 1000.0
+    return np.where(minus[0] | minus[1] | minus[2], -value, value)
+
+
+def _coordinates(text: str, records: list[str], rows: np.ndarray,
+                 block: np.ndarray) -> np.ndarray:
+    """x, y, z (one row each) of ``records[rows]``, whose columns 31-54 are ``block``.
+
+    Each value is Python's ``float`` of its field. Fields in the ``%8.3f``
+    form of wwPDB files and of ``format_ca_pdb`` are read in one array pass
+    (``_fixed_point``). Other files are read record by record in ``rows``
+    order with ``_parse_coord``, so the first bad field raises with its line
+    number.
+    """
+    xyz = _fixed_point(block.reshape(-1, 8))
+    if xyz is None:
+        lines = _record_lines(text)
+        xyz = np.array([[_parse_coord(records[i], lo, lo + 8, lines[i]) for lo in (30, 38, 46)]
+                        for i in rows.tolist()])
+    return xyz.reshape(-1, 3)
+
+
 def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     """Parse PDB text into a ResidueSet.
 
     chain_filter, when given, keeps only records whose chain id is in the set.
     Residues missing any of N/CA/C are dropped and counted in ``skipped``.
     Raises PdbParseError when no complete residue remains.
-    """
-    residues: dict[tuple[str, str, str], _ResidueAtoms] = {}  # in file order
-    # x, y, z of every stored atom; ``atoms`` maps an atom name to its row.
-    # Plain floats rather than a tuple per atom: fewer objects the garbage
-    # collector counts.
-    coords: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        record = line[:6]
-        if record not in ("ATOM  ", "HETATM"):
-            continue
-        if len(line) < 54:
-            raise PdbParseError(f"line {lineno}: record too short for coordinates")
-        chain = line[21]
-        if chain_filter is not None and chain not in chain_filter:
-            continue
-        atom = line[12:16].strip()
-        if atom not in ("N", "CA", "C"):
-            continue
-        key = (chain, line[22:26].strip(), line[26])
-        entry = residues.get(key)
-        if entry is None:
-            entry = _ResidueAtoms(
-                name=line[17:20].strip(), chain=key[0], seq=key[1], icode=key[2]
-            )
-            residues[key] = entry
-        if atom in entry.atoms:
-            continue  # first occurrence wins (altloc rule)
-        try:
-            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
-        except ValueError:
-            x = y = z = math.nan
-        if not math.isfinite(x + y + z):
-            # the checked parse names the first bad field (or, if the sum
-            # merely overflowed, returns the same three values)
-            x, y, z = (_parse_coord(line, lo, lo + 8, lineno) for lo in (30, 38, 46))
-        entry.atoms[atom] = len(coords) // 3
-        coords.append(x)
-        coords.append(y)
-        coords.append(z)
 
-    kept = []
-    skipped = 0
-    for entry in residues.values():
-        if len(entry.atoms) == 3:  # only N, CA and C are ever stored
-            kept.append(entry)
-        else:
-            skipped += 1
+    The records are read in array passes over their first 54 columns held
+    as code points; see the module docstring for the rules and error order.
+    """
+    records = [line for line in text.splitlines() if line.startswith(_RECORDS)]
+    short = None
+    if records and min(map(len, records)) < _COLUMNS:
+        short = next(i for i, line in enumerate(records) if len(line) < _COLUMNS)
+        del records[short:]  # the records before it are still read for a bad coordinate
+    cp = np.array(records, dtype=f"U{_COLUMNS}").view(np.uint32).reshape(-1, _COLUMNS)
+
+    # Labels are grouped on their raw columns; Python's str.strip then runs
+    # once per distinct field, so its whitespace rules hold exactly.
+    first, group = _groups(cp[:, 12:16])
+    slot = np.array([_BACKBONE_SLOTS.get(records[i][12:16].strip(), -1) for i in first.tolist()],
+                    dtype=np.int64)[group]
+    keep = slot >= 0
+    if chain_filter is not None:
+        chains, group = np.unique(cp[:, 21], return_inverse=True)
+        keep &= np.array([chr(c) in chain_filter for c in chains.tolist()], dtype=bool)[group]
+    kept = np.flatnonzero(keep)
+
+    # One residue per (chain, number.strip(), icode), numbered in file order;
+    # numbers that differ only in their padding name one residue.
+    first, group = _groups(cp[kept, 21:27])
+    order = np.argsort(first)
+    ids: dict[tuple[str, str, str], int] = {}
+    residue_of = np.empty(len(first), dtype=np.int64)
+    residue_of[order] = [ids.setdefault((line[21], line[22:26].strip(), line[26]), len(ids))
+                         for line in map(records.__getitem__, kept[first[order]].tolist())]
+    residues = list(ids)
+    cell = slot[kept] * len(residues) + residue_of[group]
+    _, stored = np.unique(cell, return_index=True)  # first record wins (altloc rule)
+    stored.sort()
+    rows = kept[stored]  # the stored atoms' records, in file order
+    xyz = _coordinates(text, records, rows, cp[rows, 30:54])
+    if short is not None:
+        raise PdbParseError(f"line {_record_lines(text)[short]}: record too short for coordinates")
+
+    atom = np.full((3, len(residues)), -1, dtype=np.int64)  # row in xyz of N, CA and C
+    atom.reshape(-1)[cell[stored]] = np.arange(len(stored))
+    complete = (atom >= 0).all(axis=0)
+    skipped = len(residues) - int(complete.sum())
     if skipped:
         log.warning("skipped %d residue(s) missing backbone atoms", skipped)
-    if not kept:
+    if not complete.any():
         raise PdbParseError(f"zero valid residues ({skipped} skipped as incomplete)")
 
-    rows = np.array([(e.atoms["N"], e.atoms["CA"], e.atoms["C"]) for e in kept]).T
+    atom = atom[:, complete]
     # (atom, axis, residue), so each atom's 3 x n block is C-contiguous
-    xyz = np.array(coords).reshape(-1, 3)[rows].transpose(0, 2, 1).copy()
-    n_atom, ca, c_atom = xyz
-    types = np.array([TYPE_INDEX.get(e.name, TYPE_INDEX[UNK]) for e in kept], dtype=np.int64)
+    n_atom, ca, c_atom = xyz[atom].transpose(0, 2, 1).copy()
+    named = rows[atom].min(axis=0)  # each residue's first kept record names it
+    first, group = _groups(cp[named, 17:20])
+    names = [records[i][17:20].strip() for i in named[first].tolist()]
+    types = np.array([TYPE_INDEX.get(name, TYPE_INDEX[UNK]) for name in names],
+                     dtype=np.int64)[group]
+    chains, seq_ids, icodes = map(list, zip(*itertools.compress(residues, complete.tolist())))
     return ResidueSet(
         ca=ca,
         n_atom=n_atom,
         c_atom=c_atom,
         types=types,
-        names=[e.name for e in kept],
-        chains=[e.chain for e in kept],
-        seq_ids=[e.seq for e in kept],
-        icodes=[e.icode for e in kept],
+        names=list(map(names.__getitem__, group.tolist())),
+        chains=chains,
+        seq_ids=seq_ids,
+        icodes=icodes,
         skipped=skipped,
     )
 

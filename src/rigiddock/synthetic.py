@@ -208,12 +208,20 @@ def _blob(rng: np.random.Generator, n: int, center: np.ndarray,
 
 
 def _tangent_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors spanning the plane normal to ``direction``.
+
+    The cross products are written out on Python floats with ``np.cross``'s
+    products and differences, zero factors included, so the bits and the
+    signs of zero are ``np.cross``'s, at a fraction of its call cost.
+    """
     ref = np.array([1.0, 0.0, 0.0])
     if abs(direction @ ref) > 0.9:
         ref = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(direction, ref)
+    (d0, d1, d2), (r0, r1, r2) = direction.tolist(), ref.tolist()
+    e1 = np.array([d1 * r2 - d2 * r1, d2 * r0 - d0 * r2, d0 * r1 - d1 * r0])
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(direction, e1)
+    u0, u1, u2 = e1.tolist()
+    return e1, np.array([d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0])
 
 
 def _pad_clears(receptor: np.ndarray, cand: np.ndarray) -> bool:

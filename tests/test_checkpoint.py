@@ -126,3 +126,19 @@ def test_malformed_header_fields_rejected(tmp_path, header, message):
     path.write_bytes(header + b"\n" + np.ones(4).tobytes())
     with pytest.raises(ckpt.CheckpointError, match=message):
         ckpt.load_named_tensors(str(path))
+
+
+@pytest.mark.parametrize("header, message", [
+    (b'{"format_version": 1, "names": [["x"]], "shapes": [[1]], "offsets": [0]}',
+     "tensor names must be strings"),
+    (b'{"format_version": 1, "names": ["x", "y", "x"], "shapes": [[1], [1], [2]], '
+     b'"offsets": [0, 8, 16]}', "tensor 'x' is named more than once"),
+    # 2**64 elements, which an int64 product wraps to 0
+    (b'{"format_version": 1, "names": ["x"], "shapes": [[4294967296, 4294967296]], '
+     b'"offsets": [0]}', "tensor 'x' extends past payload end"),
+], ids=["name-not-a-string", "name-twice", "count-past-int64"])
+def test_header_refused_before_the_payload_is_read(tmp_path, header, message):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(header + b"\n" + np.ones(4).tobytes())
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_named_tensors(str(path))

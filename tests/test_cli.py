@@ -631,6 +631,60 @@ class TestExitCodes:
         assert not root.exists()
 
 
+    @pytest.mark.parametrize("tamper", ["name-not-a-string", "shape-past-int64",
+                                        "config-a-list", "name-twice"])
+    def test_checkpoint_header_is_an_input_error(self, workdir, ligand_pdb, receptor_pdb,
+                                                 tamper, capsys):
+        """One input-error line, no traceback and no output file for each header."""
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=8), seed=0)
+        path = workdir / f"header-{tamper}.npz"
+        save_named_tensors(str(path), model.state_arrays(),
+                           extra={"config": model.config.to_dict()})
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if tamper == "name-not-a-string":
+            header["names"][0] = [header["names"][0]]
+        elif tamper == "shape-past-int64":  # 2**64 elements: an int64 product wraps to 0
+            header["shapes"][0] = [2**32, 2**32]
+        elif tamper == "config-a-list":
+            header["extra"]["config"] = [list(item) for item in header["extra"]["config"].items()]
+        else:  # a second tensor under one name, over the bytes of another of its shape
+            other = header["names"].index("iegmn.layer1.phi_e.lin1.W")
+            header["names"].append("iegmn.layer0.phi_e.lin1.W")
+            header["shapes"].append(header["shapes"][other])
+            header["offsets"].append(header["offsets"][other])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        out = workdir / f"header-{tamper}.json"
+        capsys.readouterr()
+        code = main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(path), "--out-transform", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err.startswith(f"input error: {path}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_train_refuses_fewer_than_three_heads(self, workdir, dataset, capsys):
+        out_model = workdir / "two-heads.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--hidden-dim", "8", "--layers", "1", "--heads", "2"])
+        assert code == EXIT_USAGE
+        assert "error: heads must be an integer >= 3, got 2" in capsys.readouterr().err
+        assert not out_model.exists()
+
+    def test_checkpoint_with_two_heads_is_an_input_error(self, workdir, ligand_pdb,
+                                                         receptor_pdb, capsys):
+        model = DockingModel(ModelConfig(hidden_dim=16, layers=2, heads=3), seed=0)
+        arrays = model.state_arrays()
+        arrays["keypoints.w_prime"] = arrays["keypoints.w_prime"][:2 * 16]  # two heads' rows
+        path = workdir / "two-heads.npz"
+        save_named_tensors(str(path), arrays,
+                           extra={"config": {**model.config.to_dict(), "heads": 2}})
+        code = main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(path)])
+        assert code == EXIT_PARSE
+        assert "heads must be an integer >= 3, got 2" in capsys.readouterr().err
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("mode, payload", [("w", "payload"), ("wb", b"payload")],
                              ids=["text", "binary"])

@@ -1,12 +1,15 @@
 """PDB parsing, CA writing, and local frame construction."""
 
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_pdb
 from rigiddock import pdbio
 from rigiddock.geometry import random_rotation
 
@@ -334,3 +337,234 @@ def test_property_written_backbone_reads_back_to_the_same_text(residues, data):
                           names=names, chains=chains, seq_ids=seq_ids, icodes=icodes)
     text = pdbio.format_ca_pdb(rs, full_backbone=True)
     assert pdbio.format_ca_pdb(pdbio.parse_pdb(text), full_backbone=True) == text
+
+
+# --- the array-pass reader against the per-line reference --------------------
+
+def _backbone_line(serial, atom, name, chain, seq, icode, xyz):
+    return (f"ATOM  {serial:5d} {atom:<4s} {name:>3s} {chain}{seq:>4s}{icode}   "
+            f"{xyz[0]:8.3f}{xyz[1]:8.3f}{xyz[2]:8.3f}  1.00  0.00           {atom.strip()[0]}")
+
+
+def _line(pdb_text, lineno):
+    return pdb_text.splitlines()[lineno - 1]
+
+
+def _with_line(pdb_text, lineno, line):
+    lines = pdb_text.splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+def _with_field(pdb_text, lineno, lo, hi, field):
+    line = _line(pdb_text, lineno)
+    return _with_line(pdb_text, lineno, line[:lo] + field + line[hi:])
+
+
+def test_short_record_after_a_bad_coordinate_reports_the_coordinate():
+    text = _with_field(ALA_LINES, 2, 38, 46, "   0.0z0") + "ATOM      4  CA  ALA A   2\n"
+    with pytest.raises(pdbio.PdbParseError, match="line 2: malformed coordinate field '0.0z0'"):
+        pdbio.parse_pdb(text)
+
+
+def test_short_record_before_a_bad_coordinate_is_reported_first():
+    text = _with_line(ALA_LINES, 1, _line(ALA_LINES, 1)[:40])
+    text = _with_field(text, 3, 30, 38, "     nan")
+    with pytest.raises(pdbio.PdbParseError, match="line 1: record too short for coordinates"):
+        pdbio.parse_pdb(text)
+
+
+def test_short_record_in_a_filtered_out_chain_is_reported():
+    text = ALA_LINES.replace("END\n", "ATOM      4  CA  GLY B   2       1.0\nEND\n")
+    with pytest.raises(pdbio.PdbParseError, match="line 4: record too short for coordinates"):
+        pdbio.parse_pdb(text, chain_filter={"A"})
+
+
+def test_malformed_fields_of_unread_atoms_are_ignored():
+    """An O record and a repeated (altloc) CA are never read for coordinates."""
+    text = ALA_LINES.replace("END\n", (
+        "ATOM      4  O   ALA A   1     garbage   0.000   0.000  1.00  0.00           O\n"
+        "ATOM      5  CA BALA A   1         nan     inf   0.0q0  1.00  0.00           C\nEND\n"))
+    rs = pdbio.parse_pdb(text)
+    assert len(rs) == 1 and rs.skipped == 0
+    np.testing.assert_array_equal(rs.ca[:, 0], [0.0, 0.0, 0.0])
+
+
+def test_tab_nul_and_replacement_characters_in_fields():
+    # a tab strips like a space: "\tCA " is CA, and "\t  1" is residue 1
+    text = _with_field(ALA_LINES, 2, 12, 16, "\tCA ")
+    text = _with_field(text, 3, 22, 26, "\t  1")
+    rs = pdbio.parse_pdb(text)
+    assert len(rs) == 1 and rs.seq_ids == ["1"]
+    # a NUL does not strip: " CA\0" is no backbone atom, so the residue is incomplete
+    with pytest.raises(pdbio.PdbParseError, match=r"zero valid residues \(1 skipped"):
+        pdbio.parse_pdb(_with_field(ALA_LINES, 2, 12, 16, " CA\0"))
+    # and "  1\0" is another residue number than "   1"
+    text = _with_field(ALA_LINES, 1, 22, 26, "  1\0")
+    with pytest.raises(pdbio.PdbParseError, match=r"zero valid residues \(2 skipped"):
+        pdbio.parse_pdb(text)
+    # U+FFFD (what a file read with errors="replace" holds) names an unknown residue
+    rs = pdbio.parse_pdb(ALA_LINES.replace("ALA", "A\ufffdA"))
+    assert rs.names == ["A\ufffdA"] and rs.types[0] == pdbio.TYPE_INDEX[pdbio.UNK]
+    # a NUL or U+FFFD in a coordinate is a malformed field
+    for field in ("   1.0\0\0", "\ufffd  1.000"):
+        with pytest.raises(pdbio.PdbParseError,
+                           match=re.escape(f"line 2: malformed coordinate field {field.strip()!r}")):
+            pdbio.parse_pdb(_with_field(ALA_LINES, 2, 30, 38, field))
+
+
+def test_residue_name_comes_from_its_first_kept_record():
+    text = ("ATOM      1  O   TRP A   1       0.000   0.000   1.000  1.00  0.00           O\n"
+            + ALA_LINES.replace("  CA  ALA", "  CA  GLY").replace("  C   ALA", "  C   SER"))
+    rs = pdbio.parse_pdb(text)
+    assert rs.names == ["ALA"] and rs.types.tolist() == [pdbio.TYPE_INDEX["ALA"]]
+
+
+def test_coordinate_text_reads_as_python_float_reads_it():
+    text = _with_field(ALA_LINES, 2, 30, 54, "   1_000  -0.000    -0.0")
+    rs = pdbio.parse_pdb(text)
+    assert rs.ca[:, 0].tolist() == [1000.0, 0.0, 0.0]
+    assert not np.signbit(rs.ca[0, 0]) and np.signbit(rs.ca[1, 0]) and np.signbit(rs.ca[2, 0])
+    # "-0.000" in an otherwise fixed-point file keeps its sign too
+    rs = pdbio.parse_pdb(_with_field(ALA_LINES, 2, 30, 38, "  -0.000"))
+    assert np.signbit(rs.ca[0, 0])
+    # a non-ASCII digit that float reads, and a character whose low byte is "0"
+    rs = pdbio.parse_pdb(_with_field(ALA_LINES, 2, 30, 38, "   \u0661.500"))
+    assert rs.ca[0, 0] == 1.5
+    with pytest.raises(pdbio.PdbParseError, match="line 2: malformed coordinate field"):
+        pdbio.parse_pdb(_with_field(ALA_LINES, 2, 30, 38, "   \u0130.500"))
+
+
+def test_groups_match_python_grouping_for_any_code_point():
+    rng = np.random.default_rng(11)
+    alphabet = np.array([0, 9, 32, 49, 65, 0xFFFD, 0x1F600, 0x10FFFF], dtype=np.uint32)
+    rows = alphabet[rng.integers(0, len(alphabet), size=(400, 6))]
+    first, group = pdbio._groups(rows)
+    seen = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        seen.setdefault(row, i)
+        assert first[group[i]] == seen[row]
+    assert len(first) == len(seen)
+
+
+def _fields(*texts):
+    return np.array(texts, dtype="U8").view(np.uint32).reshape(len(texts), 8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-999.999, 9999.999).map(lambda x: f"{x:8.3f}"), min_size=1,
+                max_size=5))
+def test_property_written_fields_read_in_one_pass_as_float_reads_them(texts):
+    values = pdbio._fixed_point(_fields(*texts))
+    assert values is not None
+    assert values.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(" -0123456789.+eE_\t\u0130\u0661", min_size=8, max_size=8))
+def test_property_fixed_point_read_is_python_float_or_nothing(text):
+    # U+0130 has the low byte of "0"; float reads U+0661 (ARABIC-INDIC DIGIT ONE) as 1
+    values = pdbio._fixed_point(_fields(text, "  -0.000"))
+    if values is not None:
+        assert values.tobytes() == np.array([float(text), -0.0]).tobytes()
+
+
+def _backbone_text():
+    """A valid full-backbone file: two chains, an insertion code, a HETATM residue."""
+    residues = [("ALA", "A", "1", " "), ("GLY", "A", "2", " "), ("SER", "A", "2", "A"),
+                ("MSE", "A", "3", " "), ("LYS", "B", "1", " "), ("TRP", "B", "-12", " ")]
+    rng = np.random.default_rng(4)
+    lines, serial = [], 1
+    for name, chain, seq, icode in residues:
+        for atom in (" N", " CA", " C"):
+            line = _backbone_line(serial, atom, name, chain, seq, icode,
+                                  rng.uniform(-99.0, 99.0, 3))
+            lines.append(("HETATM" + line[6:]) if name == "MSE" else line)
+            serial += 1
+    lines.insert(4, "REMARK   a line the reader skips")
+    return "\n".join(lines + ["END"]) + "\n"
+
+
+_BACKBONE = _backbone_text()
+_SPANS = [(0, 6), (12, 16), (16, 17), (17, 20), (21, 22), (22, 26), (26, 27), (22, 27),
+          (30, 38), (38, 46), (46, 54), (30, 54), (54, 80)]
+_CHARS = " \t\0\ufffd\U0001F600\u0130\u0661\x85\r0123456789.-+eE_nafiACNOBXZ"
+_FIELDS = st.one_of(
+    st.sampled_from([" N  ", " CA ", " C  ", "CA  ", "  CA", " O  ", "ATOM  ", "HETATM",
+                     "   1_000", "  -0.000", "     nan", "    -inf", "   1e308", "  1e309",
+                     "   2", "  1 ", "A", "B", " ", "\t"]),
+    st.text(_CHARS, max_size=10))
+_COORDINATES = st.one_of(
+    st.sampled_from(["   1_000", "  -0.000", "     nan", "    -inf", "   1e308", "  1e309",
+                     "   \u0661.500", "  1.5   ", "12345678", "-999.999"]),
+    st.floats(-999.999, 9999.999).map(lambda x: f"{x:8.3f}"),
+    st.text("0123456789.-+e _\t", min_size=8, max_size=8))
+_MUTATION = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from(_SPANS), _FIELDS),
+    st.tuples(st.just("field"), st.sampled_from([(30, 38), (38, 46), (46, 54)]), _COORDINATES),
+    st.tuples(st.just("truncate"), st.integers(0, 80)),
+    st.tuples(st.just("delete")),
+    st.tuples(st.just("copy"), st.integers(0, 30)),
+    st.tuples(st.just("insert"), _FIELDS))
+_CHAIN_FILTERS = st.one_of(
+    st.none(), st.sampled_from([{"A"}, {"B"}, {"A", "B"}]),
+    st.sets(st.sampled_from(["A", "B", "\t", "AB", ""]), max_size=2))
+
+
+def _mutated(text, line_index, mutation):
+    lines = text.splitlines()
+    i = line_index % len(lines)
+    kind, *args = mutation
+    if kind == "field":
+        (lo, hi), field = args
+        lines[i] = lines[i][:lo] + field + lines[i][hi:]
+    elif kind == "truncate":
+        lines[i] = lines[i][:args[0]]
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "copy":  # a second record for the same atom, or another order
+        lines.insert(args[0] % (len(lines) + 1), lines[i])
+    else:
+        lines.insert(i, args[0])
+    return "\n".join(lines) + "\n"
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(parse, text, chain_filter):
+    """Everything a reader gives back: the ResidueSet's bytes and lists, or its error."""
+    handler = _Warnings()
+    pdbio.log.addHandler(handler)
+    try:
+        rs = parse(text, chain_filter)
+    except pdbio.PdbParseError as exc:
+        result = ("error", str(exc))
+    else:
+        arrays = [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+                  for a in (rs.ca, rs.n_atom, rs.c_atom, rs.types)]
+        result = ("ok", arrays, rs.names, rs.chains, rs.seq_ids, rs.icodes, rs.skipped)
+    finally:
+        pdbio.log.removeHandler(handler)
+    return result, handler.messages
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 100), _MUTATION, _CHAIN_FILTERS)
+def test_property_reader_matches_the_per_line_reference(line_index, mutation, chain_filter):
+    """One field or line changed per example: the same results, warnings or error message."""
+    text = _mutated(_BACKBONE, line_index, mutation)
+    assert _outcome(pdbio.parse_pdb, text, chain_filter) == \
+        _outcome(reference_pdb.parse_pdb, text, chain_filter)
+
+
+def test_reader_matches_the_reference_on_the_fixture(fixture20_text):
+    for chain_filter in (None, {"A"}, {"B"}):
+        assert _outcome(pdbio.parse_pdb, fixture20_text, chain_filter) == \
+            _outcome(reference_pdb.parse_pdb, fixture20_text, chain_filter)

@@ -315,3 +315,30 @@ class TestSamplersAgainstReference:
     def test_benchmark_stream_pairs_are_pinned(self, streams, min_residues, max_residues):
         assert pairs_sha256(streams, min_residues, max_residues) \
             == PAIR_STREAM_SHA256[streams, min_residues, max_residues]
+
+
+def reference_tangent_basis(direction):
+    """The ``np.cross`` form that ``_tangent_basis`` writes out on floats."""
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(direction @ ref) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(direction, ref)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(direction, e1)
+
+
+_AXIS_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_AXIS_PARTS, _AXIS_PARTS, _AXIS_PARTS),
+                 st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+def test_property_tangent_basis_has_the_bits_of_np_cross(parts):
+    """Every product is kept, zero factors included, so even the signs of zero agree."""
+    direction = np.array(parts)
+    norm = np.linalg.norm(direction)
+    if not norm > 1e-3:
+        return
+    direction /= norm
+    expected = np.array(reference_tangent_basis(direction))
+    assert np.array(synthetic._tangent_basis(direction)).tobytes() == expected.tobytes()
