@@ -341,11 +341,6 @@ def test_property_written_backbone_reads_back_to_the_same_text(residues, data):
 
 # --- the array-pass reader against the per-line reference --------------------
 
-def _backbone_line(serial, atom, name, chain, seq, icode, xyz):
-    return (f"ATOM  {serial:5d} {atom:<4s} {name:>3s} {chain}{seq:>4s}{icode}   "
-            f"{xyz[0]:8.3f}{xyz[1]:8.3f}{xyz[2]:8.3f}  1.00  0.00           {atom.strip()[0]}")
-
-
 def _line(pdb_text, lineno):
     return pdb_text.splitlines()[lineno - 1]
 
@@ -408,8 +403,8 @@ def test_tab_nul_and_replacement_characters_in_fields():
     assert rs.names == ["A\ufffdA"] and rs.types[0] == pdbio.TYPE_INDEX[pdbio.UNK]
     # a NUL or U+FFFD in a coordinate is a malformed field
     for field in ("   1.0\0\0", "\ufffd  1.000"):
-        with pytest.raises(pdbio.PdbParseError,
-                           match=re.escape(f"line 2: malformed coordinate field {field.strip()!r}")):
+        message = f"line 2: malformed coordinate field {field.strip()!r}"
+        with pytest.raises(pdbio.PdbParseError, match=re.escape(message)):
             pdbio.parse_pdb(_with_field(ALA_LINES, 2, 30, 38, field))
 
 
@@ -473,16 +468,15 @@ def _backbone_text():
     """A valid full-backbone file: two chains, an insertion code, a HETATM residue."""
     residues = [("ALA", "A", "1", " "), ("GLY", "A", "2", " "), ("SER", "A", "2", "A"),
                 ("MSE", "A", "3", " "), ("LYS", "B", "1", " "), ("TRP", "B", "-12", " ")]
-    rng = np.random.default_rng(4)
-    lines, serial = [], 1
-    for name, chain, seq, icode in residues:
-        for atom in (" N", " CA", " C"):
-            line = _backbone_line(serial, atom, name, chain, seq, icode,
-                                  rng.uniform(-99.0, 99.0, 3))
-            lines.append(("HETATM" + line[6:]) if name == "MSE" else line)
-            serial += 1
+    names, chains, seq_ids, icodes = (list(column) for column in zip(*residues))
+    n_atom, ca, c_atom = np.random.default_rng(4).uniform(-99.0, 99.0, (3, 3, len(residues)))
+    rs = pdbio.ResidueSet(ca=ca, n_atom=n_atom, c_atom=c_atom,
+                          types=np.zeros(len(residues), dtype=np.int64),
+                          names=names, chains=chains, seq_ids=seq_ids, icodes=icodes)
+    lines = [("HETATM" + line[6:]) if " MSE " in line else line
+             for line in pdbio.format_ca_pdb(rs, full_backbone=True).splitlines()]
     lines.insert(4, "REMARK   a line the reader skips")
-    return "\n".join(lines + ["END"]) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 _BACKBONE = _backbone_text()
