@@ -1,8 +1,9 @@
 """Structural self-checks: the model's rigid-motion guarantees, measured.
 
-Each check moves the inputs by random rigid motions, rebuilds their graphs
-from the moved residues, and returns the worst deviation from what the
-guarantee predicts. Tests and ``rigiddock check-equivariance`` run them.
+Each random-motion check moves both inputs by ``random_se3`` draws (first
+input, then second, per trial; ``trials`` >= 1) from a generator seeded with
+``seed``, rebuilds their graphs from the moved residues, and returns the worst
+deviation from what the guarantee predicts. Tests and ``check-equivariance`` run them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ def _rebuilt(g: ProteinGraph, move: RigidTransform) -> ProteinGraph:
     return build_graph(g.residues.transformed(move.R, move.t), g.k)
 
 
+def _moved_trials(g1: ProteinGraph, g2: ProteinGraph, seed: int, trials: int):
+    """Per trial ``(m1, m2, g1 after m1, g2 after m2)``; ``trials`` is checked on the call."""
+    if trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    rng = np.random.default_rng(seed)
+    moves = ((random_se3(rng), random_se3(rng)) for _ in range(trials))
+    return ((m1, m2, _rebuilt(g1, m1), _rebuilt(g2, m2)) for m1, m2 in moves)
+
+
 def check_pairwise_equivariance(model: DockingModel, g1: ProteinGraph, g2: ProteinGraph,
                                 seed: int = 0, trials: int = 5) -> float:
     """Max relative deviation from the independent-motion contract.
@@ -29,13 +39,12 @@ def check_pairwise_equivariance(model: DockingModel, g1: ProteinGraph, g2: Prote
     coordinate outputs must move identically and feature outputs must not
     move at all. Deviations are scaled by the magnitude of the reference.
     """
-    rng = np.random.default_rng(seed)
+    draws = _moved_trials(g1, g2, seed, trials)
     base = model.forward(g1, g2)
     worst = 0.0
-    for _ in range(trials):
-        moves = (random_se3(rng), random_se3(rng))
-        out = model.forward(_rebuilt(g1, moves[0]), _rebuilt(g2, moves[1]))
-        for idx, move in enumerate(moves):
+    for m1, m2, h1, h2 in draws:
+        out = model.forward(h1, h2)
+        for idx, move in enumerate((m1, m2)):
             z_ref = move.apply(base[2 * idx].data)
             z_dev = np.max(np.abs(out[2 * idx].data - z_ref))
             h_dev = np.max(np.abs(out[2 * idx + 1].data - base[2 * idx + 1].data))
@@ -54,12 +63,11 @@ def check_transform_covariance(model: DockingModel, ligand: ProteinGraph,
     prediction (R, t) into R' = Q2 R Q1^T and t' = Q2 t + g2 - R' g1.
     Returns the worst relative deviation across random trials.
     """
-    rng = np.random.default_rng(seed)
+    draws = _moved_trials(ligand, receptor, seed, trials)
     base = predict_dock(model, ligand, receptor)
     worst = 0.0
-    for _ in range(trials):
-        m1, m2 = random_se3(rng), random_se3(rng)
-        moved = predict_dock(model, _rebuilt(ligand, m1), _rebuilt(receptor, m2))
+    for m1, m2, lig_g, rec_g in draws:
+        moved = predict_dock(model, lig_g, rec_g)
         R_want = m2.R @ base.R @ m1.R.T
         t_want = m2.R @ base.t + m2.t - R_want @ m1.t
         dev_r = np.max(np.abs(moved.R - R_want))
@@ -91,14 +99,12 @@ def check_complex_invariance(model: DockingModel, ligand: ProteinGraph,
     The assembled complex (posed ligand plus receptor) from any rigidly
     moved inputs must superimpose onto the base complex exactly.
     """
-    rng = np.random.default_rng(seed)
+    draws = _moved_trials(ligand, receptor, seed, trials)
     base = predict_dock(model, ligand, receptor)
     base_lig = base.apply(ligand.X)
     worst = 0.0
-    for _ in range(trials):
-        m1, m2 = random_se3(rng), random_se3(rng)
-        lig_g = _rebuilt(ligand, m1)
-        moved = predict_dock(model, lig_g, _rebuilt(receptor, m2))
+    for _, m2, lig_g, rec_g in draws:
+        moved = predict_dock(model, lig_g, rec_g)
         # express the moved prediction back in the receptor's base frame
         pred_lig = m2.inverse().apply(moved.apply(lig_g.X))
         worst = max(worst, complex_rmsd(pred_lig, base_lig, receptor.X))

@@ -14,6 +14,7 @@ import numpy as np
 
 TRANSFORM_CONVENTION = "y = R x + t, angstrom"
 _ORTHO_TOL = 1e-8
+TRANSLATION_SCALE = 30.0   # random_se3 draws each translation component in +-this
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class RigidTransform:
         if X.ndim != 2 or X.shape[0] != 3:
             raise ValueError(f"apply: shape {X.shape}, expected (3, n)")
         return self.R @ X + self.t[:, None]
-
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """The motion applying ``inner`` first, then this one."""
-        return RigidTransform(self.R @ inner.R, self.R @ inner.t + self.t)
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.R.T, -(self.R.T @ self.t))
@@ -83,10 +80,10 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def random_se3(rng: np.random.Generator, translation_scale: float = 30.0) -> RigidTransform:
-    """Uniform random rotation with a uniform boxed translation.
+def random_se3(rng: np.random.Generator) -> RigidTransform:
+    """Uniform random rotation; each translation component uniform in +-``TRANSLATION_SCALE``.
 
     The rotation is drawn first, then the three translation components.
     """
     return RigidTransform(random_rotation(rng),
-                          rng.uniform(-translation_scale, translation_scale, size=3))
+                          rng.uniform(-TRANSLATION_SCALE, TRANSLATION_SCALE, size=3))

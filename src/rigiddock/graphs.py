@@ -58,10 +58,6 @@ class ProteinGraph:
         return self.X.shape[1]
 
     @property
-    def n_edges(self) -> int:
-        return self.neighbors.size
-
-    @property
     def src(self) -> np.ndarray:
         """Edge sources, edges ordered by destination node."""
         return self.neighbors.reshape(-1)

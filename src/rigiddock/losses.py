@@ -21,8 +21,8 @@ INTERSECTION_GAMMA = 10.0
 INTERSECTION_SIGMA = 25.0
 
 
-def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np.ndarray:
-    """Midpoints of all cross-protein residue pairs closer than tau (3 x S).
+def pocket_points(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Midpoints of all cross-protein residue pairs closer than ``POCKET_TAU`` (3 x S).
 
     Expects bound-pose coordinates; the unbound-pose copies are obtained by
     applying each protein's own rigid motion to the returned matrix.
@@ -31,9 +31,9 @@ def pocket_points(X1: np.ndarray, X2: np.ndarray, tau: float = POCKET_TAU) -> np
     """
     X1 = np.asarray(X1, dtype=np.float64)
     X2 = np.asarray(X2, dtype=np.float64)
-    ii, jj, _ = contact_pairs(X1, X2, tau)
+    ii, jj, _ = contact_pairs(X1, X2, POCKET_TAU)
     if ii.size == 0:
-        raise NoContactError(f"no residue pairs within {tau} A")
+        raise NoContactError(f"no residue pairs within {POCKET_TAU} A")
     return 0.5 * (X1[:, ii] + X2[:, jj])
 
 
@@ -54,19 +54,18 @@ def ot_pocket_loss(Y1: ad.Tensor, Y2: ad.Tensor, P1: np.ndarray, P2: np.ndarray,
     return ad.reduce_sum(ad.mul(cost, ad.constant(plan)))
 
 
-def intersection_loss(X1: ad.Tensor | np.ndarray, X2: ad.Tensor | np.ndarray,
-                      gamma: float = INTERSECTION_GAMMA,
-                      sigma: float = INTERSECTION_SIGMA) -> ad.Tensor:
+def intersection_loss(X1: ad.Tensor | np.ndarray, X2: ad.Tensor | np.ndarray) -> ad.Tensor:
     """Penalty for either point cloud entering the other's interior.
 
-    Sum of both directional means of max(0, gamma - G_other(x)), each one
+    Sum of both directional means of max(0, gamma - G_other(x)) at gamma
+    ``INTERSECTION_GAMMA`` and sigma ``INTERSECTION_SIGMA``, each one
     ``ad.surface_penetration`` node: its pair distances are formed in row
     tiles, so memory stays O(n) in the cloud sizes.
     """
     t1 = X1 if isinstance(X1, ad.Tensor) else ad.constant(X1)
     t2 = X2 if isinstance(X2, ad.Tensor) else ad.constant(X2)
-    return ad.add(ad.surface_penetration(t1, t2, gamma, sigma),
-                  ad.surface_penetration(t2, t1, gamma, sigma))
+    return ad.add(ad.surface_penetration(t1, t2, INTERSECTION_GAMMA, INTERSECTION_SIGMA),
+                  ad.surface_penetration(t2, t1, INTERSECTION_GAMMA, INTERSECTION_SIGMA))
 
 
 def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:

@@ -65,22 +65,23 @@ def complex_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,
     return rmsd(R @ pred + t[:, None], true)
 
 
-def interface_indices(true_ligand: np.ndarray, receptor: np.ndarray,
-                      cutoff: float = INTERFACE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
-    """Residue indices on each side within ``cutoff`` of the other side.
+def interface_indices(true_ligand: np.ndarray,
+                      receptor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residue indices on each side within ``INTERFACE_CUTOFF`` of the other side.
 
     Distances are measured on the bound (true) complex (``contact_pairs``).
     """
-    lig, rec, _ = contact_pairs(true_ligand, receptor, cutoff)
+    lig, rec, _ = contact_pairs(true_ligand, receptor, INTERFACE_CUTOFF)
     return np.unique(lig), np.unique(rec)
 
 
 def interface_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,
-                   receptor: np.ndarray, cutoff: float = INTERFACE_CUTOFF) -> float:
-    """Superimposed RMSD restricted to interface residues of the true complex."""
-    lig_idx, rec_idx = interface_indices(true_ligand, receptor, cutoff)
+                   receptor: np.ndarray) -> float:
+    """Superimposed RMSD restricted to the interface residues (``interface_indices``)."""
+    lig_idx, rec_idx = interface_indices(true_ligand, receptor)
     if lig_idx.size == 0:
-        raise NoContactError(f"no interface residues within {cutoff} A of the other protein")
+        raise NoContactError(
+            f"no interface residues within {INTERFACE_CUTOFF} A of the other protein")
     pred = np.concatenate([pred_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
     true = np.concatenate([true_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
     R, t = kabsch_align(pred, true)

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .atomic import atomic_open
 from .checkpoint import save_named_tensors
 from .docking import DegenerateKeypointsError, dock_forward, predict_dock
-from .geometry import RigidTransform, random_se3
+from .geometry import TRANSLATION_SCALE, RigidTransform, random_se3
 # build_graph stays bound here: perfbench's tracer wraps graph building under this name
 from .graphs import DEFAULT_K, ProteinGraph, build_graph, build_graph_pair  # noqa: F401
 from .losses import pocket_points, total_loss
@@ -43,7 +43,7 @@ IMPROVEMENT_FACTOR = 0.98   # an accepted validation improvement beats the best 
 # training now always uses (``model.drop_retired_keys``).
 RETIRED_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS,
                 "weight_decay": 0.0, "improvement_factor": IMPROVEMENT_FACTOR,
-                "translation_scale": 30.0, "w_mse": 1.0, "w_ot": 1.0, "w_ni": 1.0}
+                "translation_scale": TRANSLATION_SCALE, "w_mse": 1.0, "w_ot": 1.0, "w_ni": 1.0}
 
 
 @dataclass
@@ -57,11 +57,10 @@ class TrainConfig:
 
     def __post_init__(self):
         """Reject a value of the wrong type or range, for example one read from a config file."""
-        for name in ("max_epochs", "patience", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be an integer >= 1, got {self.max_epochs}")
+        for name, least in (("max_epochs", 1), ("patience", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
                 or not math.isfinite(self.lr) or self.lr < 0):
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
@@ -337,9 +336,10 @@ class EvalReport:
         return out
 
 
-def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0,
-             perturb: bool = True) -> EvalReport:
-    """Dock each pair from a randomized input pose and score against truth.
+def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0) -> EvalReport:
+    """Dock each pair from a random input pose and score against truth.
+
+    Pair i's ligand input is moved by the i-th ``random_se3`` draw from ``seed``.
 
     A pair whose prediction degenerates falls back to its input pose and
     is marked in the row status rather than crashing the run. A pair whose
@@ -351,9 +351,7 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0,
     for pair in pairs:
         g_lig, g_rec = build_graph_pair(pair.ligand, pair.receptor, model.config.neighbors)
         bound_lig = pair.bound_ligand()
-        X_in = g_lig.X
-        if perturb:
-            X_in = random_se3(rng).apply(X_in)
+        X_in = random_se3(rng).apply(g_lig.X)
         try:
             tr = predict_dock(model, g_lig, g_rec, X_lig=X_in)
             pred = tr.apply(X_in)

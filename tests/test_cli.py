@@ -223,7 +223,10 @@ class TestPipeline:
         (["--max-epochs", "0"], "max_epochs must be an integer >= 1"),
         (["--max-epochs", "-3"], "max_epochs must be an integer >= 1"),
         (["--lr=-1e-3"], "lr must be a finite number >= 0"),
-    ], ids=["zero-epochs", "negative-epochs", "negative-rate"])
+        (["--patience", "-4"], "patience must be an integer >= 0, got -4"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ], ids=["zero-epochs", "negative-epochs", "negative-rate", "negative-patience",
+            "negative-seed"])
     def test_train_rejects_out_of_range_settings(self, workdir, dataset, flags, message,
                                                  capsys):
         out_model = workdir / "out-of-range.npz"
@@ -231,6 +234,17 @@ class TestPipeline:
                      "--hidden-dim", "8", "--layers", "1", "--heads", "4"] + flags)
         assert code == EXIT_USAGE
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out_model.exists()
+
+    @pytest.mark.parametrize("key", ["patience", "seed"])
+    def test_train_rejects_negative_config_values(self, workdir, dataset, key, capsys):
+        cfg = workdir / f"negative-{key}.json"
+        cfg.write_text(json.dumps({"max_epochs": 1, key: -1}))
+        out_model = workdir / "negative.npz"
+        code = main(["train", "--data", str(dataset), "--out-model", str(out_model),
+                     "--config", str(cfg), "--hidden-dim", "8", "--layers", "1", "--heads", "4"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {key} must be an integer >= 0, got -1\n"
         assert not out_model.exists()
 
     def test_train_config_holds_only_the_flag_settings(self):
@@ -381,6 +395,14 @@ class TestCheckEquivariance:
         out = capsys.readouterr().out
         assert out.count("[ok]") == 4
         assert "pairwise equivariance" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_refused(self, trials, capsys):
+        code = main(["check-equivariance", "--seed", "0", "--trials", trials])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be an integer >= 1, got {trials}\n"
 
     def test_tightened_limit_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_EQUIVARIANCE_LIMIT", -1.0)

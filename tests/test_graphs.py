@@ -135,8 +135,8 @@ def test_permutation_relabels_edges_consistently():
     np.testing.assert_allclose(g2.rho, g.rho[perm], atol=1e-10)
     # edge (perm[s], perm[d]) in g2 must carry the features of (s, d) in g
     orig = {(int(s), int(d)): g.edge_feats[:, e] for e, (s, d) in enumerate(zip(g.src, g.dst))}
-    assert len(orig) == g2.n_edges
-    for e in range(g2.n_edges):
+    assert len(orig) == g2.neighbors.size
+    for e in range(g2.neighbors.size):
         key = (int(perm[g2.src[e]]), int(perm[g2.dst[e]]))
         np.testing.assert_allclose(g2.edge_feats[:, e], orig[key], atol=1e-10)
 

@@ -64,13 +64,6 @@ def test_pockets_match_brute_force():
         assert np.allclose(P, oracle, atol=1e-12)
 
 
-def test_pocket_tau_parameter():
-    X1 = np.zeros((3, 1))
-    X2 = np.array([[9.0], [0.0], [0.0]])
-    P = pocket_points(X1, X2, tau=10.0)
-    assert np.allclose(P[:, 0], [4.5, 0.0, 0.0])
-
-
 # -- surface field -----------------------------------------------------------
 
 

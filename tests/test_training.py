@@ -10,7 +10,7 @@ from rigiddock import autodiff as ad
 from rigiddock import losses, training
 from rigiddock.checkpoint import load_named_tensors
 from rigiddock.docking import DegenerateKeypointsError
-from rigiddock.geometry import RigidTransform, random_se3
+from rigiddock.geometry import TRANSLATION_SCALE, RigidTransform, random_se3
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.synthetic import DockingPair, generate_pair
 from rigiddock.transport import WarmStart
@@ -134,14 +134,25 @@ class TestAdam:
         assert np.array_equal(opt._m, moments[0]) and np.array_equal(opt._v, moments[1])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [("patience", -4), ("seed", -1)])
+    def test_rejects_negative_patience_and_seed(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got {value}$"):
+            TrainConfig(**{field: value})
+
+    def test_zero_patience_and_seed_are_legal(self):
+        config = TrainConfig(patience=0, seed=0)
+        assert (config.patience, config.seed) == (0, 0)
+
+
 class TestRandomSE3:
     def test_rotation_proper_and_translation_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            tr = random_se3(rng, translation_scale=30.0)
+            tr = random_se3(rng)
             assert np.max(np.abs(tr.R.T @ tr.R - np.eye(3))) <= 1e-12
             assert abs(np.linalg.det(tr.R) - 1.0) <= 1e-12
-            assert np.all(np.abs(tr.t) <= 30.0)
+            assert np.all(np.abs(tr.t) <= TRANSLATION_SCALE)
 
     def test_draws_differ(self):
         rng = np.random.default_rng(3)
@@ -295,8 +306,9 @@ class TestEvaluate:
         pairs = [identity_pair(p) for p in make_pairs(15, 2)]
         eye = RigidTransform(np.eye(3), np.zeros(3))
         monkeypatch.setattr(training, "predict_dock", lambda *a, **k: eye)
+        monkeypatch.setattr(training, "random_se3", lambda rng: eye)
         model = DockingModel(COMPACT, seed=0)
-        report = evaluate(model, pairs, perturb=False)
+        report = evaluate(model, pairs)
         for row in report.rows:
             assert row.status == "ok"
             assert row.crmsd <= 1e-9
@@ -320,7 +332,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "predict_dock", boom)
         model = DockingModel(COMPACT, seed=0)
-        report = evaluate(model, pairs, seed=0, perturb=False)
+        report = evaluate(model, pairs, seed=0)
         assert report.rows[0].status == "degenerate"
         assert report.rows[0].crmsd > 1.0
 
