@@ -33,8 +33,8 @@ from .checks import (check_complex_invariance, check_pairwise_equivariance,
 from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph, build_graph_pair
 from .model import DockingModel, ModelConfig, check_state_arrays, drop_retired_keys
-from .pdbio import (PdbFormatError, PdbParseError, format_ca_pdb, parse_pdb_file,
-                    transform_atom_records)
+from .pdbio import (PdbFormatError, PdbParseError, format_ca_pdb, parse_pdb, parse_pdb_file,
+                    read_pdb_text, transform_atom_records)
 from .synthetic import (DatasetError, GenerationError, generate_dataset, generate_pair,
                         load_split)
 from .training import RETIRED_KEYS, TrainConfig, evaluate, train, write_eval_csv
@@ -90,15 +90,15 @@ def _load_model(path: str) -> DockingModel:
 
 
 def _cmd_dock(args) -> int:
-    ligand = parse_pdb_file(args.ligand, _chain_set(args.chains_ligand))
+    ligand_text = read_pdb_text(args.ligand)
+    ligand = parse_pdb(ligand_text, _chain_set(args.chains_ligand))
     receptor = parse_pdb_file(args.receptor, _chain_set(args.chains_receptor))
     model = _load_model(args.model)
     g_lig, g_rec = build_graph_pair(ligand, receptor, model.config.neighbors)
     tr = predict_dock(model, g_lig, g_rec)
     if args.out_pdb:
         if args.copy_full_atoms:
-            with open(args.ligand) as fh:
-                moved = transform_atom_records(fh.read(), tr.R, tr.t)
+            moved = transform_atom_records(ligand_text, tr.R, tr.t)
         else:
             moved = format_ca_pdb(ligand.transformed(tr.R, tr.t))
         with atomic_open(args.out_pdb, "w") as fh:
@@ -132,15 +132,15 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    train_pairs = load_split(args.data, "train")
-    val_pairs = load_split(args.data, "val")
-    config = _train_config(args)
+    config = _train_config(args)  # settings are refused before any data is read
     if args.init_model:
         model = _load_model(args.init_model)
     else:
         model = DockingModel(
             ModelConfig(hidden_dim=args.hidden_dim, layers=args.layers, heads=args.heads),
             seed=config.seed)
+    train_pairs = load_split(args.data, "train")
+    val_pairs = load_split(args.data, "val")
     result = train(model, train_pairs, val_pairs, config,
                    checkpoint_path=args.out_model, loss_csv_path=args.loss_csv)
     print(f"epochs {result.epochs_run}, steps {result.steps}, "
@@ -338,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            # before any file is read; numpy's own refusal names no setting
+            raise _UsageError(f"seed must be an integer >= 0, got {args.seed}")
         with _blas_on_one_thread():
             return args.func(args)
     except _UsageError as exc:

@@ -27,6 +27,14 @@ Errors are those of a reader going line by line, in file order:
     stored atom before it is reported first;
   - otherwise a file with no complete residue raises "zero valid residues".
 Line numbers are found by a second scan, on the error path only.
+
+Coordinates are read in one place, ``_coordinates``, and written in one,
+``_columns``. ``transform_atom_records``, which moves every atom of a file
+for ``dock --copy-full-atoms``, reads all its ATOM/HETATM records through
+the same ``_coordinates`` under the same rules, a short record included:
+a record shorter than 54 columns is an error there too, not a line passed
+through unmoved. All of a file's input errors are raised before any
+coordinate that does not fit its written field.
 """
 
 from __future__ import annotations
@@ -164,21 +172,38 @@ def _fixed_point(fields: np.ndarray) -> np.ndarray | None:
     return np.where(minus[0] | minus[1] | minus[2], -value, value)
 
 
-def _coordinates(text: str, records: list[str], rows: np.ndarray,
-                 block: np.ndarray) -> np.ndarray:
+def _records(lines: list[str]) -> tuple[list[str], int | None, np.ndarray]:
+    """The ATOM/HETATM records that precede the first one shorter than 54 columns.
+
+    Returns them, that short record's index or None, and their first 54
+    columns as an (m, 54) array of code points.
+    """
+    records = [line for line in lines if line.startswith(_RECORDS)]
+    short = None
+    if records and min(map(len, records)) < _COLUMNS:
+        short = next(i for i, line in enumerate(records) if len(line) < _COLUMNS)
+        del records[short:]  # the records before it are still read for a bad coordinate
+    cp = np.array(records, dtype=f"U{_COLUMNS}").view(np.uint32).reshape(-1, _COLUMNS)
+    return records, short, cp
+
+
+def _coordinates(text: str, records: list[str], rows: np.ndarray, block: np.ndarray,
+                 short: int | None) -> np.ndarray:
     """x, y, z (one row each) of ``records[rows]``, whose columns 31-54 are ``block``.
 
     Each value is Python's ``float`` of its field. Fields in the ``%8.3f``
     form of wwPDB files and of ``format_ca_pdb`` are read in one array pass
     (``_fixed_point``). Other files are read record by record in ``rows``
     order with ``_parse_coord``, so the first bad field raises with its line
-    number.
+    number. Then the short record ``short`` of ``_records``, if any, raises.
     """
     xyz = _fixed_point(block.reshape(-1, 8))
     if xyz is None:
         lines = _record_lines(text)
         xyz = np.array([[_parse_coord(records[i], lo, lo + 8, lines[i]) for lo in (30, 38, 46)]
                         for i in rows.tolist()])
+    if short is not None:
+        raise PdbParseError(f"line {_record_lines(text)[short]}: record too short for coordinates")
     return xyz.reshape(-1, 3)
 
 
@@ -192,12 +217,7 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     The records are read in array passes over their first 54 columns held
     as code points; see the module docstring for the rules and error order.
     """
-    records = [line for line in text.splitlines() if line.startswith(_RECORDS)]
-    short = None
-    if records and min(map(len, records)) < _COLUMNS:
-        short = next(i for i, line in enumerate(records) if len(line) < _COLUMNS)
-        del records[short:]  # the records before it are still read for a bad coordinate
-    cp = np.array(records, dtype=f"U{_COLUMNS}").view(np.uint32).reshape(-1, _COLUMNS)
+    records, short, cp = _records(text.splitlines())
 
     # Labels are grouped on their raw columns; Python's str.strip then runs
     # once per distinct field, so its whitespace rules hold exactly.
@@ -223,9 +243,7 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     _, stored = np.unique(cell, return_index=True)  # first record wins (altloc rule)
     stored.sort()
     rows = kept[stored]  # the stored atoms' records, in file order
-    xyz = _coordinates(text, records, rows, cp[rows, 30:54])
-    if short is not None:
-        raise PdbParseError(f"line {_record_lines(text)[short]}: record too short for coordinates")
+    xyz = _coordinates(text, records, rows, cp[rows, 30:54], short)
 
     atom = np.full((3, len(residues)), -1, dtype=np.int64)  # row in xyz of N, CA and C
     atom.reshape(-1)[cell[stored]] = np.arange(len(stored))
@@ -258,19 +276,28 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     )
 
 
-def parse_pdb_file(path: str, chain_filter: set[str] | None = None) -> ResidueSet:
+def read_pdb_text(path: str) -> str:
+    """A PDB file's text: UTF-8, with each undecodable byte read as U+FFFD."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_pdb(fh.read(), chain_filter)
+        return fh.read()
 
 
-def _unfit(where: str, x: float, y: float, z: float) -> PdbFormatError:
-    """The error for x, y, z whose ``%8.3f`` columns would not read back as written.
+def parse_pdb_file(path: str, chain_filter: set[str] | None = None) -> ResidueSet:
+    return parse_pdb(read_pdb_text(path), chain_filter)
 
-    A value that rounds below -999.999 or above 9999.999 widens its 8-column
-    field, and ``parse_pdb`` refuses a non-finite one.
+
+def _columns(x: float, y: float, z: float, where: str) -> str:
+    """Columns 31-54 of an atom record: x, y and z written as ``%8.3f``.
+
+    Raises PdbFormatError naming ``where`` for a value that would not read back:
+    one that rounds below -999.999 or above 9999.999 widens its 8-column field,
+    and ``parse_pdb`` refuses a non-finite one.
     """
-    return PdbFormatError(f"{where}: coordinate ({x}, {y}, {z}) does not fit "
-                          "the 8-column PDB field")
+    xyz = f"{x:8.3f}{y:8.3f}{z:8.3f}"
+    if len(xyz) != 24 or not math.isfinite(x + y + z):
+        raise PdbFormatError(f"{where}: coordinate ({x}, {y}, {z}) does not fit "
+                             "the 8-column PDB field")
+    return xyz
 
 
 def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
@@ -291,18 +318,15 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     serial = 1
     for i, (name, chain, seq, icode) in enumerate(
             zip(rs.names, rs.chains, rs.seq_ids, rs.icodes)):
+        where = f"residue {chain}:{seq}{icode.strip()}"
         if len(name) > 3 or len(seq) > 4 or len(chain) != 1 or len(icode) != 1:
             raise PdbFormatError(
-                f"residue {chain}:{seq}{icode.strip()}: name {name!r}, chain {chain!r}, number "
+                f"{where}: name {name!r}, chain {chain!r}, number "
                 f"{seq!r} or insertion code {icode!r} does not fit its PDB columns")
         residue = f"{name:>3s} {chain}{seq:>4s}{icode}   "
         for atom, element, coords in columns:
-            x, y, z = coords[i]
-            xyz = f"{x:8.3f}{y:8.3f}{z:8.3f}"
-            if len(xyz) != 24 or not math.isfinite(x + y + z):
-                raise _unfit(f"residue {chain}:{seq}{icode.strip()}", x, y, z)
-            lines.append(f"ATOM  {serial % 100_000:5d} {atom} {residue}{xyz}"
-                         f"  1.00  0.00          {element}")
+            lines.append(f"ATOM  {serial % 100_000:5d} {atom} {residue}"
+                         f"{_columns(*coords[i], where)}  1.00  0.00          {element}")
             serial += 1
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -311,27 +335,21 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
 def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndarray) -> str:
     """Rewrite coordinates of every ATOM/HETATM record by x -> R x + t.
 
-    All other columns, and non-atom lines, pass through byte for byte.
-    Raises PdbFormatError naming the line when a moved coordinate does not
-    fit its field.
+    All other columns, and non-atom lines, pass through byte for byte. Input
+    errors are ``parse_pdb``'s, a short record included; only then does a moved
+    coordinate that does not fit its field raise PdbFormatError naming the line.
     """
-    rotation = np.asarray(rotation, dtype=np.float64)
-    t = np.asarray(translation, dtype=np.float64).reshape(3)
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line[:6] in ("ATOM  ", "HETATM") and len(line) >= 54:
-            xyz = np.array([
-                _parse_coord(line, 30, 38, lineno),
-                _parse_coord(line, 38, 46, lineno),
-                _parse_coord(line, 46, 54, lineno),
-            ])
-            x, y, z = (rotation @ xyz + t).tolist()
-            coords = f"{x:8.3f}{y:8.3f}{z:8.3f}"
-            if len(coords) != 24 or not math.isfinite(x + y + z):
-                raise _unfit(f"line {lineno}", x, y, z)
-            line = line[:30] + coords + line[54:]
-        out.append(line)
-    return "\n".join(out) + "\n"
+    lines = text.splitlines()
+    records, short, cp = _records(lines)
+    xyz = _coordinates(text, records, np.arange(len(records)), cp[:, 30:], short)
+    # a 3 x 3 by 3 x 1 product per record rounds as R @ x + t on one record does;
+    # one R @ X over all records would round some values differently
+    moved = np.matmul(np.asarray(rotation, dtype=np.float64)[None], xyz[:, :, None])[:, :, 0]
+    moved = iter((moved + np.asarray(translation, dtype=np.float64).reshape(3)).tolist())
+    for i, line in enumerate(lines):
+        if line.startswith(_RECORDS):
+            lines[i] = line[:30] + _columns(*next(moved), f"line {i + 1}") + line[54:]
+    return "\n".join(lines) + "\n"
 
 
 def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

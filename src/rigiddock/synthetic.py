@@ -464,11 +464,10 @@ def load_pair(pair_dir: str) -> DockingPair:
     ligand = parse_pdb_file(os.path.join(pair_dir, "ligand.pdb"))
     receptor = parse_pdb_file(os.path.join(pair_dir, "receptor.pdb"))
     path = os.path.join(pair_dir, "complex.json")
-    with open(path) as fh:
-        text = fh.read()
     try:
-        truth = RigidTransform.from_json(text)
-    except (TypeError, ValueError) as exc:
+        with open(path) as fh:
+            truth = RigidTransform.from_json(fh.read())
+    except (TypeError, ValueError) as exc:  # undecodable bytes included
         raise DatasetError(f"{path}: {exc}") from None
     return DockingPair(
         pair_id=os.path.basename(os.path.normpath(pair_dir)),
@@ -478,8 +477,11 @@ def load_pair(pair_dir: str) -> DockingPair:
 
 def load_split(root: str, split: str) -> list[DockingPair]:
     path = os.path.join(root, "splits.json")
-    with open(path) as fh:
-        splits = json.load(fh)
+    try:
+        with open(path) as fh:
+            splits = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DatasetError(f"{path}: {exc}") from None
     if not (isinstance(splits, dict) and all(
             isinstance(ids, list) and all(isinstance(pid, str) for pid in ids)
             for ids in splits.values())):

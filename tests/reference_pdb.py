@@ -1,9 +1,11 @@
-"""The per-line PDB reader that ``rigiddock.pdbio.parse_pdb`` replaced.
+"""The per-line PDB reader and mover that ``rigiddock.pdbio`` replaced.
 
 ``parse_pdb`` below is the record-at-a-time loop, kept verbatim as the
 reference the array-pass reader is compared against: the same residues,
 coordinate bits, ``skipped`` count and warning, or the same
-``PdbParseError`` message.
+``PdbParseError`` message. ``transform_atom_records`` is the line-at-a-time
+mover, kept verbatim with its ``_unfit``, that the one-pass mover is
+compared against: the same text, or the same error message.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rigiddock.pdbio import TYPE_INDEX, UNK, PdbParseError, ResidueSet, _parse_coord, log
+from rigiddock.pdbio import (TYPE_INDEX, UNK, PdbFormatError, PdbParseError, ResidueSet,
+                             _parse_coord, log)
 
 
 @dataclass
@@ -99,3 +102,39 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
         icodes=[e.icode for e in kept],
         skipped=skipped,
     )
+
+
+def _unfit(where: str, x: float, y: float, z: float) -> PdbFormatError:
+    """The error for x, y, z whose ``%8.3f`` columns would not read back as written.
+
+    A value that rounds below -999.999 or above 9999.999 widens its 8-column
+    field, and ``parse_pdb`` refuses a non-finite one.
+    """
+    return PdbFormatError(f"{where}: coordinate ({x}, {y}, {z}) does not fit "
+                          "the 8-column PDB field")
+
+
+def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndarray) -> str:
+    """Rewrite coordinates of every ATOM/HETATM record by x -> R x + t.
+
+    All other columns, and non-atom lines, pass through byte for byte.
+    Raises PdbFormatError naming the line when a moved coordinate does not
+    fit its field.
+    """
+    rotation = np.asarray(rotation, dtype=np.float64)
+    t = np.asarray(translation, dtype=np.float64).reshape(3)
+    out = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line[:6] in ("ATOM  ", "HETATM") and len(line) >= 54:
+            xyz = np.array([
+                _parse_coord(line, 30, 38, lineno),
+                _parse_coord(line, 38, 46, lineno),
+                _parse_coord(line, 46, 54, lineno),
+            ])
+            x, y, z = (rotation @ xyz + t).tolist()
+            coords = f"{x:8.3f}{y:8.3f}{z:8.3f}"
+            if len(coords) != 24 or not math.isfinite(x + y + z):
+                raise _unfit(f"line {lineno}", x, y, z)
+            line = line[:30] + coords + line[54:]
+        out.append(line)
+    return "\n".join(out) + "\n"

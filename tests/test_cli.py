@@ -1,10 +1,12 @@
 """Command-line interface: pipelines, round trips, exit codes, atomicity."""
 
 import argparse
+import builtins
 import csv
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from rigiddock.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from rigiddock.geometry import RigidTransform, random_rotation
 from rigiddock.metrics import complex_rmsd
 from rigiddock.model import DockingModel, ModelConfig
-from rigiddock.pdbio import format_ca_pdb, parse_pdb_file
+from rigiddock.pdbio import format_ca_pdb, parse_pdb_file, transform_atom_records
 from rigiddock.synthetic import DockingPair, generate_pair, write_pair
 from rigiddock.training import TrainConfig
 
@@ -358,6 +360,40 @@ class TestDock:
         bond = np.linalg.norm(moved.ca - moved.n_atom, axis=0)
         assert np.allclose(bond, 1.46, atol=2e-3)
 
+    def test_full_atom_copy_of_a_ligand_with_a_latin1_byte(self, workdir, ligand_pdb,
+                                                           receptor_pdb, model_path, monkeypatch):
+        """The ligand file is opened once and decoded as parse_pdb_file decodes it."""
+        ligand = workdir / "latin1.pdb"
+        ligand.write_bytes(b"REMARK   caf\xe9\n" + ligand_pdb.read_bytes())
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        out_pdb, out_json = workdir / "latin1-full.pdb", workdir / "latin1-full.json"
+        code = main(["dock", "--ligand", str(ligand), "--receptor", str(receptor_pdb),
+                     "--model", str(model_path), "--out-pdb", str(out_pdb),
+                     "--out-transform", str(out_json), "--copy-full-atoms"])
+        monkeypatch.undo()
+        assert code == EXIT_OK
+        assert opened.count(str(ligand)) == 1
+        tr = RigidTransform.from_json(out_json.read_text())
+        source = ligand.read_bytes().decode("utf-8", errors="replace")
+        written = out_pdb.read_text()
+        assert written == transform_atom_records(source, tr.R, tr.t)
+        assert written.splitlines()[0] == "REMARK   caf\ufffd"
+        pairs = [(old, new) for old, new in zip(source.splitlines(), written.splitlines())
+                 if old.startswith(("ATOM", "HETATM"))]
+        assert pairs
+        for old, new in pairs:
+            assert old[:30] == new[:30] and old[54:] == new[54:]
+            xyz = np.array([float(old[i:i + 8]) for i in (30, 38, 46)])
+            moved = np.array([float(new[i:i + 8]) for i in (30, 38, 46)])
+            np.testing.assert_allclose(moved, tr.R @ xyz + tr.t, atol=5e-4 + 1e-9)
+
 
 class TestFeatures:
     def test_json_schema(self, ligand_pdb, capsys):
@@ -684,6 +720,49 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert err.startswith(f"input error: {path}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--data", "{tmp}/data", "--model", "{tmp}/model.npz"],
+        ["check-equivariance", "--model", "{tmp}/model.npz"],
+        ["gen-synthetic", "--out", "{tmp}/data", "--pairs", "2"],
+    ], ids=["eval", "check-equivariance", "gen-synthetic"])
+    def test_negative_seed_is_refused_before_any_file(self, tmp_path, argv, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--seed", "-1"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_refuses_a_flag_before_reading_data(self, tmp_path, capsys):
+        out_model = tmp_path / "model.npz"
+        code = main(["train", "--data", str(tmp_path / "missing"), "--out-model", str(out_model),
+                     "--max-epochs", "0"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: max_epochs must be an integer >= 1, got 0\n"
+        assert not out_model.exists()
+
+    @pytest.mark.parametrize("name", ["splits.json", "complex.json"])
+    def test_undecodable_dataset_json_is_an_input_error(self, tmp_path, dataset, model_path,
+                                                        name, capsys):
+        (tmp_path / "splits.json").write_text(json.dumps({"test": ["pair0000"]}))
+        shutil.copytree(dataset / "pairs" / "pair0000", tmp_path / "pairs" / "pair0000")
+        path = tmp_path / "splits.json" if name == "splits.json" \
+            else tmp_path / "pairs" / "pair0000" / "complex.json"
+        path.write_bytes(b"\xff" + path.read_bytes())  # a byte no UTF-8 text holds
+        code = main(["eval", "--data", str(tmp_path), "--model", str(model_path)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_undecodable_train_config_stays_a_usage_error(self, tmp_path, dataset, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"lr": 0.001, "note": "caf\xe9"}')
+        code = main(["train", "--data", str(dataset), "--out-model", str(tmp_path / "m.npz"),
+                     "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
     def test_train_refuses_fewer_than_three_heads(self, workdir, dataset, capsys):
         out_model = workdir / "two-heads.npz"

@@ -84,3 +84,39 @@ def test_every_benchmark_trace_site_resolves():
     for _, module, attr, _ in tracing.SITES:
         owner, name = tracing.binding(rigiddock, module, attr)
         assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+
+
+def users(match) -> set[str]:
+    """'module.function' of the innermost function around each node of the package that matches.
+
+    A match outside every function is reported as its module's name.
+    """
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if match(child):
+                found.add(where)
+            visit(child, where)
+
+    for path in PACKAGE_DIR.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def names(name: str):
+    return lambda node: ((isinstance(node, ast.Name) and node.id == name)
+                         or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_one_coordinate_reader_and_one_coordinate_writer():
+    """Coordinate fields are parsed only in ``_coordinates`` and written only in ``_columns``."""
+    assert users(names("_parse_coord")) == {"pdbio._coordinates"}
+    assert users(names("_coordinates")) == {"pdbio.parse_pdb", "pdbio.transform_atom_records"}
+    written = users(lambda node: isinstance(node, ast.FormattedValue) and node.format_spec
+                    is not None and ast.unparse(node.format_spec) == "f'8.3f'")
+    assert written == {"pdbio._columns"}
+    assert users(names("_columns")) == {"pdbio.format_ca_pdb", "pdbio.transform_atom_records"}

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import os
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_pdb
+from conftest import DATA_DIR, random_residue_set
 from rigiddock import pdbio
 from rigiddock.geometry import random_rotation
 
@@ -562,3 +564,83 @@ def test_reader_matches_the_reference_on_the_fixture(fixture20_text):
     for chain_filter in (None, {"A"}, {"B"}):
         assert _outcome(pdbio.parse_pdb, fixture20_text, chain_filter) == \
             _outcome(reference_pdb.parse_pdb, fixture20_text, chain_filter)
+
+
+# --- the one-pass mover against the line-at-a-time reference ------------------
+
+with open(os.path.join(DATA_DIR, "fixture20.pdb")) as _fh:
+    _FIXTURE20 = _fh.read()
+_MOVER_TEXTS = (_BACKBONE, _FIXTURE20, pdbio.format_ca_pdb(
+    random_residue_set(np.random.default_rng(8), 50), full_backbone=True))
+_MOVER_MUTATION = st.one_of(_MUTATION, st.tuples(
+    st.just("field"), st.sampled_from([(30, 38), (38, 46), (46, 54), (30, 54)]),
+    st.sampled_from(["     1e1", "  1.5e-1", "\t  1.000", "1.000\t  ", "\ufffd  1.000",
+                     "  1.0\ufffd  ", "    +inf", "     NaN", "   1.0.0", "        ",
+                     "  12.500  -3.250   0.125"])))
+_POSES = st.tuples(st.sampled_from(["identity", "near", "far"]), st.integers(0, 2**32 - 1))
+
+
+def _pose(kind, seed):
+    """The identity, a motion that keeps a protein in its fields, or one that takes it out."""
+    if kind == "identity":
+        return np.eye(3), np.zeros(3)
+    rng = np.random.default_rng(seed)
+    return random_rotation(rng), rng.uniform(-50.0, 50.0, 3) * (200.0 if kind == "far" else 1.0)
+
+
+def _moved(move, text, rotation, translation):
+    """A mover's text, or the type and message of its error."""
+    try:
+        return "ok", move(text, rotation, translation)
+    except (pdbio.PdbParseError, pdbio.PdbFormatError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_move(text, rotation, translation):
+    """The reference's outcome under the two rules it lacks.
+
+    A record shorter than 54 columns is an input error, and every input error
+    comes before any moved coordinate that does not fit its field. The zero
+    motion takes every finite coordinate to 0, which fits, so under it the
+    reference raises the first input error before the short record, if any.
+    """
+    lines = text.splitlines()
+    short = next((n for n, line in enumerate(lines, start=1)
+                  if line.startswith(("ATOM  ", "HETATM")) and len(line) < 54), None)
+    head = "\n".join(lines if short is None else lines[:short - 1])
+    outcome = _moved(reference_pdb.transform_atom_records, head, np.zeros((3, 3)), np.zeros(3))
+    if outcome[0] != "ok":
+        return outcome
+    if short is not None:
+        return "PdbParseError", f"line {short}: record too short for coordinates"
+    return _moved(reference_pdb.transform_atom_records, text, rotation, translation)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_MOVER_TEXTS), st.integers(0, 200), _MOVER_MUTATION, _POSES)
+def test_property_mover_matches_the_line_at_a_time_reference(text, line_index, mutation, pose):
+    """One field or line changed per example: the same text, or the same error message."""
+    text = _mutated(text, line_index, mutation)
+    rotation, translation = _pose(*pose)
+    assert _moved(pdbio.transform_atom_records, text, rotation, translation) == \
+        _reference_move(text, rotation, translation)
+
+
+def test_transform_atom_records_refuses_a_short_record():
+    text = _with_line(ALA_LINES, 2, _line(ALA_LINES, 2)[:40])
+    with pytest.raises(pdbio.PdbParseError, match="line 2: record too short for coordinates"):
+        pdbio.transform_atom_records(text, np.eye(3), np.zeros(3))
+    # the line-at-a-time mover passed it through unmoved
+    assert reference_pdb.transform_atom_records(text, np.eye(3), np.zeros(3)) == text
+
+
+def test_transform_atom_records_raises_input_errors_before_fit_errors():
+    far = np.array([10000.0, 0.0, 0.0])  # every record leaves its field, line 1 first
+    text = _with_field(ALA_LINES, 3, 38, 46, "   1.y20")
+    with pytest.raises(pdbio.PdbParseError, match="line 3: malformed coordinate field '1.y20'"):
+        pdbio.transform_atom_records(text, np.eye(3), far)
+    with pytest.raises(pdbio.PdbFormatError, match="line 1: coordinate"):
+        reference_pdb.transform_atom_records(text, np.eye(3), far)
+    text = ALA_LINES.replace("END\n", "HETATM    4  O   HOH A   2       1.0\nEND\n")
+    with pytest.raises(pdbio.PdbParseError, match="line 4: record too short for coordinates"):
+        pdbio.transform_atom_records(text, np.eye(3), far)
