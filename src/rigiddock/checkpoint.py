@@ -98,7 +98,11 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
         if not np.all(np.isfinite(flat)):
             raise CheckpointError(f"{path}: tensor {name!r} has non-finite entries")
-        tensors[name] = flat.reshape(shape).astype(np.float64)
+        try:  # a zero-size shape can still hold a dimension or a rank numpy refuses
+            tensors[name] = flat.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor {name!r} has a shape numpy cannot hold: "
+                                  f"{exc}") from None
     return tensors, header.get("extra", {})
 
 

@@ -115,8 +115,13 @@ def _train_config(args) -> TrainConfig:
     base = TrainConfig.fine_tune() if args.fine_tune else TrainConfig()
     values = base.__dict__.copy()
     if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except json.JSONDecodeError as exc:  # an input error, exit 2
+            raise json.JSONDecodeError(f"{args.config}: {exc.msg}", exc.doc, exc.pos) from None
+        except UnicodeDecodeError as exc:  # a usage error, exit 1
+            raise _UsageError(f"{args.config}: {exc}") from None
         if not isinstance(file_values, dict):
             raise _UsageError(f"{args.config}: expected a JSON object of training settings")
         file_values = drop_retired_keys(file_values, RETIRED_KEYS)

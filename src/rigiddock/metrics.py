@@ -77,12 +77,9 @@ def interface_indices(true_ligand: np.ndarray,
 
 def interface_rmsd(pred_ligand: np.ndarray, true_ligand: np.ndarray,
                    receptor: np.ndarray) -> float:
-    """Superimposed RMSD restricted to the interface residues (``interface_indices``)."""
+    """``complex_rmsd`` restricted to the interface residues (``interface_indices``)."""
     lig_idx, rec_idx = interface_indices(true_ligand, receptor)
     if lig_idx.size == 0:
         raise NoContactError(
             f"no interface residues within {INTERFACE_CUTOFF} A of the other protein")
-    pred = np.concatenate([pred_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
-    true = np.concatenate([true_ligand[:, lig_idx], receptor[:, rec_idx]], axis=1)
-    R, t = kabsch_align(pred, true)
-    return rmsd(R @ pred + t[:, None], true)
+    return complex_rmsd(pred_ligand[:, lig_idx], true_ligand[:, lig_idx], receptor[:, rec_idx])

@@ -28,6 +28,9 @@ Errors are those of a reader going line by line, in file order:
   - otherwise a file with no complete residue raises "zero valid residues".
 Line numbers are found by a second scan, on the error path only.
 
+Every reader splits text into lines in one place, ``_lines``: at ``\\n``,
+``\\r\\n`` and ``\\r`` only, the universal newlines of ``read_pdb_text``.
+
 Coordinates are read in one place, ``_coordinates``, and written in one,
 ``_columns``. ``transform_atom_records``, which moves every atom of a file
 for ``dock --copy-full-atoms``, reads all its ATOM/HETATM records through
@@ -142,9 +145,19 @@ def _groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, group
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by ``\\n``, ``\\r\\n`` or ``\\r`` only.
+
+    These are the universal newlines ``read_pdb_text`` folds to ``\\n``; a form
+    feed, ``\\x85`` or U+2028 stays inside its line, unlike ``str.splitlines``.
+    A final line ending adds no empty line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+
+
 def _record_lines(text: str) -> list[int]:
     """The line number of every ATOM/HETATM record; only error messages need it."""
-    return [n for n, line in enumerate(text.splitlines(), start=1) if line.startswith(_RECORDS)]
+    return [n for n, line in enumerate(_lines(text), start=1) if line.startswith(_RECORDS)]
 
 
 def _fixed_point(fields: np.ndarray) -> np.ndarray | None:
@@ -217,7 +230,7 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     The records are read in array passes over their first 54 columns held
     as code points; see the module docstring for the rules and error order.
     """
-    records, short, cp = _records(text.splitlines())
+    records, short, cp = _records(_lines(text))
 
     # Labels are grouped on their raw columns; Python's str.strip then runs
     # once per distinct field, so its whitespace rules hold exactly.
@@ -339,7 +352,7 @@ def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndar
     errors are ``parse_pdb``'s, a short record included; only then does a moved
     coordinate that does not fit its field raise PdbFormatError naming the line.
     """
-    lines = text.splitlines()
+    lines = _lines(text)
     records, short, cp = _records(lines)
     xyz = _coordinates(text, records, np.arange(len(records)), cp[:, 30:], short)
     # a 3 x 3 by 3 x 1 product per record rounds as R @ x + t on one record does;

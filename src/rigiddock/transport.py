@@ -43,8 +43,9 @@ A solve starts from one of three bases, chosen by its ``WarmStart`` holder:
   cost are what exercises the Bland fallback (the guided start solves that
   cost without a pivot).
 
-Each start roots its tree at row 0 and computes every potential from the
-root with the same arithmetic as above; the pivot loop is the same for all.
+Each start gives only parent and flow lists, rooted at row 0. One path
+builds the children from the parents and every potential from the root with
+the arithmetic above, and raises before any pivot if the walk misses a node.
 
 The returned plan is a vertex of the transport polytope with at most
 S+K-1 nonzero entries.
@@ -66,19 +67,18 @@ _SCALING_REG = 0.1
 class WarmStart:
     """Caller-owned holder for the last optimal basis of one (S, K) problem.
 
-    Keeps only the tree and its integer flows, never the cost. A filled
-    holder of the solve's shape restarts from its tree; an empty one (``shape``
-    is None) makes the solve build the guided start from its cost; one of
-    another shape is ignored, and the solve starts from the northwest corner.
+    Keeps only the tree's parent list and integer flows, never the cost. A
+    filled holder of the solve's shape restarts from its tree; an empty one
+    (``shape`` is None) makes the solve build the guided start from its cost;
+    one of another shape is ignored, and the solve starts from the northwest corner.
     """
 
-    __slots__ = ("shape", "parent", "flow", "children")
+    __slots__ = ("shape", "parent", "flow")
 
     def __init__(self):
         self.shape: tuple[int, int] | None = None
         self.parent: list[int] = []
         self.flow: list[int] = []
-        self.children: list[list[int]] = []
 
 
 def solve_uniform_transport(cost: np.ndarray,
@@ -131,7 +131,7 @@ def solve_uniform_transport(cost: np.ndarray,
     plan = alloc.astype(np.float64) / float(s * k)
     if warm is not None:
         warm.shape = (s, k)
-        warm.parent, warm.flow, warm.children = tree.parent, tree.flow, tree.children
+        warm.parent, warm.flow = tree.parent, tree.flow
     return plan, float(np.sum(plan * cost))
 
 
@@ -150,78 +150,33 @@ class _Basis:
         self.cost = cost.tolist()
         self.cycle_tol = cycle_tol
         n = s + k
-        self.depth = [0] * n
-        self.pot = [0.0] * n
-        self.edge_cost = [0.0] * n
         if warm is not None and warm.shape == (s, k):
             # Copies, so a failed solve leaves the holder as it was.
             self.parent, self.flow = list(warm.parent), list(warm.flow)
-            self.children = [list(c) for c in warm.children]
-            self._check_listing(n)
         elif warm is not None and warm.shape is None:
-            self.parent, self.flow, self.children = _guided_tree(cost)
+            self.parent, self.flow = _guided_tree(cost)
         else:
-            self._northwest_corner(s, k)
-            return
+            self.parent, self.flow = _northwest_tree(s, k)
+        self.depth = [0] * n
+        self.pot = [0.0] * n
+        self.edge_cost = [0.0] * n
+        self.children = [[] for _ in range(n)]
         for node in range(1, n):
-            i, j = self.cell(node)
-            self.edge_cost[node] = self.cost[i][j]
+            up = self.parent[node]
+            # a pointer to no node of the other side (-1, itself) hangs it nowhere
+            if 0 <= up < n and (node < s) != (up < s):
+                self.children[up].append(node)
+                i, j = self.cell(node)
+                self.edge_cost[node] = self.cost[i][j]
         for node in self.children[0]:
             self._refresh(node)
-        # Every node the walk reached has depth >= 1. One it missed would make
-        # the pivot's cycle walk loop forever, so fail here instead.
+        # Every node the walk reached has depth >= 1. One it missed (hung
+        # nowhere, or on a cycle) would make the pivot's cycle walk loop
+        # forever, so fail here instead.
         missed = self.depth.count(0) - 1
         if missed:
             raise RuntimeError(f"transportation simplex: the start's basis tree misses "
                                f"{missed} of its {n - 1} non-root nodes")
-
-    def _check_listing(self, n: int) -> None:
-        """Raise unless each non-root node is listed at most once, under its parent.
-
-        A node listed twice, or under a node that is not its parent (itself,
-        say), would make ``_refresh``'s walk revisit it forever. A node
-        listed nowhere is left to the depth check after the walk.
-        """
-        parent = self.parent
-        listed = [False] * n
-        for up, kids in enumerate(self.children):
-            for node in kids:
-                if not 0 < node < n or parent[node] != up:
-                    raise RuntimeError(f"transportation simplex: the start's basis tree "
-                                       f"lists node {node} under {up}, not its parent")
-                if listed[node]:
-                    raise RuntimeError(f"transportation simplex: the start's basis tree "
-                                       f"lists node {node} twice")
-                listed[node] = True
-
-    def _northwest_corner(self, s: int, k: int) -> None:
-        """Integer NW-corner start: supplies of k per row, demands of s per column."""
-        n = s + k
-        self.parent = [-1] * n
-        self.flow = [0] * n
-        self.children = [[] for _ in range(n)]
-        supply = [k] * s
-        demand = [s] * k
-        i = j = 0
-        node, up = s, 0  # the first cell (0, 0) hangs column 0 under row 0
-        while True:
-            amount = min(supply[i], demand[j])
-            self.parent[node], self.flow[node] = up, amount
-            self.edge_cost[node] = self.cost[i][j]
-            self.children[up].append(node)
-            self._refresh(node)
-            supply[i] -= amount
-            demand[j] -= amount
-            if i == s - 1 and j == k - 1:
-                break
-            # A degenerate step (both exhausted) advances one pointer only;
-            # the next cell enters with a zero allocation, keeping a tree.
-            if supply[i] == 0 and (demand[j] != 0 or j == k - 1):
-                i += 1
-                node, up = i, s + j
-            else:
-                j += 1
-                node, up = s + j, i
 
     def _refresh(self, top: int) -> None:
         """Recompute depth and potential of ``top`` and its subtree from their parents."""
@@ -357,8 +312,31 @@ def _guided_order(cost: np.ndarray) -> np.ndarray:
     return np.argsort(reduced, axis=None, kind="stable")
 
 
-def _guided_tree(cost: np.ndarray) -> tuple[list[int], list[int], list[list[int]]]:
-    """Parent, flow and children lists of the guided start, rooted at row 0.
+def _northwest_tree(s: int, k: int) -> tuple[list[int], list[int]]:
+    """Parent and flow lists of the integer NW-corner start, rooted at row 0."""
+    parent, flow = [-1] * (s + k), [0] * (s + k)
+    supply, demand = [k] * s, [s] * k
+    i = j = 0
+    node, up = s, 0  # the first cell (0, 0) hangs column 0 under row 0
+    while True:
+        amount = min(supply[i], demand[j])
+        parent[node], flow[node] = up, amount
+        supply[i] -= amount
+        demand[j] -= amount
+        if i == s - 1 and j == k - 1:
+            return parent, flow
+        # A degenerate step (both exhausted) advances one pointer only;
+        # the next cell enters with a zero allocation, keeping a tree.
+        if supply[i] == 0 and (demand[j] != 0 or j == k - 1):
+            i += 1
+            node, up = i, s + j
+        else:
+            j += 1
+            node, up = s + j, i
+
+
+def _guided_tree(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Parent and flow lists of the guided start, rooted at row 0.
 
     Cells taken in ``_guided_order`` receive the least of their row's and
     column's remaining supply and demand. Each allocation exhausts a line,
@@ -402,13 +380,11 @@ def _guided_tree(cost: np.ndarray) -> tuple[list[int], list[int], list[list[int]
         linked[row].append((col, amount))
         linked[col].append((row, amount))
     parent, flow = [-1] * n, [0] * n
-    children = [[] for _ in range(n)]
     stack = [0]
     while stack:
         node = stack.pop()
         for other, amount in linked[node]:
             if other != parent[node]:
                 parent[other], flow[other] = node, amount
-                children[node].append(other)
                 stack.append(other)
-    return parent, flow, children
+    return parent, flow

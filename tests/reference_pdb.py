@@ -5,11 +5,13 @@ reference the array-pass reader is compared against: the same residues,
 coordinate bits, ``skipped`` count and warning, or the same
 ``PdbParseError`` message. ``transform_atom_records`` is the line-at-a-time
 mover, kept verbatim with its ``_unfit``, that the one-pass mover is
-compared against: the same text, or the same error message.
+compared against: the same text, or the same error message. Both split
+their text with ``lines``, Python's own universal-newline reader.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +19,11 @@ import numpy as np
 
 from rigiddock.pdbio import (TYPE_INDEX, UNK, PdbFormatError, PdbParseError, ResidueSet,
                              _parse_coord, log)
+
+
+def lines(text: str) -> list[str]:
+    """The lines of ``text`` as a file opened in text mode reads them, without their ends."""
+    return [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
 @dataclass
@@ -40,7 +47,7 @@ def parse_pdb(text: str, chain_filter: set[str] | None = None) -> ResidueSet:
     # Plain floats rather than a tuple per atom: fewer objects the garbage
     # collector counts.
     coords: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines(text), start=1):
         record = line[:6]
         if record not in ("ATOM  ", "HETATM"):
             continue
@@ -124,7 +131,7 @@ def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndar
     rotation = np.asarray(rotation, dtype=np.float64)
     t = np.asarray(translation, dtype=np.float64).reshape(3)
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines(text), start=1):
         if line[:6] in ("ATOM  ", "HETATM") and len(line) >= 54:
             xyz = np.array([
                 _parse_coord(line, 30, 38, lineno),

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rigiddock import checkpoint as ckpt
+from rigiddock import cli
+from rigiddock.model import DockingModel, ModelConfig
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -142,3 +144,101 @@ def test_header_refused_before_the_payload_is_read(tmp_path, header, message):
     path.write_bytes(header + b"\n" + np.ones(4).tobytes())
     with pytest.raises(ckpt.CheckpointError, match=message):
         ckpt.load_named_tensors(str(path))
+
+
+# --- every header a mutation can make loads or raises CheckpointError ----------
+
+def _valid_checkpoint():
+    """The header and payload of a small model checkpoint that ``cli._load_model`` accepts."""
+    model = DockingModel(ModelConfig(hidden_dim=2, layers=1, heads=3, neighbors=2), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        ckpt.save_named_tensors(path, model.state_arrays(),
+                                extra={"config": model.config.to_dict()})
+        with open(path, "rb") as fh:
+            head, payload = fh.read().split(b"\n", 1)
+    return json.loads(head), payload
+
+
+_HEADER, _PAYLOAD = _valid_checkpoint()
+_HUGE = [2**31, 2**32, 2**53, 2**63 - 1, 2**63, 2**64, 2**70]
+_ODD = [None, True, False, 1.0, -0.0, "2", [2], {"a": 1}]  # wrong types, bool and float
+_JUNK = st.one_of(st.sampled_from(_ODD + [-3, -1, 0, 1, 3] + _HUGE), st.integers(), st.floats(),
+                  st.text(max_size=4), st.dictionaries(st.text(max_size=3), st.integers(-1, 4),
+                                                       max_size=2))
+_SHAPES = st.one_of(
+    st.sampled_from([[0, 2**70], [2**70, 0], [0, 2**63], [2**62, 2**62, 0], [2**32, 2**32],
+                     [0] * 65, [1] * 65, [0] * 70, [1] * 70, [1] * 64, [], [0]] + _ODD),
+    st.lists(st.one_of(st.integers(0, 4), st.sampled_from([-1] + _ODD + _HUGE)), max_size=5))
+_ELEMENTS = {
+    "names": st.one_of(st.sampled_from(_HEADER["names"]), st.text(max_size=4),
+                       st.sampled_from(_ODD)),
+    "shapes": _SHAPES,
+    "offsets": st.one_of(st.integers(-8, len(_PAYLOAD) + 8), st.sampled_from(_ODD + _HUGE))}
+_KEYS = ["names", "shapes", "offsets", "format_version", "extra"]
+_HEADER_MUTATION = st.one_of(
+    # one field of one tensor
+    *(st.tuples(st.just("set"), st.just(key), st.integers(0, 200), element)
+      for key, element in _ELEMENTS.items()),
+    # a whole tensor copied, deleted or added, or one list longer than the others
+    st.tuples(st.sampled_from(["duplicate", "delete"]), st.integers(0, 200)),
+    st.tuples(st.just("append"), *_ELEMENTS.values()),
+    st.tuples(st.just("mismatch"), st.sampled_from(list(_ELEMENTS)), _JUNK),
+    st.tuples(st.just("replace"), st.sampled_from(_KEYS), _JUNK),
+    st.tuples(st.just("drop"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("config"), st.sampled_from(sorted(_HEADER["extra"]["config"])
+                                                 + ["share_layers", "eta", "unknown"]), _JUNK),
+    st.tuples(st.just("replace config"), _JUNK),
+    st.tuples(st.just("truncate"), st.integers(0, len(_PAYLOAD))))
+
+
+def _mutated_checkpoint(mutations):
+    """The valid checkpoint's bytes after each mutation that still applies, in order."""
+    header, payload = json.loads(json.dumps(_HEADER)), _PAYLOAD
+    for kind, *args in mutations:
+        lists = [header.get(key) for key in _ELEMENTS]
+        parallel = all(isinstance(items, list) and items for items in lists) \
+            and len({len(items) for items in lists}) == 1
+        if kind == "set" and isinstance(header.get(args[0]), list) and header[args[0]]:
+            items = header[args[0]]
+            items[args[1] % len(items)] = args[2]
+        elif kind == "duplicate" and parallel:
+            for items in lists:
+                items.insert(args[0] % len(items), items[args[0] % len(items)])
+        elif kind == "delete" and parallel:
+            for items in lists:
+                del items[args[0] % len(items)]
+        elif kind == "append" and parallel:
+            for items, value in zip(lists, args):
+                items.append(value)
+        elif kind == "mismatch" and isinstance(header.get(args[0]), list):
+            header[args[0]].append(args[1])
+        elif kind == "replace":
+            header[args[0]] = args[1]
+        elif kind == "drop":
+            header.pop(args[0], None)
+        elif kind == "config" and isinstance(header.get("extra"), dict) \
+                and isinstance(header["extra"].get("config"), dict):
+            header["extra"]["config"][args[0]] = args[1]
+        elif kind == "replace config" and isinstance(header.get("extra"), dict):
+            header["extra"]["config"] = args[0]
+        elif kind == "truncate":
+            payload = payload[:args[0]]
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_HEADER_MUTATION, min_size=1, max_size=3))
+@example([("set", "shapes", 0, [0, 2**70])])  # zero elements in a dimension numpy refuses
+@example([("set", "shapes", 0, [1] * 70)])  # more dimensions than numpy holds
+def test_property_mutated_header_loads_or_is_a_checkpoint_error(mutations):
+    """Wrong types, duplicates, huge, negative, bool, float and over-64-dimension values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(_mutated_checkpoint(mutations))
+        for load in (ckpt.load_named_tensors, cli._load_model):
+            try:
+                load(path)
+            except ckpt.CheckpointError:
+                pass

@@ -656,12 +656,13 @@ class TestExitCodes:
         assert f"line {row + 1}: non-finite coordinate" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_malformed_train_config(self, workdir, dataset):
+    def test_malformed_train_config(self, workdir, dataset, capsys):
         cfg = workdir / "mangled.json"
         cfg.write_text("{not json")
         code = main(["train", "--data", str(dataset), "--out-model",
                      str(workdir / "y.npz"), "--config", str(cfg)])
         assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"input error: {cfg}: Expecting property name")
 
     def test_train_config_that_is_not_an_object(self, workdir, dataset, capsys):
         cfg = workdir / "scalar.json"
@@ -762,7 +763,8 @@ class TestExitCodes:
         code = main(["train", "--data", str(dataset), "--out-model", str(tmp_path / "m.npz"),
                      "--config", str(cfg)])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
 
     def test_train_refuses_fewer_than_three_heads(self, workdir, dataset, capsys):
         out_model = workdir / "two-heads.npz"
@@ -784,6 +786,26 @@ class TestExitCodes:
                      "--model", str(path)])
         assert code == EXIT_PARSE
         assert "heads must be an integer >= 3, got 2" in capsys.readouterr().err
+
+    def test_checkpoint_shape_numpy_cannot_hold_is_an_input_error(self, workdir, model_path,
+                                                                  ligand_pdb, receptor_pdb,
+                                                                  capsys):
+        # zero elements, so the payload check passes; numpy refuses the dimension
+        head, payload = model_path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["names"].append("empty")
+        header["shapes"].append([0, 2**70])
+        header["offsets"].append(0)
+        path = workdir / "huge-dimension.npz"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        out_pdb = workdir / "huge-dimension.pdb"
+        code = main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(path), "--out-pdb", str(out_pdb)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"input error: {path}: tensor 'empty' has "
+                                                   "a shape numpy cannot hold")
+        assert not out_pdb.exists()
 
 
 class TestAtomicWrites:

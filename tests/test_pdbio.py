@@ -604,7 +604,7 @@ def _reference_move(text, rotation, translation):
     motion takes every finite coordinate to 0, which fits, so under it the
     reference raises the first input error before the short record, if any.
     """
-    lines = text.splitlines()
+    lines = reference_pdb.lines(text)
     short = next((n for n, line in enumerate(lines, start=1)
                   if line.startswith(("ATOM  ", "HETATM")) and len(line) < 54), None)
     head = "\n".join(lines if short is None else lines[:short - 1])
@@ -644,3 +644,38 @@ def test_transform_atom_records_raises_input_errors_before_fit_errors():
     text = ALA_LINES.replace("END\n", "HETATM    4  O   HOH A   2       1.0\nEND\n")
     with pytest.raises(pdbio.PdbParseError, match="line 4: record too short for coordinates"):
         pdbio.transform_atom_records(text, np.eye(3), far)
+
+
+# --- lines end only at universal newlines --------------------------------------
+
+_IN_LINE_BREAKS = "REMARK   a\x0cb\x1cc\x1dd\x1ee\x85f g h\n"
+
+
+def test_characters_splitlines_breaks_at_stay_inside_their_line(fixture20_text):
+    remark = "REMARK   a\x0cb\x1cc\n"
+    assert pdbio.transform_atom_records(remark, np.eye(3), np.zeros(3)) == remark
+    text = _IN_LINE_BREAKS + ALA_LINES
+    assert pdbio.transform_atom_records(text, np.eye(3), np.zeros(3)) == text
+    rotation, translation = random_rotation(np.random.default_rng(9)), np.array([1.0, -2.0, 3.0])
+    moved = pdbio.transform_atom_records(_IN_LINE_BREAKS + fixture20_text, rotation, translation)
+    assert moved == _IN_LINE_BREAKS + pdbio.transform_atom_records(fixture20_text, rotation,
+                                                                   translation)
+
+
+def test_error_line_numbers_count_only_universal_newlines():
+    bad = _line(_with_field(ALA_LINES, 1, 30, 38, "   1.4z0"), 1)
+    for text in ("REMARK   a\x0cb\n" + bad + "\n", "REMARK   a b\r\n" + bad + "\r\n"):
+        for read in (pdbio.parse_pdb, reference_pdb.parse_pdb):
+            with pytest.raises(pdbio.PdbParseError, match="line 2: malformed coordinate"):
+                read(text)
+        with pytest.raises(pdbio.PdbParseError, match="line 2: malformed coordinate"):
+            pdbio.transform_atom_records(text, np.eye(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_text_parse_and_move_as_newline_text(fixture20_text, newline):
+    text = fixture20_text.replace("\n", newline)
+    assert _outcome(pdbio.parse_pdb, text, None) == _outcome(pdbio.parse_pdb, fixture20_text, None)
+    rotation, translation = random_rotation(np.random.default_rng(10)), np.array([4.0, 0.5, -1.0])
+    assert pdbio.transform_atom_records(text, rotation, translation) == \
+        pdbio.transform_atom_records(fixture20_text, rotation, translation)

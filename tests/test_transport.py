@@ -355,7 +355,6 @@ def test_warm_tree_missing_a_node_raises():
     warm = transport.WarmStart()
     solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
     node = 50 + 87 - 1
-    warm.children[warm.parent[node]].remove(node)
     warm.parent[node] = -1
     with pytest.raises(RuntimeError, match=r"misses \d+ of its 136 non-root nodes"):
         solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
@@ -370,16 +369,15 @@ def _solve_and_report(conn, cost, warm):
 
 
 def test_warm_tree_with_a_cycle_raises_instead_of_hanging():
-    # A leaf listed among its own children: the walk that sets depths and
-    # potentials revisited it forever. The solve runs in a child process, so
-    # a hang fails this test after 15 s instead of stalling the suite.
+    # A leaf that is its own parent: a walk that followed the pointer would
+    # revisit it forever. The solve runs in a child process, so a hang fails
+    # this test after 15 s instead of stalling the suite.
     rng = np.random.default_rng(13)
     warm = transport.WarmStart()
     solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
-    leaf = 0
-    while warm.children[leaf]:
-        leaf = warm.children[leaf][0]
-    warm.children[leaf].append(leaf)
+    parents = set(warm.parent)
+    leaf = next(node for node in range(1, 50 + 87) if node not in parents)
+    warm.parent[leaf] = leaf
     ctx = multiprocessing.get_context("spawn")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_solve_and_report, args=(send, pocket_cost(rng, 50, 87), warm))
@@ -391,18 +389,26 @@ def test_warm_tree_with_a_cycle_raises_instead_of_hanging():
         child.join(10.0)
     assert not child.is_alive()
     assert answered, "the solve did not return within 15 s of starting its process"
-    assert receive.recv() == (f"transportation simplex: the start's basis tree lists node "
-                              f"{leaf} under {leaf}, not its parent")
+    assert receive.recv() == ("transportation simplex: the start's basis tree misses "
+                              "1 of its 136 non-root nodes")
 
 
-def test_warm_tree_listing_a_node_twice_raises():
+@pytest.mark.parametrize("pointer", ["-1", "itself", "n", "n + 7", "-3"])
+def test_corrupted_warm_parent_raises_before_any_pivot(pointer, monkeypatch):
+    # One non-root node of a solved holder points at no node of the other
+    # side: that node, and the subtree under it, are missed by the walk from
+    # the root, and the solve says so instead of indexing or looping.
+    calls = count_pivots(monkeypatch)
     rng = np.random.default_rng(13)
     warm = transport.WarmStart()
     solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
-    node = warm.children[0][0]
-    warm.children[0].append(node)
-    with pytest.raises(RuntimeError, match=f"lists node {node} twice"):
+    n = 50 + 87
+    node = warm.parent.index(0, 1)  # a node hung under the root, subtree and all
+    warm.parent[node] = {"-1": -1, "itself": node, "n": n, "n + 7": n + 7, "-3": -3}[pointer]
+    calls.clear()
+    with pytest.raises(RuntimeError, match=r"misses \d+ of its 136 non-root nodes"):
         solve_uniform_transport(pocket_cost(rng, 50, 87), warm)
+    assert not calls
 
 
 def assert_sparse_vertex(plan):
@@ -451,12 +457,11 @@ def test_guided_tree_spans_and_holds_the_greedy_flows(kind):
         # greedy forest needs zero-flow cells to span.
         cost = rng.integers(0, 4, size=(8, 12)).astype(np.float64)
     s, k = cost.shape
-    parent, flow, children = transport._guided_tree(cost)
+    parent, flow = transport._guided_tree(cost)
     assert parent[0] == -1
     alloc = np.zeros((s, k), dtype=np.int64)
     for node in range(1, s + k):
         up = parent[node]
-        assert node in children[up]
         assert (node < s) != (up < s), "a basic cell joins a row and a column"
         cell = (node, up - s) if node < s else (up, node - s)
         alloc[cell] = flow[node]
@@ -465,7 +470,6 @@ def test_guided_tree_spans_and_holds_the_greedy_flows(kind):
             assert up not in seen
             seen.add(up)
             up = parent[up]
-    assert sum(map(len, children)) == s + k - 1
     assert np.all(alloc.sum(axis=1) == k) and np.all(alloc.sum(axis=0) == s)
 
 
