@@ -70,10 +70,9 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: malformed header: {e}") from None
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format_version {header.get('format_version')!r}"
-            )
+        version = header.get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 are not 1
+            raise CheckpointError(f"{path}: unsupported format_version {version!r}")
         payload = fh.read()
 
     lists = [header.get(key) for key in ("names", "shapes", "offsets")]

@@ -38,6 +38,17 @@ the same ``_coordinates`` under the same rules, a short record included:
 a record shorter than 54 columns is an error there too, not a line passed
 through unmoved. All of a file's input errors are raised before any
 coordinate that does not fit its written field.
+
+Writing is an array pass too. ``format_ca_pdb`` and ``transform_atom_records``
+each give all their atoms' coordinates to one ``_columns`` call. It writes
+each value from its thousandths count N = rint(fl(1000 x)), using integer
+digits, whenever |fl(1000 x) - N| < 0.5 - 1e-6 and N fits the field. For
+any value that fits, fl(1000 x) is within 1.2e-9 of 1000 x, so N is what
+``%8.3f`` rounds to, and the text is the same byte for byte. A row that
+fails this test goes through Python's own ``%8.3f`` instead: a value near
+a rounding tie, a non-finite value, or one outside -999.999 to 9999.999.
+The errors and their order are the per-record writer's. A residue's label
+and serial are built once per residue, not once per atom.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,18 +311,66 @@ def parse_pdb_file(path: str, chain_filter: set[str] | None = None) -> ResidueSe
     return parse_pdb(read_pdb_text(path), chain_filter)
 
 
-def _columns(x: float, y: float, z: float, where: str) -> str:
-    """Columns 31-54 of an atom record: x, y and z written as ``%8.3f``.
+def _digit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """Code points of non-negative integers below 10**width, as ``%{width}d`` writes them.
 
-    Raises PdbFormatError naming ``where`` for a value that would not read back:
-    one that rounds below -999.999 or above 9999.999 widens its 8-column field,
-    and ``parse_pdb`` refuses a non-finite one.
+    Row j of the (width, k) result holds each value's digit of place
+    10**(width - 1 - j), or a space where that digit is a leading zero; the
+    last row is always a digit.
     """
-    xyz = f"{x:8.3f}{y:8.3f}{z:8.3f}"
-    if len(xyz) != 24 or not math.isfinite(x + y + z):
-        raise PdbFormatError(f"{where}: coordinate ({x}, {y}, {z}) does not fit "
-                             "the 8-column PDB field")
-    return xyz
+    rows = np.empty((width, len(values)), dtype=np.uint32)
+    rest = values.astype(np.uint32)
+    for j in range(width - 1, -1, -1):
+        # a uint32 division by a scalar is a multiply and a shift, unlike an int64 one
+        digit, rest = rest, rest // 10
+        rows[j] = digit - 10 * rest + ord("0")
+    np.copyto(rows[:-1], ord(" "), where=values < 10 ** np.arange(width - 1, 0, -1)[:, None])
+    return rows
+
+
+def _columns(xyz: np.ndarray, where: Callable[[int], str]) -> list[str]:
+    """Columns 31-54 of m atom records: each row x, y, z of an (m, 3) array as ``%8.3f``.
+
+    A value x is written from N = rint(fl(1000 x)), its thousandths, when
+    |fl(1000 x) - N| < 0.5 - 1e-6 and N fits the field: -999,999 <= N <=
+    9,999,999. Then N is 1000 x correctly rounded, as ``%8.3f`` rounds it:
+    fl(1000 x) is within 2**-53 |1000 x| < 1.2e-9 of 1000 x, too little to
+    move it across a rounding boundary. The digits come from N in integer
+    arithmetic and the sign from ``np.signbit(x)``, so -0.0 and -0.0004 give
+    ``-0.000`` as Python does. A row with another value (near a tie, not
+    finite, or outside -999.999 to 9999.999) is written with Python's own
+    ``%8.3f``, in row order. The first of those that would not read back
+    raises PdbFormatError naming ``where(row)``: one that rounds below
+    -999.999 or above 9999.999 widens its 8-column field, and ``parse_pdb``
+    refuses a non-finite one.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = 1000.0 * xyz
+        thousandths = np.rint(scaled)
+        fast = ((np.abs(scaled - thousandths) < 0.5 - 1e-6) & (thousandths >= -999_999)
+                & (thousandths <= 9_999_999)).all(axis=1)
+    n = np.abs(np.where(fast[:, None], thousandths, 0.0)).astype(np.uint32).reshape(-1)
+    units = n // 1000
+    rows = np.empty((8, len(n)), dtype=np.uint32)  # one column per value
+    rows[:4] = _digit_rows(units, 4)
+    rows[4] = ord(".")
+    rows[5:] = _digit_rows(n - 1000 * units + 1000, 4)[1:]  # zero-padded
+    # the minus goes in the last space before the digits; a fast negative value has one
+    blank = rows[:4] == ord(" ")
+    np.copyto(rows[:3], ord("-"),
+              where=blank[:3] & ~blank[1:] & np.signbit(xyz).reshape(-1) & fast.repeat(3))
+    columns = np.ascontiguousarray(rows.T).reshape(-1, 24).view("U24")[:, 0].tolist()
+    for row in np.flatnonzero(~fast).tolist():
+        x, y, z = xyz[row].tolist()
+        columns[row] = f"{x:8.3f}{y:8.3f}{z:8.3f}"
+        if len(columns[row]) != 24 or not math.isfinite(x + y + z):
+            raise PdbFormatError(f"{where(row)}: coordinate ({x}, {y}, {z}) does not fit "
+                                 "the 8-column PDB field")
+    return columns
+
+
+def _residue(rs: ResidueSet, i: int) -> str:
+    return f"residue {rs.chains[i]}:{rs.seq_ids[i]}{rs.icodes[i].strip()}"
 
 
 def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
@@ -320,29 +380,36 @@ def format_ca_pdb(rs: ResidueSet, full_backbone: bool = False) -> str:
     synthetic dataset writer so the files round-trip through parse_pdb.
     Raises PdbFormatError naming the residue when a coordinate does not fit
     its field, a residue name is wider than 3 columns, a residue number
-    wider than 4, or a chain id or insertion code is not 1 character. The
-    atom serial, which ``parse_pdb`` does not read, is written modulo
-    100,000, so that it keeps its 5 columns from atom 100,000 on.
+    wider than 4, or a chain id or insertion code is not 1 character; a
+    residue's label is checked before its coordinates. The atom serial,
+    which ``parse_pdb`` does not read, is written modulo 100,000, so that it
+    keeps its 5 columns from atom 100,000 on.
     """
     atoms = [(" N", rs.n_atom), (" CA", rs.ca), (" C", rs.c_atom)] if full_backbone \
         else [(" CA", rs.ca)]
-    columns = [(f"{atom:<4s}", f"{atom.strip()[0]:>2s}", xyz.T.tolist()) for atom, xyz in atoms]
-    lines = []
-    serial = 1
-    for i, (name, chain, seq, icode) in enumerate(
-            zip(rs.names, rs.chains, rs.seq_ids, rs.icodes)):
-        where = f"residue {chain}:{seq}{icode.strip()}"
+    labels = []
+    for name, chain, seq, icode in zip(rs.names, rs.chains, rs.seq_ids, rs.icodes):
         if len(name) > 3 or len(seq) > 4 or len(chain) != 1 or len(icode) != 1:
-            raise PdbFormatError(
-                f"{where}: name {name!r}, chain {chain!r}, number "
-                f"{seq!r} or insertion code {icode!r} does not fit its PDB columns")
-        residue = f"{name:>3s} {chain}{seq:>4s}{icode}   "
-        for atom, element, coords in columns:
-            lines.append(f"ATOM  {serial % 100_000:5d} {atom} {residue}"
-                         f"{_columns(*coords[i], where)}  1.00  0.00          {element}")
-            serial += 1
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+            break
+        labels.append(f"{name:>3s} {chain}{seq:>4s}{icode}   ")
+    per = len(atoms)
+    # (residue, atom, axis): one residue's records are adjacent rows, in atom order
+    xyz = np.stack([np.asarray(a, dtype=np.float64)[:, :len(labels)] for _, a in atoms], axis=1).T
+    columns = _columns(xyz.reshape(-1, 3), lambda row: _residue(rs, row // per))
+    if len(labels) < len(rs.names):
+        i = len(labels)
+        raise PdbFormatError(
+            f"{_residue(rs, i)}: name {rs.names[i]!r}, chain {rs.chains[i]!r}, number "
+            f"{rs.seq_ids[i]!r} or insertion code {rs.icodes[i]!r} does not fit its PDB columns")
+    serials = _digit_rows(np.arange(1, len(columns) + 1) % 100_000, 5)
+    serials = np.ascontiguousarray(serials.T).view("U5")[:, 0].tolist()
+    records = ["END"] * (len(columns) + 1)  # the atom records, then END
+    for j, (atom, _) in enumerate(atoms):
+        head, tail = f"{atom:<4s}", f"  1.00  0.00          {atom.strip()[0]:>2s}"
+        records[j:-1:per] = [f"ATOM  {serial} {head} {label}{column}{tail}"
+                             for serial, label, column in zip(serials[j::per], labels,
+                                                              columns[j::per])]
+    return "\n".join(records) + "\n"
 
 
 def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndarray) -> str:
@@ -358,10 +425,11 @@ def transform_atom_records(text: str, rotation: np.ndarray, translation: np.ndar
     # a 3 x 3 by 3 x 1 product per record rounds as R @ x + t on one record does;
     # one R @ X over all records would round some values differently
     moved = np.matmul(np.asarray(rotation, dtype=np.float64)[None], xyz[:, :, None])[:, :, 0]
-    moved = iter((moved + np.asarray(translation, dtype=np.float64).reshape(3)).tolist())
+    moved += np.asarray(translation, dtype=np.float64).reshape(3)
+    columns = iter(_columns(moved, lambda row: f"line {_record_lines(text)[row]}"))
     for i, line in enumerate(lines):
         if line.startswith(_RECORDS):
-            lines[i] = line[:30] + _columns(*next(moved), f"line {i + 1}") + line[54:]
+            lines[i] = line[:30] + next(columns) + line[54:]
     return "\n".join(lines) + "\n"
 
 

@@ -45,7 +45,11 @@ A solve starts from one of three bases, chosen by its ``WarmStart`` holder:
 
 Each start gives only parent and flow lists, rooted at row 0. One path
 builds the children from the parents and every potential from the root with
-the arithmetic above, and raises before any pivot if the walk misses a node.
+the arithmetic above. It raises before any pivot if either list does not
+have S + K entries, if the walk misses a node, or if the flows are not a
+plan: a negative flow, or row sums other than K or column sums other than S.
+A warm holder edited by its caller is then an error, not a plan with the
+wrong marginals.
 
 The returned plan is a vertex of the transport polytope with at most
 S+K-1 nonzero entries.
@@ -157,10 +161,15 @@ class _Basis:
             self.parent, self.flow = _guided_tree(cost)
         else:
             self.parent, self.flow = _northwest_tree(s, k)
+        if len(self.parent) != n or len(self.flow) != n:
+            raise RuntimeError(f"transportation simplex: the start's basis tree lists "
+                               f"{len(self.parent)} parents and {len(self.flow)} flows "
+                               f"for its {n} nodes")
         self.depth = [0] * n
         self.pot = [0.0] * n
         self.edge_cost = [0.0] * n
         self.children = [[] for _ in range(n)]
+        supplied, demanded = [0] * s, [0] * k
         for node in range(1, n):
             up = self.parent[node]
             # a pointer to no node of the other side (-1, itself) hangs it nowhere
@@ -168,6 +177,8 @@ class _Basis:
                 self.children[up].append(node)
                 i, j = self.cell(node)
                 self.edge_cost[node] = self.cost[i][j]
+                supplied[i] += self.flow[node]
+                demanded[j] += self.flow[node]
         for node in self.children[0]:
             self._refresh(node)
         # Every node the walk reached has depth >= 1. One it missed (hung
@@ -177,6 +188,12 @@ class _Basis:
         if missed:
             raise RuntimeError(f"transportation simplex: the start's basis tree misses "
                                f"{missed} of its {n - 1} non-root nodes")
+        # Pivots keep the sums a start's flows meet and never make a flow
+        # negative, so the start's flows must be a plan: non-negative, each
+        # row supplying k units and each column demanding s.
+        if supplied != [k] * s or demanded != [s] * k or min(self.flow[1:], default=0) < 0:
+            raise RuntimeError("transportation simplex: the start's basis tree carries "
+                               "flows that are negative or miss the row and column sums")
 
     def _refresh(self, top: int) -> None:
         """Recompute depth and potential of ``top`` and its subtree from their parents."""

@@ -93,6 +93,18 @@ def test_bad_version_rejected(tmp_path):
         ckpt.load_named_tensors(str(path))
 
 
+@pytest.mark.parametrize("version, shown", [(b"true", "True"), (b"1.0", "1.0")])
+def test_version_that_only_equals_1_is_rejected(tmp_path, version, shown):
+    # True == 1 and 1.0 == 1 in Python; the header must hold the integer 1
+    path = tmp_path / "m.ckpt"
+    ckpt.save_named_tensors(str(path), {"x": np.ones(4)})
+    head, payload = path.read_bytes().split(b"\n", 1)
+    head = head.replace(b'"format_version": 1', b'"format_version": ' + version)
+    path.write_bytes(head + b"\n" + payload)
+    with pytest.raises(ckpt.CheckpointError, match=f"unsupported format_version {shown}$"):
+        ckpt.load_named_tensors(str(path))
+
+
 def test_non_json_header_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"\x00\x01\x02 not a header\n")

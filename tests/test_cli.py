@@ -808,6 +808,24 @@ class TestExitCodes:
         assert not out_pdb.exists()
 
 
+    @pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0")])
+    def test_checkpoint_version_that_only_equals_1_is_an_input_error(
+            self, workdir, model_path, ligand_pdb, receptor_pdb, version, shown, capsys):
+        head, payload = model_path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["format_version"] = version
+        path = workdir / f"version-{shown}.npz"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        out_pdb = workdir / f"version-{shown}.pdb"
+        capsys.readouterr()
+        code = main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(path), "--out-pdb", str(out_pdb)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"input error: {path}: unsupported format_version {shown}"]
+        assert not out_pdb.exists()
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("mode, payload", [("w", "payload"), ("wb", b"payload")],
                              ids=["text", "binary"])

@@ -120,3 +120,25 @@ def test_one_coordinate_reader_and_one_coordinate_writer():
                     is not None and ast.unparse(node.format_spec) == "f'8.3f'")
     assert written == {"pdbio._columns"}
     assert users(names("_columns")) == {"pdbio.format_ca_pdb", "pdbio.transform_atom_records"}
+
+
+def test_each_writer_calls_the_coordinate_writer_once_outside_any_loop():
+    """``format_ca_pdb`` and ``transform_atom_records`` pass all their atoms to one
+    ``_columns`` call, so a writer that formats record by record cannot return."""
+    repeated = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.GeneratorExp, ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+    tree = ast.parse((PACKAGE_DIR / "pdbio.py").read_text())
+    writers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("format_ca_pdb", "transform_atom_records")}
+    assert len(writers) == 2
+
+    def calls(node, inside):
+        """``inside`` for each call of ``_columns`` under ``node``: whether a loop,
+        comprehension or nested function encloses it."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and names("_columns")(child.func):
+                yield inside
+            yield from calls(child, inside or isinstance(child, repeated))
+
+    for name, writer in writers.items():
+        assert list(calls(writer, False)) == [False], name

@@ -341,6 +341,89 @@ def test_property_written_backbone_reads_back_to_the_same_text(residues, data):
     assert pdbio.format_ca_pdb(pdbio.parse_pdb(text), full_backbone=True) == text
 
 
+# --- the array-pass coordinate writer against Python's %8.3f ------------------
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+          0.0005, -0.0005, 0.0004999, -0.0004, 0.0625, -0.0625, 999.9995, -999.9995,
+          -999.9994999, 9999.9995, 9999.9994999, -999.999, 9999.999, 1000.0]
+_EDGES += [float(np.nextafter(x, d)) for x in _EDGES for d in (-np.inf, np.inf)]
+# values whose thousandths are within 2e-6, or 1e-3, of a tie: the fast path's edge
+_NEAR_TIES = st.builds(lambda k, d: (k + 0.5 + d) / 1000, st.integers(-999_999, 9_999_998),
+                       st.floats(-2e-6, 2e-6) | st.floats(-1e-3, 1e-3))
+_FITTING = st.one_of(st.floats(-999.999, 9999.999), _NEAR_TIES,
+                     st.sampled_from([x for x in _EDGES if len(f"{x:8.3f}") == 8]),
+                     st.builds(lambda m, e: m * 2.0 ** -e, st.integers(-2**9, 2**13),
+                               st.integers(0, 12)))  # dyadic, some of them exact ties
+_VALUES = _FITTING | st.sampled_from([np.nan, np.inf, -np.inf, 1e4, -1e3]) | st.floats()
+
+
+def _reference_columns(xyz, where):
+    """``_columns`` of the per-atom writer: Python's %8.3f one row at a time."""
+    written = []
+    for row, (x, y, z) in enumerate(xyz.tolist()):
+        written.append(f"{x:8.3f}{y:8.3f}{z:8.3f}")
+        if len(written[-1]) != 24 or not np.isfinite(x + y + z):
+            raise reference_pdb._unfit(where(row), x, y, z)
+    return written
+
+
+def _written(columns, xyz):
+    try:
+        return "ok", columns(xyz, lambda row: f"row {row}")
+    except pdbio.PdbFormatError as exc:
+        return "PdbFormatError", str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=1, max_size=10))
+def test_property_columns_write_what_python_writes(rows):
+    """The same 24 columns per row, byte for byte, or the same error for the same row."""
+    xyz = np.array(rows, dtype=np.float64)
+    assert _written(pdbio._columns, xyz) == _written(_reference_columns, xyz)
+
+
+def test_columns_write_ties_signed_zeros_and_field_edges_as_python_does():
+    for x in _EDGES + [np.nan, np.inf, -np.inf]:
+        for row in ([x, 0.0, 0.0], [-0.0, x, 1.5], [2.0, -2.0, x]):
+            values = np.array([row])
+            assert _written(pdbio._columns, values) == _written(_reference_columns, values)
+    ties = (np.arange(-999_999, 9_999_999, 997) + 0.5) / 1000
+    ties = ties[:len(ties) // 3 * 3].reshape(-1, 3)
+    assert _written(pdbio._columns, ties) == ("ok", _reference_columns(ties, str))
+
+
+_LABELS = st.tuples(st.text(max_size=3), st.characters(), st.text(max_size=4),
+                    st.characters())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_LABELS, min_size=1, max_size=20), st.booleans(), st.data())
+def test_property_format_ca_pdb_matches_the_record_at_a_time_writer(labels, full_backbone,
+                                                                    data):
+    n = len(labels)
+    xyz = data.draw(st.lists(_FITTING, min_size=9 * n, max_size=9 * n))
+    n_atom, ca, c_atom = np.array(xyz).reshape(3, 3, n)
+    names, chains, seq_ids, icodes = (list(column) for column in zip(*labels))
+    rs = pdbio.ResidueSet(ca=ca, n_atom=n_atom, c_atom=c_atom,
+                          types=np.zeros(n, dtype=np.int64),
+                          names=names, chains=chains, seq_ids=seq_ids, icodes=icodes)
+    assert pdbio.format_ca_pdb(rs, full_backbone) == reference_format_ca_pdb(rs, full_backbone)
+
+
+@pytest.mark.parametrize("label, coordinate, raised", [
+    (3, 3, "name"), (3, 2, "coordinate"), (2, 3, "name"), (0, 4, "name")])
+@pytest.mark.parametrize("full_backbone", [False, True])
+def test_format_ca_pdb_checks_a_residue_label_before_its_coordinates(
+        fixture20_text, label, coordinate, raised, full_backbone):
+    rs = pdbio.parse_pdb(fixture20_text)
+    rs.names[label] = "ALAX"
+    rs.ca[2, coordinate] = 1e4
+    wrong = label if raised == "name" else coordinate
+    with pytest.raises(pdbio.PdbFormatError,
+                       match=f"residue {rs.chains[wrong]}:{rs.seq_ids[wrong]}: {raised}"):
+        pdbio.format_ca_pdb(rs, full_backbone)
+
+
 # --- the array-pass reader against the per-line reference --------------------
 
 def _line(pdb_text, lineno):

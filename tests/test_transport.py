@@ -411,6 +411,57 @@ def test_corrupted_warm_parent_raises_before_any_pivot(pointer, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("edit", ["added", "removed", "moved"])
+def test_warm_flows_off_the_marginals_raise_before_any_pivot(edit, monkeypatch):
+    # The tree still spans, but its flows no longer meet the row sums (K)
+    # and column sums (S): a solve from it would keep the wrong sums.
+    calls = count_pivots(monkeypatch)
+    rng = np.random.default_rng(14)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 5, 7), warm)
+    carrying = [node for node in range(1, 12) if warm.flow[node] > 0]
+    if edit == "added":
+        warm.flow[carrying[0]] += 3
+    elif edit == "removed":
+        warm.flow[carrying[0]] = 0
+    else:  # the same total, on another edge
+        warm.flow[carrying[0]] -= 1
+        warm.flow[carrying[1]] += 1
+    calls.clear()
+    with pytest.raises(RuntimeError, match="basis tree carries flows that are negative or "
+                                           "miss the row and column sums"):
+        solve_uniform_transport(pocket_cost(rng, 5, 7), warm)
+    assert not calls
+
+
+def test_warm_tree_with_a_negative_flow_raises_before_any_pivot(monkeypatch):
+    # A spanning tree of a 2 x 3 problem whose flows meet every row and
+    # column sum, one of them by a flow of -1 on cell (0, 0): not a plan.
+    calls = count_pivots(monkeypatch)
+    warm = transport.WarmStart()
+    warm.shape = (2, 3)
+    warm.parent = [-1, 2, 0, 0, 0]  # row 1 under column 0, every column under row 0
+    warm.flow = [0, 3, -1, 2, 2]
+    with pytest.raises(RuntimeError, match="basis tree carries flows that are negative"):
+        solve_uniform_transport(np.arange(6.0).reshape(2, 3), warm)
+    assert not calls
+
+
+@pytest.mark.parametrize("field, size", [("parent", 11), ("flow", 11), ("flow", 13),
+                                         ("parent", 0)])
+def test_warm_lists_of_another_length_raise_before_any_pivot(field, size, monkeypatch):
+    calls = count_pivots(monkeypatch)
+    rng = np.random.default_rng(15)
+    warm = transport.WarmStart()
+    solve_uniform_transport(pocket_cost(rng, 5, 7), warm)
+    setattr(warm, field, (getattr(warm, field) + [0])[:size])
+    calls.clear()
+    with pytest.raises(RuntimeError, match=f"basis tree lists {len(warm.parent)} parents and "
+                                           f"{len(warm.flow)} flows for its 12 nodes"):
+        solve_uniform_transport(pocket_cost(rng, 5, 7), warm)
+    assert not calls
+
+
 def assert_sparse_vertex(plan):
     """The plan is a scaled integer table with exact marginals and at most S+K-1 nonzeros."""
     s, k = plan.shape
