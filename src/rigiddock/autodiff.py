@@ -22,7 +22,10 @@ Tiles come from the one budget in ``tiles``. ``cross_attention`` and
 ``surface_penetration`` run over row tiles of their n1 x n2 logits or
 distances and keep only each row's max and sum, so no n1 x n2 array
 outlives a tile, with or without a tape. ``message_pass`` runs over blocks
-of nodes, so without a tape no array spans all of its edges.
+of nodes whose edge arrays fit the budget; under a tape, a graph of
+several blocks keeps no edge array, and backward forms them again. A tape
+keeps each LeakyReLU's sign mask, not its pre-activation
+(``_leaky_relu_factor``).
 
 The forward tile loops of ``cross_attention``, ``soft_min`` and
 ``message_pass`` go through ``tiles.run``, which may run two tiles at once,
@@ -30,7 +33,8 @@ one on a pool thread. Each tile writes only its own rows or columns of
 the outputs, and its arithmetic does not depend on which thread runs it,
 so the bits are the serial ones. Tile bodies call only private helpers
 and never touch the tape: every tape node is emitted on the calling
-thread, after its loop. Backward loops sum over tiles and stay serial.
+thread, after its loop. The message pass's backward rebuild also goes
+through ``tiles.run``; backward loops that sum over tiles stay serial.
 Whole ops run on the pool thread only without a tape, as part of a model
 layer's ``tiles.branches`` half (``recording`` tells the model which).
 
@@ -312,18 +316,20 @@ def log(a: Tensor) -> Tensor:
     return _emit(np.log(ad), (a,), backward)
 
 
-def _leaky_relu_factor(pre: np.ndarray, slope: float) -> np.ndarray:
-    """The derivative where(pre >= 0, 1, slope), bit for bit; backward builds it when it runs.
+def _leaky_relu_factor(mask: np.ndarray, slope: float) -> np.ndarray:
+    """The derivative where(pre >= 0, 1, slope), bit for bit, from the sign mask ``pre >= 0.0``.
 
-    For 0 <= slope <= 1 it is formed without a select, as m * (1 - slope) +
-    slope with m the 0/1 mask, which is several times faster on mixed signs.
-    That is slope exactly where m = 0, and exactly 1 where m = 1:
+    Backward builds it when it runs. A tape keeps the 1-byte mask, not the
+    8-byte ``pre``: the mask alone sets every bit of the factor. For
+    0 <= slope <= 1 it is formed without a select, as m * (1 - slope) +
+    slope with m the mask as 0/1, which is several times faster on mixed
+    signs. That is slope exactly where m = 0, and exactly 1 where m = 1:
     fl(1 - slope) is within 2**-54 of 1 - slope, so adding slope back rounds
-    to 1. A NaN pre gets the slope, as in the select.
+    to 1. A NaN pre has a false mask and gets the slope, as in the select.
     """
     if not 0.0 <= slope <= 1.0:
-        return np.where(pre >= 0.0, 1.0, slope)
-    factor = (pre >= 0.0).astype(np.float64)
+        return np.where(mask, 1.0, slope)
+    factor = mask.astype(np.float64)
     factor *= 1.0 - slope
     factor += slope
     return factor
@@ -340,7 +346,7 @@ def _leaky_relu_values(pre: np.ndarray, slope: float) -> np.ndarray:
     negative slope keeps it because +0.0 would tie with -0.0.
     """
     if not 0.0 < slope < np.inf:
-        return pre * _leaky_relu_factor(pre, slope)
+        return pre * _leaky_relu_factor(pre >= 0.0, slope)
     out = pre * slope
     (np.maximum if slope <= 1.0 else np.minimum)(out, pre, out=out)
     return out
@@ -350,7 +356,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     ad = a.data
 
     def backward(g):
-        _accumulate(a, g * _leaky_relu_factor(ad, slope))
+        _accumulate(a, g * _leaky_relu_factor(ad >= 0.0, slope))
 
     return _emit(_leaky_relu_values(ad, slope), (a,), backward)
 
@@ -540,9 +546,14 @@ def linear(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return _emit(_affine(Wd, xd, b.data), (W, x, b), backward)
 
 
-def _head_backward(pre: np.ndarray, hidden: np.ndarray, W1: Tensor, b1: Tensor,
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records a tape node: a tape is on and one needs a gradient."""
+    return _active_tape() is not None and any(p.requires_grad for p in parents)
+
+
+def _head_backward(mask: np.ndarray, hidden: np.ndarray, W1: Tensor, b1: Tensor,
                    slope: float):
-    """Backward of W1 @ hidden + b1 with hidden = leaky_relu(pre, slope).
+    """Backward of W1 @ hidden + b1 with hidden = leaky_relu(pre, slope) and mask = pre >= 0.0.
 
     It accumulates into W1 and b1 and returns the gradient with respect to
     ``pre``.
@@ -555,16 +566,21 @@ def _head_backward(pre: np.ndarray, hidden: np.ndarray, W1: Tensor, b1: Tensor,
         # a one-row W1 (a gate) makes this an outer product, which BLAS runs
         # several times slower than the broadcast product with the same bits
         g_pre = W1d.T * g if W1d.shape[0] == 1 else W1d.T @ g
-        g_pre *= _leaky_relu_factor(pre, slope)
+        g_pre *= _leaky_relu_factor(mask, slope)
         return g_pre
 
     return backward
 
 
-def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float):
-    """W1 @ leaky_relu(pre, slope) + b1, plus its backward (``_head_backward``)."""
+def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float, keep: bool):
+    """W1 @ leaky_relu(pre, slope) + b1, plus its backward (``_head_backward``), or None.
+
+    The backward, and the sign mask of ``pre`` it holds, are formed only
+    when ``keep`` says a tape records the op.
+    """
     hidden = _leaky_relu_values(pre, slope)
-    return _affine(W1.data, hidden, b1.data), _head_backward(pre, hidden, W1, b1, slope)
+    out = _affine(W1.data, hidden, b1.data)
+    return out, _head_backward(pre >= 0.0, hidden, W1, b1, slope) if keep else None
 
 
 def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
@@ -575,7 +591,8 @@ def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
     _check_layer("mlp", W0, b0, x.data.shape[0])
     _check_layer("mlp", W1, b1, W0.data.shape[0])
     W0d, xd = W0.data, x.data
-    out_data, head_backward = _mlp_head(_affine(W0d, xd, b0.data), W1, b1, slope)
+    out_data, head_backward = _mlp_head(_affine(W0d, xd, b0.data), W1, b1, slope,
+                                        _records((W0, b0, W1, b1, x)))
 
     def backward(g):
         g_pre = head_backward(g)
@@ -668,7 +685,8 @@ def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     W_edge = W0d[:, 2 * d:]
     pre = _edge_pre(W_edge, b0.data, edge_in.data, W0d[:, :d] @ Hd, W0d[:, d:2 * d] @ Hd,
                     neighbors)
-    out_data, head_backward = _mlp_head(pre, W1, b1, slope)
+    out_data, head_backward = _mlp_head(pre, W1, b1, slope,
+                                        _records((W0, b0, W1, b1, H, edge_in)))
     core_backward = _edge_backward(head_backward, W0, b0, H, edge_in.data, neighbors)
 
     def backward(g):
@@ -701,11 +719,17 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
 
     The forward is one loop over blocks of nodes (``tiles.run``), each
     holding the edge arrays of at most ``tiles.TILE_ENTRIES`` entries (the
-    widest of them sets the height), so a tape-free pass allocates no array
-    over all n * k edges; a block drops each edge array once the next is
-    formed. When a tape records the op, the loop also copies each block's
-    edge arrays into full ones for backward; a graph that fits one block
-    keeps its block's arrays as they are.
+    widest of them sets the height), so it allocates no array over all
+    n * k edges; a block drops each edge array once the next is formed.
+
+    A tape keeps only what backward reads. Each LeakyReLU's pre-activation
+    is kept as its 1-byte sign mask (``_leaky_relu_factor``), and the radial
+    term is read back as row 0 of the edge input. A graph that fits one
+    block keeps its block's edge arrays. On a graph of more blocks the
+    forward keeps none: backward forms them again, through the same blocks
+    and ``tiles.run``, into fresh full arrays that are freed when it
+    returns. The blocks' node outputs then go to throwaway buffers. Every
+    block is the forward's own arithmetic, so backward reads the same bits.
     """
     W0, b0, W1, b1 = phi_e
     Wx0, bx0, Wx1, bx1 = phi_x
@@ -726,7 +750,6 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     k = neighbors.shape[1]
     c = -1.0 / sigma
     parents = (W0, b0, W1, b1, Wx0, bx0, Wx1, bx1, Z, H, X0)
-    keep = _active_tape() is not None and any(p.requires_grad for p in parents)
     W0d, Wx0d = W0.data, Wx0.data
     W_edge, W_radial = W0d[:, 2 * d:], W0d[:, 2 * d]
     dst_proj, src_proj = W0d[:, :d] @ Hd, W0d[:, d:2 * d] @ Hd
@@ -736,56 +759,68 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     height = tiles.tile_rows(k * max(edge_rows, W0d.shape[0], hid, Wx0d.shape[0]))
     blocks = tiles.spans(n, height)
 
-    def edge_arrays(lo, hi):
-        """Fill m_node and shift for nodes lo:hi, yielding the edge arrays backward reads.
+    def edge_arrays(lo, hi, m_out, shift_out, masks):
+        """Fill m_out and shift_out for nodes lo:hi, yielding the edge arrays backward reads.
 
-        Each array is yielded once formed and dropped here once the next is
-        formed, so a caller that keeps none holds only what the current step
-        reads and writes.
+        They are diff, edge_in, pre's sign mask, hidden, m_edge, pre_x's
+        sign mask, hidden_x and gate; without ``masks`` None stands in for
+        each mask, so a tape-free pass forms none. Each array is yielded once
+        formed and dropped here once the next is formed, so a caller that
+        keeps none holds only what the current step reads and writes.
         """
         nbrs = neighbors[lo:hi]
         diff = Zd[:, lo:hi, None] - np.take(Zd, nbrs, axis=1)  # (3, b, k)
         diff_e = diff.reshape(3, -1)
         yield diff_e
         radial = np.exp((diff_e * diff_e).sum(axis=0, keepdims=True) * c)
-        yield radial
         edge_in = np.concatenate([radial, edge_feats[:, lo * k:hi * k]], axis=0)
         del radial
         yield edge_in
         pre = _edge_pre(W_edge, b0.data, edge_in, dst_proj[:, lo:hi], src_proj, nbrs)
         del edge_in
-        yield pre
+        yield pre >= 0.0 if masks else None
         hidden = _leaky_relu_values(pre, slope)
         del pre
         yield hidden
         m_edge = _affine(W1.data, hidden, b1.data)
         del hidden
         yield m_edge
-        m_node[:, lo:hi] = _sum_groups(m_edge, k)
+        m_out[:, lo:hi] = _sum_groups(m_edge, k)
         pre_x = _affine(Wx0d, m_edge, bx0.data)
         del m_edge
-        yield pre_x
+        yield pre_x >= 0.0 if masks else None
         hidden_x = _leaky_relu_values(pre_x, slope)
         del pre_x
         yield hidden_x
         gate = _affine(Wx1.data, hidden_x, bx1.data)
         del hidden_x
         yield gate
-        shift[:, lo:hi] = _sum_groups((diff * gate.reshape(1, hi - lo, k)).reshape(3, -1), k)
+        shift_out[:, lo:hi] = _sum_groups((diff * gate.reshape(1, hi - lo, k)).reshape(3, -1), k)
 
-    if not keep:  # run each block keeping none of its edge arrays
-        tiles.run(lambda lo, hi: collections.deque(edge_arrays(lo, hi), maxlen=0), blocks)
-    elif len(blocks) == 1:
-        saved = tuple(edge_arrays(0, n))
-    else:
-        saved = tuple(np.empty((rows, n * k)) for rows in (
-            3, 1, edge_rows, W0d.shape[0], W0d.shape[0], hid, Wx0d.shape[0], Wx0d.shape[0], 1))
+    def rebuild():
+        """The edge arrays of all blocks, formed again into full arrays."""
+        full = tuple(np.empty((rows, n * k), dtype) for rows, dtype in (
+            (3, np.float64), (edge_rows, np.float64), (W0d.shape[0], bool),
+            (W0d.shape[0], np.float64), (hid, np.float64), (Wx0d.shape[0], bool),
+            (Wx0d.shape[0], np.float64), (1, np.float64)))
+        m_out, shift_out = np.empty((hid, n)), np.empty((3, n))  # throwaway
 
         def edge_block(lo, hi):
-            for i, part in enumerate(edge_arrays(lo, hi)):
-                saved[i][:, lo * k:hi * k] = part
+            for whole, part in zip(full, edge_arrays(lo, hi, m_out, shift_out, True)):
+                whole[:, lo * k:hi * k] = part
 
         tiles.run(edge_block, blocks)
+        return full
+
+    if _records(parents) and len(blocks) == 1:
+        kept = tuple(edge_arrays(0, n, m_node, shift, True))
+
+        def saved():
+            return kept
+    else:  # run each block keeping none of its edge arrays
+        tiles.run(lambda lo, hi: collections.deque(
+            edge_arrays(lo, hi, m_node, shift, False), maxlen=0), blocks)
+        saved = rebuild
     m_node *= 1.0 / k
     shift *= shift_scale
     z_new = X0d * eta
@@ -793,23 +828,23 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     z_new += shift
 
     def backward(g_m, g_z):
-        diff_e, radial, edge_in, pre, hidden, m_edge, pre_x, hidden_x, gate = saved
+        diff_e, edge_in, pre_mask, hidden, m_edge, prex_mask, hidden_x, gate = saved()
         diff = diff_e.reshape(3, n, k)
         if X0.requires_grad:
             _accumulate(X0, g_z * eta)
         g_shift = (g_z * shift_scale)[:, :, None]
-        gate_backward = _head_backward(pre_x, hidden_x, Wx1, bx1, slope)
+        gate_backward = _head_backward(prex_mask, hidden_x, Wx1, bx1, slope)
         g_prex = gate_backward((g_shift * diff).sum(axis=0).reshape(1, n * k))
         _accumulate(bx0, g_prex.sum(axis=1, keepdims=True))
         _accumulate(Wx0, g_prex @ m_edge.T)
         g_edge = Wx0d.T @ g_prex
         per_node = g_edge.reshape(hid, n, k)
         per_node += (g_m * (1.0 / k))[:, :, None]
-        edge_backward = _edge_backward(_head_backward(pre, hidden, W1, b1, slope),
+        edge_backward = _edge_backward(_head_backward(pre_mask, hidden, W1, b1, slope),
                                        W0, b0, H, edge_in, neighbors)
         g_pre = edge_backward(g_edge)
         if Z.requires_grad:
-            g_sqd = (W_radial @ g_pre) * radial[0]
+            g_sqd = (W_radial @ g_pre) * edge_in[0]
             g_sqd *= 2.0 * c
             g_diff = g_shift * gate.reshape(1, n, k)
             g_diff += g_sqd.reshape(1, n, k) * diff
@@ -840,13 +875,12 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     if W1.data.shape[0] != H.data.shape[0]:
         raise ShapeError(f"node_update: output weight {W1.data.shape} for H {H.data.shape}")
     W0d = W0.data
-    keep = _active_tape() is not None and any(p.requires_grad for p in parts + (W0, b0, W1, b1))
+    keep = _records(parts + (W0, b0, W1, b1))
     pre = _affine(W0d, x, b0.data)
     if not keep:  # nothing will run backward, so free each input array once it is read
         x = None
-    mix, head_backward = _mlp_head(pre, W1, b1, slope)
-    if not keep:
-        pre = head_backward = None
+    mix, head_backward = _mlp_head(pre, W1, b1, slope, keep)
+    del pre
     h = H.data * (1.0 - beta)
     h += mix * beta
     out_data, norm_backward = _layer_norm(h, 0, 1e-5)
@@ -1004,7 +1038,7 @@ def surface_penetration(points: Tensor, cloud: Tensor, gamma: float, sigma: floa
 
     def backward(g):
         # the adjoint of each primitive in turn, down to -d2 / sigma
-        g_lse = -(g * (1.0 / m) * _leaky_relu_factor(depth, 0.0))
+        g_lse = -(g * (1.0 / m) * _leaky_relu_factor(depth >= 0.0, 0.0))
         g_lse *= float(-sigma)
         g_lse /= row_sum
         c = -1.0 / sigma
@@ -1057,6 +1091,8 @@ def keypoint_attention(W: Tensor, b: Tensor, w_prime: Tensor, Z: Tensor, H: Tens
     d, n_other = Hd.shape[0], Od.shape[1]
     pre = _affine(Wd, Od, bd)
     summary = _leaky_relu_values(pre, slope).sum(axis=1, keepdims=True)
+    mask = pre >= 0.0 if _records((W, b, w_prime, Z, H, H_other)) else None
+    del pre
     summary *= 1.0 / n_other
     per_head = (wpd @ summary).reshape(heads, d)
     c = 1.0 / np.sqrt(d)
@@ -1078,7 +1114,7 @@ def keypoint_attention(W: Tensor, b: Tensor, w_prime: Tensor, Z: Tensor, H: Tens
         g_summary = wpd.T @ g_head
         g_summary *= 1.0 / n_other
         g_pre = np.repeat(g_summary, n_other, axis=1)
-        g_pre *= _leaky_relu_factor(pre, slope)
+        g_pre *= _leaky_relu_factor(mask, slope)
         _accumulate(W, g_pre @ Od.T)
         _accumulate(b, g_pre.sum(axis=1, keepdims=True))
         _accumulate(H_other, Wd.T @ g_pre)

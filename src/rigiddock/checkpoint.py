@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from .atomic import atomic_open
+from .jsonio import parse_json
 
 FORMAT_VERSION = 1
 
@@ -63,11 +64,7 @@ def load_named_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     against the payload before numpy reads any of it.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: malformed header: {e}") from None
+        header = parse_json(fh.readline(), f"{path}: malformed header", CheckpointError)
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
         version = header.get("format_version")

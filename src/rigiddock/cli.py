@@ -32,6 +32,7 @@ from .checks import (check_complex_invariance, check_pairwise_equivariance,
                      check_role_swap, check_transform_covariance)
 from .docking import DegenerateKeypointsError, predict_dock
 from .graphs import DEFAULT_K, build_graph, build_graph_pair
+from .jsonio import read_json
 from .model import DockingModel, ModelConfig, check_state_arrays, drop_retired_keys
 from .pdbio import (PdbFormatError, PdbParseError, format_ca_pdb, parse_pdb, parse_pdb_file,
                     read_pdb_text, transform_atom_records)
@@ -51,6 +52,10 @@ _EQUIVARIANCE_LIMIT = 1e-5
 
 class _UsageError(Exception):
     pass
+
+
+class _ConfigFileError(ValueError):
+    """A ``--config`` file that is not JSON: an input error, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,13 +120,9 @@ def _train_config(args) -> TrainConfig:
     base = TrainConfig.fine_tune() if args.fine_tune else TrainConfig()
     values = base.__dict__.copy()
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except json.JSONDecodeError as exc:  # an input error, exit 2
-            raise json.JSONDecodeError(f"{args.config}: {exc.msg}", exc.doc, exc.pos) from None
-        except UnicodeDecodeError as exc:  # a usage error, exit 1
-            raise _UsageError(f"{args.config}: {exc}") from None
+        # JSON that does not parse is an input error (exit 2), a byte that does
+        # not decode a usage error (exit 1)
+        file_values = read_json(args.config, _ConfigFileError, decode_error=_UsageError)
         if not isinstance(file_values, dict):
             raise _UsageError(f"{args.config}: expected a JSON object of training settings")
         file_values = drop_retired_keys(file_values, RETIRED_KEYS)
@@ -351,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PdbParseError, CheckpointError, DatasetError, json.JSONDecodeError) as exc:
+    except (PdbParseError, CheckpointError, DatasetError, _ConfigFileError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

@@ -58,14 +58,40 @@ class RigidTransform:
 
     @classmethod
     def from_json(cls, text: str) -> "RigidTransform":
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload) -> "RigidTransform":
+        """The motion of a decoded ``to_json`` object; anything else raises ValueError."""
         if not isinstance(payload, dict) or not {"R", "t"} <= payload.keys():
             raise ValueError("transform JSON needs an object with keys 'R' and 't'")
         convention = payload.get("convention", TRANSFORM_CONVENTION)
         if not isinstance(convention, str) or not convention.startswith("y = R x + t"):
             raise ValueError(f"unsupported transform convention: {convention!r}")
-        return cls(np.array(payload["R"], dtype=np.float64),
-                   np.array(payload["t"], dtype=np.float64))
+        return cls(_json_numbers(payload["R"], (3, 3), "R"),
+                   _json_numbers(payload["t"], (3,), "t"))
+
+
+def _json_numbers(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float64 array of ``shape``, each number checked.
+
+    A JSON number is an int or a float (not a bool); an integer too large
+    for a float raises ValueError, as does any other shape or type.
+    """
+    def entries(item, dims):
+        if not dims:
+            if type(item) not in (int, float):
+                raise ValueError(f"transform JSON: {name} holds a non-number")
+            try:
+                return [float(item)]
+            except OverflowError:
+                raise ValueError(f"transform JSON: {name} holds a number too large "
+                                 "for a float") from None
+        if not isinstance(item, list) or len(item) != dims[0]:
+            raise ValueError(f"transform JSON: {name} is not a {shape} array of numbers")
+        return [x for part in item for x in entries(part, dims[1:])]
+
+    return np.array(entries(value, shape), dtype=np.float64).reshape(shape)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

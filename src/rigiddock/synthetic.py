@@ -52,6 +52,7 @@ from . import tiles
 from .atomic import atomic_open
 from .geometry import RigidTransform, random_se3
 from .graphs import contact_pairs
+from .jsonio import read_json
 from .losses import POCKET_TAU, intersection_loss
 from .pdbio import RESIDUE_TYPES, TYPE_INDEX, ResidueSet, format_ca_pdb, parse_pdb_file
 
@@ -464,10 +465,10 @@ def load_pair(pair_dir: str) -> DockingPair:
     ligand = parse_pdb_file(os.path.join(pair_dir, "ligand.pdb"))
     receptor = parse_pdb_file(os.path.join(pair_dir, "receptor.pdb"))
     path = os.path.join(pair_dir, "complex.json")
+    payload = read_json(path, DatasetError)
     try:
-        with open(path) as fh:
-            truth = RigidTransform.from_json(fh.read())
-    except (TypeError, ValueError) as exc:  # undecodable bytes included
+        truth = RigidTransform.from_payload(payload)
+    except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from None
     return DockingPair(
         pair_id=os.path.basename(os.path.normpath(pair_dir)),
@@ -477,15 +478,15 @@ def load_pair(pair_dir: str) -> DockingPair:
 
 def load_split(root: str, split: str) -> list[DockingPair]:
     path = os.path.join(root, "splits.json")
-    try:
-        with open(path) as fh:
-            splits = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DatasetError(f"{path}: {exc}") from None
+    splits = read_json(path, DatasetError)
     if not (isinstance(splits, dict) and all(
             isinstance(ids, list) and all(isinstance(pid, str) for pid in ids)
             for ids in splits.values())):
         raise DatasetError(f"{path}: expected an object mapping split names to lists of pair ids")
     if split not in splits:
         raise ValueError(f"unknown split {split!r}; have {sorted(splits)}")
-    return [load_pair(os.path.join(root, "pairs", pid)) for pid in splits[split]]
+    pair_dirs = [os.path.join(root, "pairs", pid) for pid in splits[split]]
+    for pid, pair_dir in zip(splits[split], pair_dirs):
+        if pid in ("", ".", "..") or os.path.basename(pid) != pid or not os.path.isdir(pair_dir):
+            raise DatasetError(f"{path}: pair id {pid!r} names no directory under pairs/")
+    return [load_pair(pair_dir) for pair_dir in pair_dirs]

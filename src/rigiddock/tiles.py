@@ -14,8 +14,10 @@ calling thread runs the first half of the tiles and one pool thread the
 second, so at most ``WORKERS`` (two) tiles are in flight, each worker with
 its own scratch buffers. The tiles are whole tiles of ``tile_rows``
 whatever the worker count, so every result bit is the serial one (a
-message pass rounds by its block width). Backward loops sum over tiles and
-stay serial.
+message pass rounds by its block width). One backward runs such a loop
+too: a taped message pass over more than one node block forms its edge
+arrays again in backward, block by block through ``run``, each block
+writing its own columns. Backward loops that sum over tiles stay serial.
 
 Work that splits by protein goes through ``branches``: the two halves of
 a tape-free model layer, and the two graphs of a pair. The caller runs the

@@ -341,10 +341,11 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0) -> Ev
 
     Pair i's ligand input is moved by the i-th ``random_se3`` draw from ``seed``.
 
-    A pair whose prediction degenerates falls back to its input pose and
-    is marked in the row status rather than crashing the run. A pair whose
-    bound complex has no interface contacts gets status ``no_contact`` and
-    a NaN interface RMSD.
+    A pair whose prediction degenerates (``DegenerateKeypointsError``) or
+    meets NaN or Inf (``NonFiniteError``) falls back to its input pose, with
+    status ``degenerate`` or ``non_finite``, rather than crashing the run. A
+    pair whose bound complex has no interface contacts gets status
+    ``no_contact`` and a NaN interface RMSD.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -359,6 +360,9 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0) -> Ev
         except DegenerateKeypointsError:
             pred = X_in
             status = "degenerate"
+        except ad.NonFiniteError:
+            pred = X_in
+            status = "non_finite"
         crmsd = complex_rmsd(pred, bound_lig, g_rec.X)
         try:
             irmsd = interface_rmsd(pred, bound_lig, g_rec.X)

@@ -630,6 +630,45 @@ def test_message_pass_memory_stays_below_one_edge_array():
     assert peak < hid * n * k * 8, f"peak {peak / 2**20:.1f} MB"
 
 
+def _held_by_taped_message_pass(n, budget):
+    """Bytes a taped message pass (k = 10, 32 wide) holds after forward, and its edge-array bytes.
+
+    The second figure is the nine float64 edge arrays a tape kept before it
+    kept sign masks, 181 rows over the n * k edges, plus the two outputs.
+    """
+    k, d, c, hid = 10, 32, 15, 32
+    rng = np.random.default_rng(7)
+    shapes = ((hid, 2 * d + 1 + c), (hid, 1), (hid, hid), (hid, 1),
+              (hid, hid), (hid, 1), (1, hid), (1, 1))
+    weights = [ad.parameter(0.3 * rng.standard_normal(s)) for s in shapes]
+    Z, H, X0 = (ad.parameter(rng.standard_normal(s)) for s in ((3, n), (d, n), (3, n)))
+    edge_feats = rng.standard_normal((c, n * k))
+    neighbors = (np.arange(n)[:, None] + np.arange(1, k + 1)) % n
+    rows = 3 + 1 + (1 + c) + 2 * hid + hid + 2 * hid + 1
+    tracemalloc.start()
+    try:
+        with ad.Tape(), mock.patch.object(tiles, "TILE_ENTRIES", budget):
+            before = tracemalloc.get_traced_memory()[0]
+            ad.message_pass(weights[:4], weights[4:], Z, H, X0, edge_feats, neighbors,
+                            0.01, 30.0, 0.25, 1.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held, (rows * k + hid + 3) * n * 8
+
+
+def test_taped_one_block_message_pass_keeps_sign_masks():
+    """The tape holds a 1-byte mask per pre-activation and no radial row: under 75%."""
+    held, float64_arrays = _held_by_taped_message_pass(150, 2**16)
+    assert held <= 0.75 * float64_arrays, f"{held} of {float64_arrays} bytes"
+
+
+def test_taped_multi_block_message_pass_keeps_no_edge_array():
+    """Backward forms a multi-block graph's edge arrays again, so forward keeps none."""
+    held, float64_arrays = _held_by_taped_message_pass(150, 3000)
+    assert held <= 0.1 * float64_arrays, f"{held} of {float64_arrays} bytes"
+
+
 @st.composite
 def node_update_cases(draw):
     n, d, hid = draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
@@ -705,7 +744,7 @@ def test_property_leaky_relu_factor_is_the_select_bit_for_bit(slope):
     specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]
     pre = np.concatenate([specials, np.random.default_rng(25).standard_normal(40)])
     expected = np.where(pre >= 0.0, 1.0, slope)
-    assert np.array_equal(ad._leaky_relu_factor(pre, slope).view(np.uint64),
+    assert np.array_equal(ad._leaky_relu_factor(pre >= 0.0, slope).view(np.uint64),
                           expected.view(np.uint64))
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import contextlib
 import csv
 import dataclasses
 import json
@@ -634,8 +635,14 @@ class TestExitCodes:
             arrays[name][:] = value
         path = workdir / "non-finite.npz"
         save_named_tensors(str(path), arrays, extra={"config": model.config.to_dict()})
-        assert main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
-                     "--model", str(path)]) == code
+        with contextlib.ExitStack() as expected:
+            if np.isfinite(value):  # a NaN is refused before any product
+                # huge weights overflow the first attention logits, whose
+                # shift by their row maximum then subtracts inf from inf
+                expected.enter_context(pytest.warns(RuntimeWarning, match="overflow"))
+                expected.enter_context(pytest.warns(RuntimeWarning, match="invalid value"))
+            assert main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                         "--model", str(path)]) == code
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["features", "dock"])
@@ -807,6 +814,54 @@ class TestExitCodes:
                                                    "a shape numpy cannot hold")
         assert not out_pdb.exists()
 
+    @pytest.mark.parametrize("reader",["checkpoint header", "config", "splits.json",
+                                        "complex.json"])
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, dataset, model_path,
+                                                  ligand_pdb, receptor_pdb, reader, capsys):
+        """Nesting past the parser's depth limit: one input-error line naming the file."""
+        deep = b"[" * 100_000
+        (tmp_path / "splits.json").write_text(json.dumps({"test": ["pair0000"]}))
+        shutil.copytree(dataset / "pairs" / "pair0000", tmp_path / "pairs" / "pair0000")
+        out = tmp_path / "out"
+        if reader == "checkpoint header":
+            head, payload = model_path.read_bytes().split(b"\n", 1)
+            path = tmp_path / "deep.npz"
+            path.write_bytes(head[:-1] + b', "note": ' + deep + b"\n" + payload)
+            argv = ["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                    "--model", str(path), "--out-pdb", str(out)]
+        elif reader == "config":
+            path = tmp_path / "deep.json"
+            path.write_bytes(deep)
+            argv = ["train", "--data", str(dataset), "--out-model", str(out),
+                    "--config", str(path)]
+        else:
+            path = tmp_path / "splits.json" if reader == "splits.json" \
+                else tmp_path / "pairs" / "pair0000" / "complex.json"
+            path.write_bytes(deep)
+            argv = ["eval", "--data", str(tmp_path), "--model", str(model_path),
+                    "--out-csv", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ") and err.endswith("nested too deeply\n")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_complex_json_number_past_float_range_is_an_input_error(
+            self, tmp_path, dataset, model_path, capsys):
+        (tmp_path / "splits.json").write_text(json.dumps({"test": ["pair0000"]}))
+        shutil.copytree(dataset / "pairs" / "pair0000", tmp_path / "pairs" / "pair0000")
+        path = tmp_path / "pairs" / "pair0000" / "complex.json"
+        payload = json.loads(path.read_text())
+        payload["t"] = [10**400, 0, 0]
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(tmp_path), "--model", str(model_path),
+                     "--out-csv", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"input error: {path}: transform JSON: t holds a number too large " \
+                      "for a float\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0")])
     def test_checkpoint_version_that_only_equals_1_is_an_input_error(

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigiddock import synthetic, tiles
+from rigiddock.geometry import RigidTransform, random_rotation
 from rigiddock.losses import intersection_loss, pocket_points
 from rigiddock.synthetic import (
+    DatasetError,
     GenerationError,
     generate_dataset,
     generate_pair,
@@ -342,3 +344,101 @@ def test_property_tangent_basis_has_the_bits_of_np_cross(parts):
     direction /= norm
     expected = np.array(reference_tangent_basis(direction))
     assert np.array(synthetic._tangent_basis(direction)).tobytes() == expected.tobytes()
+
+
+# --- every splits.json and complex.json a mutation can make loads or raises DatasetError ---
+
+_ODD_JSON = [None, True, False, 0, -1, 1.5, -0.0, 2**63, 10**400, -10**400, float("inf"),
+             float("nan"), "", "2", ".", "..", "../pairs/pair0", [], [1], {}, {"a": 1}]
+_JSON_VALUES = st.one_of(st.sampled_from(_ODD_JSON), st.integers(), st.floats(),
+                         st.text(max_size=4), st.lists(st.sampled_from(_ODD_JSON), max_size=4))
+_JSON_MUTATION = st.one_of(
+    # one slot of the document (a key's value or a list entry) replaced, dropped or added
+    st.tuples(st.sampled_from(["set", "drop", "add"]), st.integers(0, 50), _JSON_VALUES),
+    st.tuples(st.just("replace"), _JSON_VALUES),
+    # bytes: deep nesting, a byte no UTF-8 text holds, a cut
+    st.tuples(st.just("nest"), st.sampled_from([2, 1000, 100_000]), st.booleans()),
+    st.tuples(st.just("byte"), st.integers(0, 400), st.sampled_from([b"\xff", b"\xc3", b"\x00"])),
+    st.tuples(st.just("truncate"), st.integers(0, 400)))
+
+
+def _slots(doc):
+    """(container, key) for every value inside ``doc``, in document order."""
+    found = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        found.append((doc, key))
+        found.extend(_slots(value))
+    return found
+
+
+def _mutated_json(document, mutations) -> bytes:
+    """``document``'s JSON bytes after each mutation that still applies, in order."""
+    doc = json.loads(json.dumps(document))
+    blob = None
+    for kind, *args in mutations:
+        if kind == "replace":
+            doc = args[0]
+        elif kind in ("set", "drop", "add"):
+            slots = _slots(doc)
+            if not slots:
+                continue
+            container, key = slots[args[0] % len(slots)]
+            if kind == "set":
+                container[key] = args[1]
+            elif kind == "drop":
+                del container[key]
+            elif isinstance(container, dict):
+                container[f"extra{args[0]}"] = args[1]
+            else:
+                container.append(args[1])
+        else:
+            blob = blob if blob is not None else json.dumps(doc).encode()
+            if kind == "nest":
+                depth, closed = args
+                blob = b"[" * depth + blob + b"]" * depth * closed
+            elif kind == "byte":
+                blob = blob[:args[0]] + args[1] + blob[args[0]:]
+            else:
+                blob = blob[:args[0]]
+    return blob if blob is not None else json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def one_pair_root(tmp_path_factory):
+    """A dataset root holding pairs/pair0 and the splits.json that names it."""
+    root = tmp_path_factory.mktemp("fuzzed")
+    synthetic.write_pair(generate_pair(np.random.default_rng(12), "pair0", 30, 35), str(root))
+    return root
+
+
+_TRUTH = RigidTransform(random_rotation(np.random.default_rng(13)), np.array([1.0, -2.0, 3.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_JSON_MUTATION, min_size=1, max_size=3))
+def test_property_mutated_complex_json_loads_or_is_a_dataset_error(one_pair_root, mutations):
+    """Wrong types, missing and extra keys, huge, bool and float numbers, nesting and bytes."""
+    path = one_pair_root / "pairs" / "pair0" / "complex.json"
+    path.write_bytes(_mutated_json(json.loads(_TRUTH.to_json()), mutations))
+    try:
+        load_pair(str(path.parent))
+    except DatasetError as exc:
+        assert str(exc).startswith(f"{path}: ")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_JSON_MUTATION, min_size=1, max_size=3))
+def test_property_mutated_splits_json_loads_or_is_a_dataset_error(one_pair_root, mutations):
+    """As the complex.json fuzzer, and ids that name no pair; only a missing split is usage."""
+    (one_pair_root / "pairs" / "pair0" / "complex.json").write_text(_TRUTH.to_json())
+    path = one_pair_root / "splits.json"
+    blob = _mutated_json({"train": ["pair0"], "val": [], "test": ["pair0", "pair0"]}, mutations)
+    path.write_bytes(blob)
+    try:
+        load_split(str(one_pair_root), "test")
+    except DatasetError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    except ValueError as exc:  # the split the caller asked for is not in the file
+        assert "test" not in json.loads(blob) and str(exc).startswith("unknown split 'test'")

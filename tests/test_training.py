@@ -1,13 +1,15 @@
 """Optimizer behavior, training loop bookkeeping, and evaluation."""
 
 import csv
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from rigiddock import autodiff as ad
-from rigiddock import losses, training
+from rigiddock import losses, tiles, training
 from rigiddock.checkpoint import load_named_tensors
 from rigiddock.docking import DegenerateKeypointsError
 from rigiddock.geometry import TRANSLATION_SCALE, RigidTransform, random_se3
@@ -336,6 +338,25 @@ class TestEvaluate:
         assert report.rows[0].status == "degenerate"
         assert report.rows[0].crmsd > 1.0
 
+    def test_non_finite_prediction_falls_back_to_input(self, monkeypatch):
+        """1e200 weights overflow to NaN on every pair; each row is scored at its input pose."""
+        pairs = make_pairs(19, 2)
+        model = DockingModel(COMPACT, seed=0)
+        model.params["embed.project.W"].data[:] = 1e200
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.warns(RuntimeWarning, match="invalid value"):
+            report = evaluate(model, pairs, seed=0)
+        assert [r.status for r in report.rows] == ["non_finite", "non_finite"]
+
+        def degenerate(*a, **k):
+            raise DegenerateKeypointsError("forced")
+
+        monkeypatch.setattr(training, "predict_dock", degenerate)
+        at_input = evaluate(model, pairs, seed=0)
+        assert [(r.crmsd, r.irmsd) for r in report.rows] == \
+               [(r.crmsd, r.irmsd) for r in at_input.rows]
+        assert all(math.isfinite(r.crmsd) and math.isfinite(r.irmsd) for r in report.rows)
+
     def test_csv_contains_rows_and_summary(self, tmp_path):
         pairs = make_pairs(18, 2)
         model = DockingModel(COMPACT, seed=0)
@@ -372,3 +393,29 @@ def test_default_training_step_records_at_most_150_tape_nodes():
             loss, _ = training._training_step(model, prep, swap, move)
             assert len(tape) <= 150
             tape.backward(loss)
+
+
+# Gradient SHA-256 of one taped COMPACT step. A budget of 1000 entries gives
+# the message passes blocks of three nodes (28 edge rows x k = 10 per node),
+# so a 30-40 residue graph spans many blocks and backward forms its edge
+# arrays again; 2**16 holds each graph in one block, whose arrays the tape
+# keeps. Both digests are those of the forward-copy tape that kept every
+# edge array at 8 bytes an entry.
+STEP_GRADIENT_SHA256 = {
+    2**16: "669c4eec195ab5d369ff80b35d4f83f65e45af8e6b4f4c3a40a0eb7d04dd9983",
+    1000: "74dec02815686a12156698d1e6a44f0897786960c33d7693731c35898881944d",
+}
+
+
+@pytest.mark.parametrize("budget", sorted(STEP_GRADIENT_SHA256))
+def test_taped_step_gradient_bits_are_pinned(budget):
+    prep = prepare_pair(generate_pair(np.random.default_rng(41), "p", 30, 40))
+    model = DockingModel(COMPACT, seed=0)
+    move = random_se3(np.random.default_rng(42))
+    with mock.patch.object(tiles, "TILE_ENTRIES", budget), ad.Tape() as tape:
+        loss, _ = training._training_step(model, prep, False, move)
+        tape.backward(loss)
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        digest.update(model.params[name].grad.tobytes())
+    assert digest.hexdigest() == STEP_GRADIENT_SHA256[budget]
