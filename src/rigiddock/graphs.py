@@ -85,14 +85,8 @@ def _squared_distances_into(X: np.ndarray, Y: np.ndarray, out: np.ndarray,
     return out
 
 
-def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """n x m squared distances between the columns of 3 x n X and 3 x m Y."""
-    shape = (X.shape[1], Y.shape[1])
-    return _squared_distances_into(X, Y, np.empty(shape), np.empty(shape))
-
-
 def _distance_tiles(X: np.ndarray, Y: np.ndarray):
-    """``(spans, scratch, tile)`` for the row blocks of ``squared_distances(X, Y)``.
+    """``(spans, scratch, tile)`` for the row blocks of X-to-Y squared distances.
 
     ``tile(lo, hi, out, tmp)``, with ``(out, tmp) = scratch()``, returns rows
     lo:hi in ``out``, valid until ``out`` is reused. The spans cover X's
@@ -115,8 +109,8 @@ def contact_pairs(X: np.ndarray, Y: np.ndarray,
 
     A pair counts when ``d2 < cutoff * cutoff``; pairs come in row-major
     (i, j) order, with intp indices and d2 bit for bit the entry of
-    ``squared_distances``. Formed one ``_distance_tiles`` block at a time
-    per worker, so memory is O(m * block) plus the pairs found.
+    ``np.sum(diff * diff, axis=0)``. Formed one ``_distance_tiles`` block
+    at a time per worker, so memory is O(m * block) plus the pairs found.
     """
     m = Y.shape[1]
     spans, scratch, distances = _distance_tiles(X, Y)

@@ -448,7 +448,7 @@ def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.where((u_norm < 1e-12) | (t_norm < 1e-12))[0]
     if bad.size:
         i = int(bad[0])
-        raise PdbParseError(f"degenerate backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
+        raise PdbParseError(f"degenerate backbone at {_residue(rs, i)}")
     u = u / u_norm
     t = t / t_norm
     n = np.cross(u, t, axis=0)
@@ -456,7 +456,7 @@ def local_frames(rs: ResidueSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.where(n_norm <= 1e-6)[0]
     if bad.size:
         i = int(bad[0])
-        raise PdbParseError(f"collinear backbone at residue {rs.chains[i]}:{rs.seq_ids[i]}")
+        raise PdbParseError(f"collinear backbone at {_residue(rs, i)}")
     n = n / n_norm
     v = np.cross(n, u, axis=0)
     return n, u, v

@@ -70,11 +70,7 @@ def run(fn, tile_spans: list[tuple[int, int]], scratch=tuple) -> None:
     the calling thread. Otherwise the caller runs the first half while the
     pool runs the second, as ``_two_way`` does.
     """
-    if len(tile_spans) < 2:
-        for lo, hi in tile_spans:
-            fn(lo, hi, *scratch())
-        return
-    pool = _pool_for_call()
+    pool = _pool_for_call() if len(tile_spans) > 1 else None
     if pool is None:
         _run_in_order(fn, tile_spans, scratch)
         return

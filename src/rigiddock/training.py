@@ -5,6 +5,8 @@ as the mobile side), the mobile input is re-randomized by a rigid motion
 every step, and validation scores the median unaligned pose error on the
 held-out pairs. Checkpoints are written only when validation improves by
 a real margin, and training stops after a patience window without one.
+A pair the network cannot dock (degenerate keypoints, NaN or Inf) is
+scored at its input pose, or its step skipped, and the run goes on.
 There is one recipe, Adam without weight decay on the unweighted loss
 sum; ``TrainConfig`` holds only what the ``train`` command has flags for.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -30,7 +33,7 @@ from .graphs import DEFAULT_K, ProteinGraph, build_graph, build_graph_pair  # no
 from .losses import pocket_points, total_loss
 from .metrics import NoContactError, complex_rmsd, interface_rmsd, ligand_rmsd
 from .model import DockingModel
-from .synthetic import DockingPair
+from .synthetic import DatasetError, DockingPair
 from .transport import WarmStart
 
 logger = logging.getLogger("rigiddock.training")
@@ -61,8 +64,9 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # compared as Python numbers, so an integer past float range is refused, not converted
         if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
-                or not math.isfinite(self.lr) or self.lr < 0):
+                or not 0 <= self.lr <= sys.float_info.max):
             raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
 
     @classmethod
@@ -188,20 +192,30 @@ def _training_step(model: DockingModel, prep: PreparedPair, swap: bool,
                       ot_warm=prep.ot_warm)
 
 
+def _docked_or_input(model: DockingModel, ligand: ProteinGraph, receptor: ProteinGraph,
+                     X_lig: np.ndarray, X_rec: np.ndarray) -> tuple[np.ndarray, str]:
+    """``(pose, status)``: the ``predict_dock`` pose of ``X_lig`` and ``"ok"``, or, when the
+    prediction degenerates (``DegenerateKeypointsError``) or meets NaN or Inf
+    (``NonFiniteError``), ``X_lig`` itself and ``"degenerate"`` or ``"non_finite"``."""
+    try:
+        return predict_dock(model, ligand, receptor, X_lig=X_lig, X_rec=X_rec).apply(X_lig), "ok"
+    except DegenerateKeypointsError:
+        return X_lig, "degenerate"
+    except ad.NonFiniteError:
+        return X_lig, "non_finite"
+
+
 def validation_metric(model: DockingModel, prepped: list[PreparedPair]) -> float:
     """Median unaligned pose RMSD over pairs, predicted from stored inputs.
 
     Predictions are invariant to rigid motions of the inputs, so no extra
-    perturbation is applied here; the stored pose is as good as any.
+    perturbation is applied here; the stored pose is as good as any. A pair
+    the network cannot dock (``_docked_or_input``) scores at its stored pose.
     """
     errors = []
     for prep in prepped:
-        try:
-            tr = predict_dock(model, prep.graph_lig, prep.graph_rec,
-                              X_rec=prep.bound_rec)
-            pred = tr.apply(prep.graph_lig.X)
-        except DegenerateKeypointsError:
-            pred = prep.graph_lig.X
+        pred, _ = _docked_or_input(model, prep.graph_lig, prep.graph_rec,
+                                   prep.graph_lig.X, prep.bound_rec)
         errors.append(ligand_rmsd(pred, prep.bound_lig))
     return float(np.median(errors))
 
@@ -222,7 +236,10 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
     """Optimize ``model`` in place; returns the run summary.
 
     Pairs whose bound complex has no contacts are skipped with a warning;
-    if every training pair is skipped that is an error. The loss CSV is
+    if every training pair is skipped that is a ``DatasetError``. A step that
+    raises either error ``_docked_or_input`` falls back on, or whose loss or
+    gradient is not finite, changes nothing and logs a warning naming the
+    pair, direction and failure that ends in "step skipped". The loss CSV is
     written atomically, so it appears only if the call returns.
     """
     skipped: list[str] = []
@@ -235,8 +252,8 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
             except NoContactError:
                 skipped.append(pair.pair_id)
                 logger.warning("skipping %s: no contacts in the bound complex", pair.pair_id)
-        if not prepped:
-            raise ValueError("every training pair was skipped (no contacts anywhere)")
+    if not prepped:
+        raise DatasetError("every training pair was skipped (no contacts anywhere)")
 
     def save_checkpoint(val_metric: float | None, epoch: int) -> None:
         if checkpoint_path is not None:
@@ -268,9 +285,9 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                         with ad.Tape() as tape:
                             loss, parts = _training_step(model, prep, swap, move)
                             tape.backward(loss)
-                    except DegenerateKeypointsError:
-                        logger.warning("degenerate keypoints on %s (swap=%s); step skipped",
-                                       prep.pair_id, swap)
+                    except (DegenerateKeypointsError, ad.NonFiniteError) as exc:
+                        logger.warning("%s on %s (swap=%s): %s; step skipped",
+                                       type(exc).__name__, prep.pair_id, swap, exc)
                         continue
                     # step() itself refuses a non-finite gradient.
                     finite_loss = math.isfinite(parts["total"])
@@ -341,11 +358,10 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0) -> Ev
 
     Pair i's ligand input is moved by the i-th ``random_se3`` draw from ``seed``.
 
-    A pair whose prediction degenerates (``DegenerateKeypointsError``) or
-    meets NaN or Inf (``NonFiniteError``) falls back to its input pose, with
-    status ``degenerate`` or ``non_finite``, rather than crashing the run. A
-    pair whose bound complex has no interface contacts gets status
-    ``no_contact`` and a NaN interface RMSD.
+    A pair the network cannot dock falls back to its input pose with the
+    status ``_docked_or_input`` gives, ``degenerate`` or ``non_finite``,
+    rather than crashing the run. A pair whose bound complex has no
+    interface contacts gets status ``no_contact`` and a NaN interface RMSD.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -353,16 +369,7 @@ def evaluate(model: DockingModel, pairs: list[DockingPair], seed: int = 0) -> Ev
         g_lig, g_rec = build_graph_pair(pair.ligand, pair.receptor, model.config.neighbors)
         bound_lig = pair.bound_ligand()
         X_in = random_se3(rng).apply(g_lig.X)
-        try:
-            tr = predict_dock(model, g_lig, g_rec, X_lig=X_in)
-            pred = tr.apply(X_in)
-            status = "ok"
-        except DegenerateKeypointsError:
-            pred = X_in
-            status = "degenerate"
-        except ad.NonFiniteError:
-            pred = X_in
-            status = "non_finite"
+        pred, status = _docked_or_input(model, g_lig, g_rec, X_in, g_rec.X)
         crmsd = complex_rmsd(pred, bound_lig, g_rec.X)
         try:
             irmsd = interface_rmsd(pred, bound_lig, g_rec.X)

@@ -5,12 +5,15 @@ import builtins
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigiddock import cli, synthetic
 from rigiddock.atomic import atomic_open
@@ -21,7 +24,7 @@ from rigiddock.metrics import complex_rmsd
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.pdbio import format_ca_pdb, parse_pdb_file, transform_atom_records
 from rigiddock.synthetic import DockingPair, generate_pair, write_pair
-from rigiddock.training import TrainConfig
+from rigiddock.training import RETIRED_KEYS, TrainConfig
 
 
 def read_ca_records(path):
@@ -879,6 +882,89 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"input error: {path}: unsupported format_version {shown}"]
         assert not out_pdb.exists()
+
+    def test_training_set_without_a_contact_is_an_input_error(self, tmp_path, capsys):
+        """Every training pair skipped for having no contacts: one input-error line."""
+        pair = generate_pair(np.random.default_rng(24), "far0", 30, 35)
+        far = RigidTransform(pair.truth.R, pair.truth.t + [5000.0, 0.0, 0.0])
+        write_pair(DockingPair("far0", pair.ligand, pair.receptor, far), str(tmp_path))
+        (tmp_path / "splits.json").write_text(json.dumps({"train": ["far0"], "val": [],
+                                                          "test": []}))
+        out_model = tmp_path / "model.npz"
+        capsys.readouterr()
+        code = main(["train", "--data", str(tmp_path), "--out-model", str(out_model),
+                     "--max-epochs", "1", "--hidden-dim", "8", "--layers", "1", "--heads", "4"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "input error: every training pair was skipped (no contacts anywhere)\n"
+        assert not out_model.exists()
+
+
+# --- every --config file a mutation can make gives a TrainConfig or one error line ---
+
+_CONFIG = {"lr": 1e-3, "max_epochs": 2, "patience": 1, "seed": 0, "beta1": 0.9}
+_CONFIG_KEYS = sorted(set(_CONFIG) | set(RETIRED_KEYS) | {"learning_rate", "", "LR"})
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2**63, 10**400, -10**400, 1.5, -0.0, 0.9,
+                     30.0, 1e-8, float("inf"), float("nan"), "", "1e-3", [], [1], {}, {"lr": 1}]),
+    st.integers(), st.floats(), st.text(max_size=3))
+_CONFIG_MUTATION = st.one_of(
+    # a key set to an odd value (extra and retired keys among them), dropped, or the whole
+    # document replaced
+    st.tuples(st.just("set"), st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(_CONFIG_KEYS)),
+    st.tuples(st.just("replace"), _CONFIG_VALUES),
+    # bytes: deep nesting, a byte no UTF-8 text holds, a cut
+    st.tuples(st.just("nest"), st.sampled_from([2, 1000, 100_000]), st.booleans()),
+    st.tuples(st.just("byte"), st.integers(0, 100), st.sampled_from([b"\xff", b"\xc3", b"\x00"])),
+    st.tuples(st.just("truncate"), st.integers(0, 100)))
+
+
+def _mutated_config(mutations) -> bytes:
+    """``_CONFIG``'s JSON bytes after each mutation that still applies, in order."""
+    doc, blob = dict(_CONFIG), None
+    for kind, *args in mutations:
+        if blob is None and kind == "replace":
+            doc = args[0]
+        elif blob is None and kind in ("set", "drop"):
+            if isinstance(doc, dict) and kind == "set":
+                doc[args[0]] = args[1]
+            elif isinstance(doc, dict):
+                doc.pop(args[0], None)
+        elif kind in ("nest", "byte", "truncate"):
+            blob = blob if blob is not None else json.dumps(doc).encode()
+            if kind == "nest":
+                depth, closed = args
+                blob = b"[" * depth + blob + b"]" * depth * closed
+            elif kind == "byte":
+                blob = blob[:args[0]] + args[1] + blob[args[0]:]
+            else:
+                blob = blob[:args[0]]
+    return blob if blob is not None else json.dumps(doc).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_CONFIG_MUTATION, min_size=1, max_size=3))
+@example([("set", "lr", 10**400)])  # an integer no float holds
+def test_property_mutated_train_config_loads_or_is_one_error_line(workdir, mutations):
+    """Wrong types, missing, extra and retired keys, huge, negative, bool and float
+    numbers, nesting and bytes: a ``TrainConfig``, or exit 1 or 2 with one stderr line."""
+    path = workdir / "fuzzed-config.json"
+    path.write_bytes(_mutated_config(mutations))
+    out_model = workdir / "fuzzed.npz"
+    argv = ["train", "--data", str(workdir / "no-data"), "--out-model", str(out_model),
+            "--config", str(path)]
+    try:
+        config = cli._train_config(cli._build_parser().parse_args(argv))
+    except (ValueError, cli._UsageError):  # the classes main maps to exit 1 or 2
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_USAGE, EXIT_PARSE)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not out_model.exists()
+    else:
+        assert isinstance(config, TrainConfig)
 
 
 class TestAtomicWrites:

@@ -276,11 +276,11 @@ def test_surface_features_accepts_neighbor_array():
 
 
 def test_squared_distances_match_difference_array_sum_exactly():
-    """interface_indices and pocket_points threshold these: they must not move."""
+    """interface_indices and pocket_points threshold ``contact_pairs``' d2: it must not move."""
     rng = np.random.default_rng(17)
     for n, m in ((1, 1), (7, 3), (40, 55)):
         X = rng.normal(scale=15.0, size=(3, n))
         Y = rng.normal(scale=15.0, size=(3, m))
         diff = X[:, :, None] - Y[:, None, :]
-        np.testing.assert_array_equal(graphs.squared_distances(X, Y),
-                                      np.sum(diff * diff, axis=0))
+        _, _, d2 = graphs.contact_pairs(X, Y, np.inf)
+        np.testing.assert_array_equal(d2.reshape(n, m), np.sum(diff * diff, axis=0))

@@ -142,3 +142,15 @@ def test_each_writer_calls_the_coordinate_writer_once_outside_any_loop():
 
     for name, writer in writers.items():
         assert list(calls(writer, False)) == [False], name
+
+
+def test_one_fallback_for_a_pair_the_network_cannot_dock():
+    """Every ``except`` naming ``DegenerateKeypointsError`` or ``NonFiniteError`` sits in
+    ``training._docked_or_input``, the training step of ``training.train`` or ``cli.main``,
+    so a further hand-written fallback cannot return."""
+    def catches(node):
+        return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+            names(name)(part) for part in ast.walk(node.type)
+            for name in ("DegenerateKeypointsError", "NonFiniteError"))
+
+    assert users(catches) == {"training._docked_or_input", "training.train", "cli.main"}

@@ -190,6 +190,16 @@ def test_collinear_backbone_names_residue():
         pdbio.local_frames(rs)
 
 
+
+def test_degenerate_backbone_names_the_residue_with_its_insertion_code():
+    """Residues 12 and 12A are told apart, with the label the writer uses."""
+    text = (ALA_LINES.replace("A   1 ", "A  12A")
+            .replace("   1.460   0.000   0.000", "   0.000   0.000   0.000"))
+    rs = pdbio.parse_pdb(text)
+    assert (rs.chains, rs.seq_ids, rs.icodes) == (["A"], ["12"], ["A"])
+    with pytest.raises(pdbio.PdbParseError, match="degenerate backbone at residue A:12A$"):
+        pdbio.local_frames(rs)
+
 def test_ca_pdb_round_trip(fixture20_text):
     rs = pdbio.parse_pdb(fixture20_text)
     out = pdbio.format_ca_pdb(rs, full_backbone=True)

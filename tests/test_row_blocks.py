@@ -322,7 +322,7 @@ def test_blob_calls_accept_only_on_passing_candidates_in_draw_order():
 def test_distance_tiles_cover_rows_in_order_within_budget():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(3, 700)), rng.normal(size=(3, 300))
-    full = graphs.squared_distances(X, Y)
+    full = full_squared_distances(X, Y)
     spans, scratch, tile = graphs._distance_tiles(X, Y)
     assert spans == tiles.spans(700, tiles.tile_rows(300))
     bufs = scratch()

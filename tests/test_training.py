@@ -16,8 +16,11 @@ from rigiddock.geometry import TRANSLATION_SCALE, RigidTransform, random_se3
 from rigiddock.model import DockingModel, ModelConfig
 from rigiddock.synthetic import DockingPair, generate_pair
 from rigiddock.transport import WarmStart
+from rigiddock.metrics import ligand_rmsd
 from rigiddock.training import (
     Adam,
+    EvalReport,
+    EvalRow,
     TrainConfig,
     evaluate,
     prepare_pair,
@@ -302,6 +305,51 @@ class TestTrainLoop:
         first = "keypoints.w_prime" if poison == "gradient" else next(iter(model.params))
         assert f"first non-finite gradient: {first})" in message
 
+    def test_patience_stops_after_an_epoch_without_improvement(self, caplog):
+        pairs = make_pairs(22, 2)
+        model = DockingModel(COMPACT, seed=0)
+        config = TrainConfig(lr=1e-3, max_epochs=3, patience=0, seed=0)
+        with caplog.at_level("INFO", logger="rigiddock.training"):
+            result = train(model, pairs[:1], pairs[1:], config)
+        assert result.epochs_run == 1
+        assert any(r.getMessage().startswith("stopping") for r in caplog.records)
+
+    @pytest.mark.parametrize("error", [DegenerateKeypointsError, ad.NonFiniteError])
+    def test_step_that_cannot_dock_is_skipped(self, monkeypatch, caplog, error):
+        step = training._training_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("forced")
+            return step(*args)
+
+        monkeypatch.setattr(training, "_training_step", failing_step)
+        model = DockingModel(COMPACT, seed=0)
+        with caplog.at_level("WARNING", logger="rigiddock.training"):
+            result = train(model, make_pairs(20, 2), [], TrainConfig(lr=1e-3, max_epochs=1))
+        assert result.steps == 2 * 2 - 1
+        assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.getMessage().endswith("step skipped")]
+        assert message.startswith(f"{error.__name__} on ") and "forced" in message
+
+    def test_validation_scores_a_non_finite_pair_at_its_stored_pose(self, monkeypatch):
+        preps = [prepare_pair(p) for p in make_pairs(23, 2)]
+        model = DockingModel(COMPACT, seed=0)
+        docked = training.validation_metric(model, preps[1:])
+        predict = training.predict_dock
+
+        def non_finite_first(model, ligand, *args, **kwargs):
+            if ligand is preps[0].graph_lig:
+                raise ad.NonFiniteError("svd3: input has non-finite entries")
+            return predict(model, ligand, *args, **kwargs)
+
+        monkeypatch.setattr(training, "predict_dock", non_finite_first)
+        stored = ligand_rmsd(preps[0].graph_lig.X, preps[0].bound_lig)
+        assert training.validation_metric(model, preps) == float(np.median([stored, docked]))
+
 
 class TestEvaluate:
     def test_oracle_predictor_scores_zero(self, monkeypatch):
@@ -367,6 +415,17 @@ class TestEvaluate:
         assert lines[0] == "pair_id,crmsd,irmsd,status"
         assert len(lines) == 1 + len(report.rows) + 6
         assert any(line.startswith("crmsd_median,") for line in lines)
+
+    def test_summary_without_a_finite_irmsd_is_nan(self, tmp_path):
+        report = EvalReport([EvalRow("a", 1.0, float("nan"), "no_contact"),
+                             EvalRow("b", 3.0, float("nan"), "no_contact")])
+        summary = report.summary()
+        assert all(math.isnan(summary[f"irmsd_{stat}"]) for stat in ("median", "mean", "std"))
+        assert summary["crmsd_median"] == 2.0
+        path = tmp_path / "eval.csv"
+        write_eval_csv(report, str(path))
+        rows = {row[0]: row[1] for row in csv.reader(path.read_text().splitlines())}
+        assert [rows[f"irmsd_{stat}"] for stat in ("mean", "median", "std")] == ["nan"] * 3
 
     def test_no_contact_pair_is_scored_without_irmsd(self):
         pairs = make_pairs(21, 2)
