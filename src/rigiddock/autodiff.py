@@ -9,8 +9,11 @@ exact reverse order and frees the recording.
 can (a transposed operand goes to BLAS as is, without a copy), so a Tensor's
 data need not be C-contiguous. Parameters are the exception: ``parameter``
 stores C-contiguous data, because ``grad_check`` and the optimizer write
-into it in place through flat views. Nothing writes into the data of any
-other tensor.
+into it in place through flat views. An optimizer may then rebind a
+parameter's data to a C-contiguous view of its own flat buffer and give it
+a gradient home, a view of one flat gradient buffer: the first gradient
+contribution is copied into the home, and later ones add to it in place.
+Nothing writes into the data of any other tensor.
 
 ``linear``, ``mlp``, ``edge_mlp``, ``message_pass``, ``node_update``,
 ``cross_attention``, ``keypoint_attention`` and ``surface_penetration``
@@ -80,12 +83,13 @@ def recording() -> bool:
 class Tensor:
     """Dense float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_home")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self._home: np.ndarray | None = None   # where _accumulate writes a first gradient
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -158,8 +162,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a C-ordered copy: g may alias another buffer or be a transposed view
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        if t._home is None:
+            # a C-ordered copy: g may alias another buffer or be a transposed view
+            t.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            # copied, not added onto zeros, which would turn -0.0 into +0.0
+            np.copyto(t._home, g)
+            t.grad = t._home
     else:
         t.grad += g
 

@@ -109,9 +109,55 @@ def contact_pairs(X: np.ndarray, Y: np.ndarray,
 
     A pair counts when ``d2 < cutoff * cutoff``; pairs come in row-major
     (i, j) order, with intp indices and d2 bit for bit the entry of
-    ``np.sum(diff * diff, axis=0)``. Formed one ``_distance_tiles`` block
-    at a time per worker, so memory is O(m * block) plus the pairs found.
+    ``np.sum(diff * diff, axis=0)``; a point with a NaN or infinite
+    coordinate pairs with nothing. A search of more than one tile
+    (``tiles.TILE_ENTRIES`` distances) covers only the points that can pair
+    (``_pairable``): X's inside Y's bounding box grown by the cutoff, then
+    Y's inside those points' box. Both subsets ascend and each d2 is
+    computed as before, so the result is the full search's. A smaller
+    search is one pass over all pairs, which the boxes would only slow.
+    Formed one ``_distance_tiles`` block at a time per worker, so memory is
+    O(m * block) plus the pairs found.
     """
+    if X.shape[1] * Y.shape[1] <= tiles.TILE_ENTRIES:
+        with np.errstate(invalid="ignore"):   # inf - inf: a NaN d2, which never pairs
+            return _contact_search(X, Y, cutoff)
+    ix, iy = _pairable(X, Y, cutoff)
+    i, j, d2 = _contact_search(X[:, ix], Y[:, iy], cutoff)
+    return ix[i], iy[j], d2
+
+
+def _pairable(X: np.ndarray, Y: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices of the columns of X and of Y that may lie within ``cutoff``.
+
+    A computed d2 below cutoff**2 puts every axis within cutoff * (1 + 2**-52)
+    of the other point, so the boxes grow by ``cutoff`` with a relative slack
+    of 1e-9, plus 1e-9 of the largest coordinate for the rounding of the box
+    bounds; a point with a non-finite coordinate has a d2 of inf or NaN with
+    every other point and never pairs, so it is dropped before the boxes form.
+    """
+    fx = np.flatnonzero(np.isfinite(X).all(axis=0))
+    fy = np.flatnonzero(np.isfinite(Y).all(axis=0))
+    if fx.size == 0 or fy.size == 0:
+        return fx[:0], fy[:0]
+    Xf, Yf = X[:, fx], Y[:, fy]
+    scale = max(np.abs(Xf).max(), np.abs(Yf).max())
+    reach = abs(cutoff) * (1.0 + 1e-9) + 1e-9 * scale
+
+    def inside(P, Q):
+        lo = Q.min(axis=1, keepdims=True) - reach
+        hi = Q.max(axis=1, keepdims=True) + reach
+        return np.flatnonzero(((P >= lo) & (P <= hi)).all(axis=0))
+
+    ix = fx[inside(Xf, Yf)]
+    if ix.size == 0:
+        return ix, fy[:0]
+    return ix, fy[inside(Yf, X[:, ix])]
+
+
+def _contact_search(X: np.ndarray, Y: np.ndarray,
+                    cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``contact_pairs`` over every pair of X's and Y's columns, one block at a time."""
     m = Y.shape[1]
     spans, scratch, distances = _distance_tiles(X, Y)
     found = {}  # block start -> (flat indices, d2) of its pairs

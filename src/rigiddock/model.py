@@ -264,6 +264,12 @@ class DockingModel:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays`` (checked by ``check_state_arrays``) into the parameters.
+
+        The values are written into each parameter's data in place, so an
+        optimizer that already holds the data as views of its flat buffer
+        (``training.Adam``) goes on driving the loaded model.
+        """
         check_state_arrays(self.config, arrays)
         for name, value in arrays.items():
-            self.params[name].data = np.asarray(value, dtype=np.float64, order="C").copy()
+            np.copyto(self.params[name].data, value)

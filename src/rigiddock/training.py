@@ -40,6 +40,7 @@ logger = logging.getLogger("rigiddock.training")
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+ADAM_SLICE = 2**14   # elements per slice of an Adam step: four slices of m, v, grad and data fit L2
 IMPROVEMENT_FACTOR = 0.98   # an accepted validation improvement beats the best by 2%
 
 # Keys of earlier versions' training config files, each with the one value
@@ -78,9 +79,16 @@ class TrainConfig:
 class Adam:
     """Adam over a named parameter dict, at the ``ADAM_*`` constants and no weight decay.
 
-    Both moments live in one flat buffer each, in parameter order, so a step
-    is a handful of vector operations and one in-place subtraction per
-    parameter; the parameters themselves stay separate arrays.
+    The parameters' data, their gradients and both moments each live in one
+    flat buffer, in parameter order: each ``p.data`` is rebound to its
+    C-contiguous view of the data buffer, and each parameter's gradient home
+    (see ``autodiff``) is its view of the gradient buffer, so backward
+    writes the gradients where the step reads them. A step then walks the
+    buffers in slices of ``ADAM_SLICE`` elements, each small enough that
+    its moments, gradient and data stay in cache across the dozen vector
+    operations, with no concatenate, no per-parameter scatter and no
+    full-length temporary. A second Adam built over the same parameters
+    moves them into its own buffers, and the first no longer drives them.
     """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float):
@@ -89,7 +97,12 @@ class Adam:
         self.step_count = 0
         ends = list(accumulate(p.data.size for p in params.values()))
         self._spans = list(zip([0] + ends, ends))
-        self._m, self._v = np.zeros((2, ends[-1]))
+        self._m, self._v, self._data, self._grad = (np.zeros(ends[-1]) for _ in range(4))
+        for p, (a, b) in zip(params.values(), self._spans):
+            view = self._data[a:b].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            p._home = self._grad[a:b].reshape(p.data.shape)
 
     def step(self) -> bool:
         """Apply one update from the current grads.
@@ -97,39 +110,44 @@ class Adam:
         A parameter whose grad is None keeps its data and moments. If any
         grad has a non-finite entry nothing changes and False is returned.
         """
-        params = list(self.params.values())
-        m, v = self._m, self._v
-        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-                            for p in params])
+        m, v, data, g = self._m, self._v, self._data, self._grad
+        idle = []
+        for p, span in zip(self.params.values(), self._spans):
+            if p.grad is None:
+                p._home.fill(0.0)
+                idle.append(span)
+            elif p.grad is not p._home:   # assigned directly, not accumulated
+                np.copyto(p._home, p.grad)
         if not np.isfinite(g).all():
             return False
-        idle = [(a, b) for p, (a, b) in zip(params, self._spans) if p.grad is None]
-        held = [(m[a:b].copy(), v[a:b].copy()) for a, b in idle]
+        held = [(a, b, m[a:b].copy(), v[a:b].copy(), data[a:b].copy()) for a, b in idle]
         self.step_count += 1
         b1t = 1.0 - ADAM_BETA1 ** self.step_count
         b2t = 1.0 - ADAM_BETA2 ** self.step_count
         # m, v and update = (m / b1t) / (sqrt(v / b2t) + eps), operation for
-        # operation as a per-parameter loop would compute them, in two
-        # scratch vectors (g, then tmp) instead of a temporary per operation.
-        tmp = np.empty_like(g)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - ADAM_BETA2
-        v += tmp
-        np.divide(v, b2t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        update = np.divide(m, b1t, out=g)
-        update /= tmp
-        update *= self.lr
-        for p, (a, b) in zip(params, self._spans):
-            if p.grad is not None:
-                p.data -= update[a:b].reshape(p.data.shape)
-        for (a, b), (m_held, v_held) in zip(idle, held):
-            m[a:b] = m_held
-            v[a:b] = v_held
+        # operation as a per-parameter loop would compute them, slice by slice
+        # in two scratch vectors instead of a temporary per operation.
+        scratch = np.empty((2, min(ADAM_SLICE, g.size)))
+        for lo in range(0, g.size, ADAM_SLICE):
+            hi = min(lo + ADAM_SLICE, g.size)
+            gs, ms, vs = g[lo:hi], m[lo:hi], v[lo:hi]
+            tmp, update = scratch[:, :hi - lo]
+            ms *= ADAM_BETA1
+            ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=tmp)
+            vs *= ADAM_BETA2
+            np.multiply(gs, gs, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            vs += tmp
+            np.divide(vs, b2t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.divide(ms, b1t, out=update)
+            update /= tmp
+            update *= self.lr
+            data[lo:hi] -= update
+        for a, b, *saved in held:
+            for buf, values in zip((m, v, data), saved):
+                buf[a:b] = values
         return True
 
     def first_non_finite(self) -> str | None:
@@ -304,9 +322,13 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                         writer.writerow([steps, f"{parts['mse']:.6f}", f"{parts['ot']:.6f}",
                                          f"{parts['intersection']:.6f}", f"{parts['total']:.6f}"])
             val = validation_metric(model, val_prepped) if val_prepped else np.nan
-            mean_loss = epoch_total / max(epoch_steps, 1)
+            # an epoch whose every step was skipped has no mean loss
+            mean_loss = epoch_total / epoch_steps if epoch_steps else math.nan
             history.append({"epoch": epoch, "mean_loss": mean_loss, "val": val})
-            logger.info("epoch %d: mean loss %.4f, val %.4f", epoch, mean_loss, val)
+            if epoch_steps:
+                logger.info("epoch %d: mean loss %.4f, val %.4f", epoch, mean_loss, val)
+            else:
+                logger.warning("epoch %d: no step taken, val %.4f", epoch, val)
             if val_prepped and val < IMPROVEMENT_FACTOR * best_val:
                 best_val = val
                 best_epoch = epoch

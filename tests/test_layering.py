@@ -154,3 +154,38 @@ def test_one_fallback_for_a_pair_the_network_cannot_dock():
             for name in ("DegenerateKeypointsError", "NonFiniteError"))
 
     assert users(catches) == {"training._docked_or_input", "training.train", "cli.main"}
+
+
+def test_only_the_tensor_and_the_optimizer_bind_a_tensors_data():
+    """Every assignment to an attribute named ``data`` sits in ``Tensor.__init__`` or
+    ``Adam.__init__``, so once the optimizer has made each parameter's data a view of
+    its flat buffer, nothing else (a checkpoint load, say) points that data elsewhere."""
+    def bound(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from bound(element)
+        elif isinstance(target, ast.Starred):
+            yield from bound(target.value)
+        elif isinstance(target, ast.Attribute):
+            yield target.attr
+
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(attr == "data" for target in targets for attr in bound(target)):
+                found.add(where)
+            visit(child, where)
+
+    for path in PACKAGE_DIR.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == {"autodiff.Tensor.__init__", "training.Adam.__init__"}

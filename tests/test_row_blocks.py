@@ -8,6 +8,7 @@ n x m version as the reference and requires the same bits for block heights
 against the one-candidate-at-a-time sampler it replaced.
 """
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -23,9 +24,13 @@ from rigiddock.metrics import NoContactError
 BLOCK_HEIGHTS = (1, 2, 7, None)  # None: one block taller than the input
 
 
-def block_rows(height, n, m):
-    """Patch the block budget so a distance tile over m columns holds ``height`` rows."""
-    return mock.patch.object(tiles, "TILE_ENTRIES", (height or n + 3) * m)
+def block_rows(height, n):
+    """Patch the block budget so every tile holds ``height`` rows (None: all n rows).
+
+    The row count is patched, not the entry budget, because the contact search
+    forms its tiles over the points that can pair, not over all m columns.
+    """
+    return mock.patch.object(tiles, "tile_rows", lambda width: height or n + 3)
 
 
 def full_squared_distances(X, Y):
@@ -127,25 +132,68 @@ def cross_cases(draw):
 @given(knn_cases())
 def test_property_knn_edges_blocks_match_full_matrix(case):
     X, k, height = case
-    with block_rows(height, X.shape[1], X.shape[1]):
+    with block_rows(height, X.shape[1]):
         src, dst = graphs.knn_edges(X, k)
     ref_src, ref_dst = reference_knn_edges(X, k)
     np.testing.assert_array_equal(src, ref_src)
     np.testing.assert_array_equal(dst, ref_dst)
 
 
+@st.composite
+def wild_cross_cases(draw):
+    """``cross_cases`` and a cutoff, moved far from the origin, with a pair planted just
+    inside the cutoff, NaN or infinite coordinates, or a side emptied, and whether to
+    search them pruned: either search must find exactly the full matrix's pairs."""
+    X1, X2, height = draw(cross_cases())
+    cutoff = draw(st.sampled_from((0.5, 3.0, POCKET_TAU, 11.5)))
+    offset = draw(st.sampled_from((0.0, 12345.678, 1e8, -1e8)))
+    X1, X2 = X1 + offset, X2 + offset
+    if draw(st.booleans()):   # one axis apart by the last float below the cutoff
+        i, j = draw(st.integers(0, X1.shape[1] - 1)), draw(st.integers(0, X2.shape[1] - 1))
+        axis, sign = draw(st.integers(0, 2)), draw(st.sampled_from((1.0, -1.0)))
+        X2[:, j] = X1[:, i]
+        X2[axis, j] += sign * np.nextafter(cutoff, 0.0)
+    for _ in range(draw(st.integers(0, 3))):
+        X = draw(st.sampled_from((X1, X2)))
+        X[draw(st.integers(0, 2)), draw(st.integers(0, X.shape[1] - 1))] = draw(
+            st.sampled_from((np.nan, np.inf, -np.inf)))
+    if draw(st.integers(0, 9)) == 0:
+        X1, X2 = draw(st.sampled_from(((X1[:, :0], X2), (X1, X2[:, :0]))))
+    return X1, X2, height, cutoff, draw(st.booleans())
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(cross_cases(), st.sampled_from((0.5, 3.0, POCKET_TAU, 11.5)))
-def test_property_contact_pairs_match_full_matrix_in_row_major_order(case, cutoff):
-    X1, X2, height = case
-    full = full_squared_distances(X1, X2)
+@given(wild_cross_cases())
+def test_property_contact_pairs_match_full_matrix_in_row_major_order(case):
+    X1, X2, height, cutoff, pruned = case
+    with np.errstate(invalid="ignore"):   # inf - inf
+        full = full_squared_distances(X1, X2)
     ref_i, ref_j = np.nonzero(full < cutoff * cutoff)
-    with block_rows(height, X1.shape[1], X2.shape[1]):
+    # a budget of 0 sends even these small clouds through the pruned search
+    budget = 0 if pruned else tiles.TILE_ENTRIES
+    with block_rows(height, X1.shape[1]), mock.patch.object(tiles, "TILE_ENTRIES", budget):
         i, j, d2 = graphs.contact_pairs(X1, X2, cutoff)
     np.testing.assert_array_equal(i, ref_i)
     np.testing.assert_array_equal(j, ref_j)
     assert d2.tobytes() == full[ref_i, ref_j].tobytes()
     assert i.dtype == j.dtype == np.intp and d2.dtype == np.float64
+
+
+@pytest.mark.parametrize("offset", (0.0, 12345.678, 1e8, -1e8, 3e12))
+def test_pruned_contact_search_keeps_the_farthest_pair_inside_the_cutoff(offset):
+    """Two one-point clouds one axis apart, as far as a computed d2 below cutoff**2
+    allows: each box is its one point, so only the boxes' margin keeps the pair."""
+    for cutoff, axis, sign in itertools.product((0.5, 3.0, POCKET_TAU, 11.5), range(3),
+                                                (1.0, -1.0)):
+        X1 = np.full((3, 1), offset)
+        X2 = X1.copy()
+        X2[axis] += sign * cutoff
+        while not full_squared_distances(X1, X2)[0, 0] < cutoff * cutoff:
+            X2[axis] = np.nextafter(X2[axis], offset)
+        with mock.patch.object(tiles, "TILE_ENTRIES", 0):
+            i, j, d2 = graphs.contact_pairs(X1, X2, cutoff)
+        assert (i.tolist(), j.tolist()) == ([0], [0]), (cutoff, axis, sign)
+        assert d2.tobytes() == full_squared_distances(X1, X2)[0].tobytes()
 
 
 def test_contact_pairs_without_contacts_are_empty():
@@ -160,7 +208,7 @@ def test_contact_pairs_without_contacts_are_empty():
 @given(cross_cases())
 def test_property_interface_indices_blocks_match_full_matrix(case):
     X1, X2, height = case
-    with block_rows(height, X1.shape[1], X2.shape[1]):
+    with block_rows(height, X1.shape[1]):
         lig, rec = metrics.interface_indices(X1, X2)
     ref_lig, ref_rec = reference_interface_indices(X1, X2)
     np.testing.assert_array_equal(lig, ref_lig)
@@ -176,7 +224,7 @@ def test_property_pocket_points_blocks_match_full_matrix_in_order(case):
         expected = reference_pocket_points(X1, X2)
     except NoContactError:
         expected = None
-    with block_rows(height, X1.shape[1], X2.shape[1]):
+    with block_rows(height, X1.shape[1]):
         if expected is None:
             with pytest.raises(NoContactError):
                 pocket_points(X1, X2)
@@ -188,7 +236,7 @@ def test_property_pocket_points_blocks_match_full_matrix_in_order(case):
 @given(cross_cases())
 def test_property_verify_blocks_decide_as_full_matrix(case):
     X1, X2, height = case
-    with block_rows(height, X1.shape[1], X2.shape[1]):
+    with block_rows(height, X1.shape[1]):
         assert synthetic._verify(X1, X2) == reference_verify(X1, X2)
 
 
@@ -205,7 +253,7 @@ def test_verify_blocks_decide_as_full_matrix_on_generated_geometry():
             moved = lig + np.array([[shift], [0.0], [0.0]])
             expected = reference_verify(moved, rec)
             for height in BLOCK_HEIGHTS:
-                with block_rows(height, moved.shape[1], rec.shape[1]):
+                with block_rows(height, moved.shape[1]):
                     assert synthetic._verify(moved, rec) == expected
             decisions.append(expected)
     assert True in decisions and False in decisions

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,58 @@ class TestAdam:
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name
         assert np.array_equal(opt._m, moments[0]) and np.array_equal(opt._v, moments[1])
+
+
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        model = DockingModel(COMPACT, seed=0)
+        before = {k: v.data.copy() for k, v in model.params.items()}
+        opt = Adam(model.params, lr=1e-2)
+        for (name, p), (a, b) in zip(model.params.items(), opt._spans):
+            assert p.data.flags.c_contiguous and p.data.base is opt._data, name
+            assert np.shares_memory(p.data, opt._data[a:b]), name
+            assert np.array_equal(p.data, before[name]), name
+        for p in model.params.values():
+            p.grad = np.ones_like(p.data)
+        assert opt.step()
+        for (name, p), (a, b) in zip(model.params.items(), opt._spans):
+            assert np.all(p.data < before[name]), name
+            assert np.array_equal(p.data.reshape(-1), opt._data[a:b]), name
+
+    def test_step_after_a_load_moves_the_loaded_values(self):
+        model = DockingModel(COMPACT, seed=0)
+        opt = Adam(model.params, lr=1e-2)
+        loaded = DockingModel(COMPACT, seed=1).state_arrays()
+        model.load_state_arrays(loaded)
+        for name, p in model.params.items():
+            assert p.data.base is opt._data and np.array_equal(p.data, loaded[name]), name
+            p.grad = np.ones_like(p.data)
+        assert opt.step()
+        for name, p in model.params.items():
+            assert np.all(p.data < loaded[name]), name
+
+    def test_first_gradient_of_negative_zero_stays_negative_zero(self):
+        model = DockingModel(COMPACT, seed=0)
+        opt = Adam(model.params, lr=1e-2)
+        p = model.params["embed.table"]
+        ad._accumulate(p, np.full(p.data.shape, -0.0))
+        assert np.shares_memory(p.grad, opt._grad)
+        assert np.all(p.grad == 0.0) and np.all(np.signbit(p.grad))
+
+    def test_step_allocates_less_than_one_full_length_vector(self):
+        model = DockingModel(ModelConfig(), seed=0)
+        size = sum(p.data.size for p in model.params.values())
+        assert size == 122_149
+        opt = Adam(model.params, lr=2e-4)
+        rng = np.random.default_rng(8)
+        for p in model.params.values():
+            ad._accumulate(p, rng.normal(size=p.data.shape))
+        tracemalloc.start()
+        try:
+            assert opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size
 
 
 class TestTrainConfig:
@@ -304,6 +357,22 @@ class TestTrainLoop:
         assert f"non-finite {poison} on" in message and "swap=True" in message
         first = "keypoints.w_prime" if poison == "gradient" else next(iter(model.params))
         assert f"first non-finite gradient: {first})" in message
+
+    def test_epoch_without_a_step_reports_no_mean_loss(self, monkeypatch, caplog):
+        def failing_step(*args):
+            raise ad.NonFiniteError("forced")
+
+        monkeypatch.setattr(training, "_training_step", failing_step)
+        pairs = make_pairs(22, 2)
+        model = DockingModel(COMPACT, seed=0)
+        with caplog.at_level("INFO", logger="rigiddock.training"):
+            result = train(model, pairs[:1], pairs[1:], TrainConfig(lr=1e-3, max_epochs=2))
+        assert result.steps == 0
+        assert [h["epoch"] for h in result.history] == [0, 1]
+        assert all(math.isnan(h["mean_loss"]) for h in result.history)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if m.startswith("epoch")] == [
+            f"epoch {e}: no step taken, val {h['val']:.4f}" for e, h in enumerate(result.history)]
 
     def test_patience_stops_after_an_epoch_without_improvement(self, caplog):
         pairs = make_pairs(22, 2)
