@@ -27,8 +27,9 @@ BLOCK_HEIGHTS = (1, 2, 7, None)  # None: one block taller than the input
 def block_rows(height, n):
     """Patch the block budget so every tile holds ``height`` rows (None: all n rows).
 
-    The row count is patched, not the entry budget, because the contact search
-    forms its tiles over the points that can pair, not over all m columns.
+    The row count is patched, not the entry budget: the budget also decides
+    whether the contact search prunes, and a pruned search forms its tiles over
+    the points that can pair, not over all m columns.
     """
     return mock.patch.object(tiles, "tile_rows", lambda width: height or n + 3)
 
