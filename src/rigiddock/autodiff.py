@@ -15,11 +15,12 @@ a gradient home, a view of one flat gradient buffer: the first gradient
 contribution is copied into the home, and later ones add to it in place.
 Nothing writes into the data of any other tensor.
 
-``linear``, ``mlp``, ``edge_mlp``, ``message_pass``, ``node_update``,
-``cross_attention``, ``keypoint_attention`` and ``surface_penetration``
-are fused ops: each records one tape node with a hand-written backward
-instead of one node per primitive. ``message_pass`` and
-``keypoint_attention`` have two outputs; ``svd3`` has three.
+``linear``, ``message_pass``, ``node_update``, ``cross_attention``,
+``keypoint_attention`` and ``surface_penetration`` are fused ops: each
+records one tape node with a hand-written backward instead of one node per
+primitive. ``message_pass`` and ``keypoint_attention`` have two outputs;
+``svd3`` has three. ``mlp`` and ``edge_mlp`` have no backward of their own:
+they are compositions of primitives, one tape node per primitive.
 
 Tiles come from the one budget in ``tiles``. ``cross_attention`` and
 ``surface_penetration`` run over row tiles of their n1 x n2 logits or
@@ -426,11 +427,14 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _emit(out_data, (a,), backward)
 
 
-def _layer_norm(x: np.ndarray, axis: int, eps: float):
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
+
+def _layer_norm(x: np.ndarray, axis: int):
     """Zero mean / unit variance along ``axis``, plus the adjoint of that map."""
     mean = x.mean(axis=axis, keepdims=True)
     var = x.var(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (x - mean) * inv
 
     def backward(g):
@@ -441,9 +445,9 @@ def _layer_norm(x: np.ndarray, axis: int, eps: float):
     return y, backward
 
 
-def layer_norm(a: Tensor, axis: int = 0, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, axis: int = 0) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis`` (no affine part)."""
-    y, norm_backward = _layer_norm(a.data, axis, eps)
+    y, norm_backward = _layer_norm(a.data, axis)
 
     def backward(g):
         _accumulate(a, norm_backward(g))
@@ -522,7 +526,7 @@ def pairwise_sqdist(x: Tensor, y: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused layers: one tape node each, with a hand-written backward
+# Layers: the fused ones record one tape node each, with a hand-written backward
 # ---------------------------------------------------------------------------
 
 
@@ -560,57 +564,27 @@ def _records(parents: tuple[Tensor, ...]) -> bool:
     return _active_tape() is not None and any(p.requires_grad for p in parents)
 
 
-def _head_backward(mask: np.ndarray, hidden: np.ndarray, W1: Tensor, b1: Tensor,
-                   slope: float):
+def _head_backward(g: np.ndarray, mask: np.ndarray, hidden: np.ndarray, W1: Tensor,
+                   b1: Tensor, slope: float) -> np.ndarray:
     """Backward of W1 @ hidden + b1 with hidden = leaky_relu(pre, slope) and mask = pre >= 0.0.
 
-    It accumulates into W1 and b1 and returns the gradient with respect to
-    ``pre``.
+    Given the output gradient ``g``, it accumulates into W1 and b1 and
+    returns the gradient with respect to ``pre``.
     """
     W1d = W1.data
-
-    def backward(g):
-        _accumulate(W1, g @ hidden.T)
-        _accumulate(b1, g.sum(axis=1, keepdims=True))
-        # a one-row W1 (a gate) makes this an outer product, which BLAS runs
-        # several times slower than the broadcast product with the same bits
-        g_pre = W1d.T * g if W1d.shape[0] == 1 else W1d.T @ g
-        g_pre *= _leaky_relu_factor(mask, slope)
-        return g_pre
-
-    return backward
-
-
-def _mlp_head(pre: np.ndarray, W1: Tensor, b1: Tensor, slope: float, keep: bool):
-    """W1 @ leaky_relu(pre, slope) + b1, plus its backward (``_head_backward``), or None.
-
-    The backward, and the sign mask of ``pre`` it holds, are formed only
-    when ``keep`` says a tape records the op.
-    """
-    hidden = _leaky_relu_values(pre, slope)
-    out = _affine(W1.data, hidden, b1.data)
-    return out, _head_backward(pre >= 0.0, hidden, W1, b1, slope) if keep else None
+    _accumulate(W1, g @ hidden.T)
+    _accumulate(b1, g.sum(axis=1, keepdims=True))
+    # a one-row W1 (a gate) makes this an outer product, which BLAS runs
+    # several times slower than the broadcast product with the same bits
+    g_pre = W1d.T * g if W1d.shape[0] == 1 else W1d.T @ g
+    g_pre *= _leaky_relu_factor(mask, slope)
+    return g_pre
 
 
 def mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, x: Tensor,
         slope: float = 0.01) -> Tensor:
-    """W1 @ leaky_relu(W0 @ x + b0, slope) + b1."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mlp: input shape {x.data.shape}, expected 2-D")
-    _check_layer("mlp", W0, b0, x.data.shape[0])
-    _check_layer("mlp", W1, b1, W0.data.shape[0])
-    W0d, xd = W0.data, x.data
-    out_data, head_backward = _mlp_head(_affine(W0d, xd, b0.data), W1, b1, slope,
-                                        _records((W0, b0, W1, b1, x)))
-
-    def backward(g):
-        g_pre = head_backward(g)
-        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
-        _accumulate(W0, g_pre @ xd.T)
-        if x.requires_grad:
-            _accumulate(x, W0d.T @ g_pre)
-
-    return _emit(out_data, (W0, b0, W1, b1, x), backward)
+    """W1 @ leaky_relu(W0 @ x + b0, slope) + b1, as ``linear``, ``leaky_relu`` and ``linear``."""
+    return linear(W1, leaky_relu(linear(W0, x, b0), slope), b1)
 
 
 def _check_graph(op: str, neighbors: np.ndarray, n: int, edge_columns: int) -> np.ndarray:
@@ -642,68 +616,21 @@ def _edge_pre(W_edge: np.ndarray, b0: np.ndarray, edge_in: np.ndarray, dst_proj:
     return pre
 
 
-def _edge_backward(head_backward, W0: Tensor, b0: Tensor, H: Tensor, edge_in: np.ndarray,
-                   neighbors: np.ndarray):
-    """Backward of an edge MLP whose pre-activations came from ``_edge_pre`` on all nodes.
-
-    ``head_backward`` is its head's (``_head_backward``). The backward
-    accumulates into W0, b0 and H, reducing the edge gradient to nodes before
-    the node-side matmuls, and returns the gradient with respect to the
-    pre-activation, ``g_pre``; the edge input's gradient is
-    ``W0[:, 2 * d:].T @ g_pre``.
-    """
-    d, n = H.data.shape
-    k = neighbors.shape[1]
-    W0d, Hd = W0.data, H.data
-    W_dst, W_src = W0d[:, :d], W0d[:, d:2 * d]
-    src = neighbors.reshape(-1)
-
-    def backward(g):
-        g_pre = head_backward(g)
-        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
-        g_dst = _sum_groups(g_pre, k)
-        g_src = _sum_into_columns(g_pre, src, n)
-        _accumulate(W0, np.concatenate([g_dst @ Hd.T, g_src @ Hd.T, g_pre @ edge_in.T], axis=1))
-        if H.requires_grad:
-            g_H = W_dst.T @ g_dst
-            g_H += W_src.T @ g_src
-            _accumulate(H, g_H)
-        return g_pre
-
-    return backward
-
-
 def edge_mlp(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
              edge_in: Tensor, neighbors: np.ndarray, slope: float = 0.01) -> Tensor:
-    """``mlp`` over the edges of a fixed-degree graph, without gathering H to edges.
+    """``mlp`` over the edges of a fixed-degree graph, as gathers, ``concat`` and ``mlp``.
 
     Node i has the k in-edges ``neighbors[i, j] -> i``, stored as column
     ``i * k + j``. The per-edge input is ``concat([H[:, dst], H[:, src],
-    edge_in])``; W0 is read as the column blocks ``[W_dst | W_src | W_edge]``
-    and ``W_dst @ H``, ``W_src @ H`` are formed on the n nodes before the
-    gather. Backward reduces the edge gradient to nodes before the node-side
-    matmuls.
+    edge_in])``, gathered with ``take_columns``.
     """
     if H.data.ndim != 2 or edge_in.data.ndim != 2:
         raise ShapeError(f"edge_mlp: H {H.data.shape}, edge input {edge_in.data.shape}")
-    d = H.data.shape[0]
     neighbors = _check_graph("edge_mlp", neighbors, H.data.shape[1], edge_in.data.shape[1])
-    _check_layer("edge_mlp", W0, b0, 2 * d + edge_in.data.shape[0])
-    _check_layer("edge_mlp", W1, b1, W0.data.shape[0])
-    W0d, Hd = W0.data, H.data
-    W_edge = W0d[:, 2 * d:]
-    pre = _edge_pre(W_edge, b0.data, edge_in.data, W0d[:, :d] @ Hd, W0d[:, d:2 * d] @ Hd,
-                    neighbors)
-    out_data, head_backward = _mlp_head(pre, W1, b1, slope,
-                                        _records((W0, b0, W1, b1, H, edge_in)))
-    core_backward = _edge_backward(head_backward, W0, b0, H, edge_in.data, neighbors)
-
-    def backward(g):
-        g_pre = core_backward(g)
-        if edge_in.requires_grad:
-            _accumulate(edge_in, W_edge.T @ g_pre)
-
-    return _emit(out_data, (W0, b0, W1, b1, H, edge_in), backward)
+    n, k = neighbors.shape
+    gathered = concat([take_columns(H, np.repeat(np.arange(n), k)),
+                       take_columns(H, neighbors.reshape(-1)), edge_in], axis=0)
+    return mlp(W0, b0, W1, b1, gathered, slope)
 
 
 def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
@@ -716,8 +643,8 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
     Node i has the k in-edges ``neighbors[i, j] -> i`` (edge column
     ``i * k + j``, as in ``edge_mlp``). Per edge, ``diff = Z_i - Z_src``,
     ``radial = exp(-|diff|^2 / sigma)`` and ``m_e = mlp(phi_e, [H_i; H_src;
-    radial; edge_feats_e])``, formed through ``edge_mlp``'s node-side
-    projection. Then, with ``phi_e`` and ``phi_x`` each ``(W0, b0, W1, b1)``
+    radial; edge_feats_e])``, formed from node-side projections
+    (``_edge_pre``). Then, with ``phi_e`` and ``phi_x`` each ``(W0, b0, W1, b1)``
     of a LeakyReLU ``mlp`` and ``phi_x`` giving one gate per edge::
 
         m     = (1 / k) * sum_j m_e
@@ -842,16 +769,22 @@ def message_pass(phi_e: tuple[Tensor, Tensor, Tensor, Tensor],
         if X0.requires_grad:
             _accumulate(X0, g_z * eta)
         g_shift = (g_z * shift_scale)[:, :, None]
-        gate_backward = _head_backward(prex_mask, hidden_x, Wx1, bx1, slope)
-        g_prex = gate_backward((g_shift * diff).sum(axis=0).reshape(1, n * k))
+        g_prex = _head_backward((g_shift * diff).sum(axis=0).reshape(1, n * k), prex_mask,
+                                hidden_x, Wx1, bx1, slope)
         _accumulate(bx0, g_prex.sum(axis=1, keepdims=True))
         _accumulate(Wx0, g_prex @ m_edge.T)
         g_edge = Wx0d.T @ g_prex
         per_node = g_edge.reshape(hid, n, k)
         per_node += (g_m * (1.0 / k))[:, :, None]
-        edge_backward = _edge_backward(_head_backward(pre_mask, hidden, W1, b1, slope),
-                                       W0, b0, H, edge_in, neighbors)
-        g_pre = edge_backward(g_edge)
+        g_pre = _head_backward(g_edge, pre_mask, hidden, W1, b1, slope)
+        _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
+        g_dst = _sum_groups(g_pre, k)
+        g_src = _sum_into_columns(g_pre, neighbors.reshape(-1), n)
+        _accumulate(W0, np.concatenate([g_dst @ Hd.T, g_src @ Hd.T, g_pre @ edge_in.T], axis=1))
+        if H.requires_grad:
+            g_H = W0d[:, :d].T @ g_dst
+            g_H += W0d[:, d:2 * d].T @ g_src
+            _accumulate(H, g_H)
         if Z.requires_grad:
             g_sqd = (W_radial @ g_pre) * edge_in[0]
             g_sqd *= 2.0 * c
@@ -886,18 +819,22 @@ def node_update(W0: Tensor, b0: Tensor, W1: Tensor, b1: Tensor, H: Tensor,
     W0d = W0.data
     keep = _records(parts + (W0, b0, W1, b1))
     pre = _affine(W0d, x, b0.data)
-    if not keep:  # nothing will run backward, so free each input array once it is read
+    if not keep:  # nothing will run backward, so free each array once it is read
         x = None
-    mix, head_backward = _mlp_head(pre, W1, b1, slope, keep)
+    hidden = _leaky_relu_values(pre, slope)
+    mask = pre >= 0.0 if keep else None
     del pre
+    mix = _affine(W1.data, hidden, b1.data)
+    if not keep:
+        hidden = None
     h = H.data * (1.0 - beta)
     h += mix * beta
-    out_data, norm_backward = _layer_norm(h, 0, 1e-5)
+    out_data, norm_backward = _layer_norm(h, 0)
     bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
         g = norm_backward(g)
-        g_pre = head_backward(g * beta)
+        g_pre = _head_backward(g * beta, mask, hidden, W1, b1, slope)
         _accumulate(b0, g_pre.sum(axis=1, keepdims=True))
         _accumulate(W0, g_pre @ x.T)
         g_x = W0d.T @ g_pre

@@ -338,7 +338,9 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                 break
     if not val_prepped:
         save_checkpoint(None, config.max_epochs - 1)
-    return TrainResult(best_val=float(best_val), epochs_run=len(history),
+    # with no validation pair there is no best value, like each epoch's val
+    return TrainResult(best_val=float(best_val) if val_prepped else math.nan,
+                       epochs_run=len(history),
                        steps=steps, skipped_pairs=skipped, history=history)
 
 

@@ -1,8 +1,9 @@
 """The primitive compositions that the fused ops replace.
 
 Each function builds, from one tape node per primitive, what one fused op
-in ``rigiddock.autodiff`` computes in a single node. Tests compare the two
-for values and gradients.
+in ``rigiddock.autodiff`` computes in a single node. ``ad.mlp`` is itself
+``linear``, ``leaky_relu`` and ``linear``, so no reference shares a helper
+with the op it checks. Tests compare the two for values and gradients.
 """
 
 import numpy as np

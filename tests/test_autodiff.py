@@ -738,6 +738,29 @@ def test_fused_layer_ops_record_one_node_and_reject_bad_shapes():
         ad.keypoint_attention(P(2, 2), P(2, 1), P(5, 2), Z, H, P(2, 5), 3, 0.01)
 
 
+def test_references_share_no_fused_helper(monkeypatch):
+    """The primitive references run forward and backward without the fused ops' helpers."""
+    def refuse(*args):
+        raise AssertionError("a reference reached a fused op's helper")
+
+    for name in ("_head_backward", "_edge_pre", "_sum_groups"):
+        monkeypatch.setattr(ad, name, refuse)
+    rng = np.random.default_rng(30)
+    P = lambda *s: ad.parameter(rng.standard_normal(s))
+    phi_e, phi_x = (P(2, 6), P(2, 1), P(2, 2), P(2, 1)), (P(2, 2), P(2, 1), P(1, 2), P(1, 1))
+    Z, H, X0 = P(3, 4), P(2, 4), P(3, 4)
+    update, context = (P(2, 4), P(2, 1), P(2, 2), P(2, 1)), [P(2, 4)]
+    nbrs = np.array([[1, 2], [0, 2], [3, 0], [2, 1]])
+    with ad.Tape() as tape:
+        m, z = reference_ops.message_pass(phi_e, phi_x, Z, H, X0, rng.standard_normal((1, 8)),
+                                          nbrs, 0.01, 30.0, 0.25, 1.0)
+        h = reference_ops.node_update(*update, H, context, 0.5, 0.01)
+        probe = lambda t: ad.dot(t, ad.constant(rng.standard_normal(t.data.shape)))
+        tape.backward(ad.add(ad.add(probe(m), probe(z)), probe(h)))
+    for p in (*phi_e, *phi_x, Z, H, X0, *update, *context):
+        assert p.grad is not None and np.all(np.isfinite(p.grad))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.floats(0.0, 1.0))
 def test_property_leaky_relu_factor_is_the_select_bit_for_bit(slope):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +29,8 @@ from rigiddock.training import (
     train,
     write_eval_csv,
 )
+
+from test_acceptance import _primitive_op_cases
 
 
 COMPACT = ModelConfig(hidden_dim=16, layers=2, heads=8)
@@ -266,6 +269,12 @@ class TestTrainLoop:
         result = train(model, [pairs[1], broken], [], config)
         assert result.skipped_pairs == [broken.pair_id]
         assert result.steps == 2
+
+    def test_without_validation_pairs_best_val_is_nan(self):
+        model = DockingModel(COMPACT, seed=0)
+        result = train(model, make_pairs(12, 1), [], TrainConfig(lr=1e-3, max_epochs=1, seed=0))
+        assert result.steps == 2
+        assert math.isnan(result.best_val) and math.isnan(result.history[0]["val"])
 
     def test_all_pairs_skipped_raises(self):
         pairs = make_pairs(13, 1)
@@ -521,6 +530,35 @@ def test_default_training_step_records_at_most_150_tape_nodes():
             loss, _ = training._training_step(model, prep, swap, move)
             assert len(tape) <= 150
             tape.backward(loss)
+
+
+def test_criterion_05_checks_every_op_a_training_step_records(monkeypatch):
+    """Each op that records a tape node in a default-config step has a criterion 05 case."""
+    recorded = set()
+
+    def naming(emit):
+        def emit_and_name(*args):
+            tape = ad._active_tape()
+            before = len(tape) if tape is not None else 0
+            out = emit(*args)
+            if tape is not None and len(tape) > before:
+                recorded.add(sys._getframe(1).f_code.co_name)
+            return out
+        return emit_and_name
+
+    monkeypatch.setattr(ad, "_emit", naming(ad._emit))
+    monkeypatch.setattr(ad, "_emit_multi", naming(ad._emit_multi))
+    prep = prepare_pair(generate_pair(np.random.default_rng(3), "p", 40, 50))
+    model = DockingModel(ModelConfig(), seed=0)
+    for swap in (False, True):
+        move = random_se3(np.random.default_rng(6))
+        with ad.Tape() as tape:
+            loss, _ = training._training_step(model, prep, swap, move)
+            tape.backward(loss)
+    # a case is named by its op, then perhaps a variant ("reduce_sum axis")
+    checked = {name.split()[0] for name, _, _ in _primitive_op_cases(np.random.default_rng(500))}
+    assert {"message_pass", "node_update", "keypoint_attention", "svd3"} <= recorded
+    assert recorded <= checked | {"svd3"}, recorded - checked
 
 
 # Gradient SHA-256 of one taped COMPACT step. A budget of 1000 entries gives
