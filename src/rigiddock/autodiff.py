@@ -337,8 +337,6 @@ def _leaky_relu_factor(mask: np.ndarray, slope: float) -> np.ndarray:
     fl(1 - slope) is within 2**-54 of 1 - slope, so adding slope back rounds
     to 1. A NaN pre has a false mask and gets the slope, as in the select.
     """
-    if not 0.0 <= slope <= 1.0:
-        return np.where(mask, 1.0, slope)
     factor = mask.astype(np.float64)
     factor *= 1.0 - slope
     factor += slope
@@ -346,19 +344,20 @@ def _leaky_relu_factor(mask: np.ndarray, slope: float) -> np.ndarray:
 
 
 def _leaky_relu_values(pre: np.ndarray, slope: float) -> np.ndarray:
-    """pre * where(pre >= 0, 1, slope), bit for bit, without the mask for 0 < slope < inf.
+    """pre * where(pre >= 0, 1, slope), bit for bit; a slope outside [0, 1] raises ValueError.
 
     For 0 < slope <= 1, pre * slope is at most pre when pre >= 0 and at least
-    pre when pre < 0, so max(pre * slope, pre) is the masked product; for
-    slope > 1 the order flips and min gives it. Operands that tie are then
-    equal bit for bit, and a NaN comes from the product, as in the masked
-    form. Slope 0 keeps the masked product because inf * 0 is NaN, and a
-    negative slope keeps it because +0.0 would tie with -0.0.
+    pre when pre < 0, so max(pre * slope, pre) is the masked product:
+    operands that tie are equal bit for bit, and a NaN comes from the
+    product, as in the masked form. Slope 0 keeps the masked product
+    because inf * 0 is NaN.
     """
-    if not 0.0 < slope < np.inf:
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must lie in [0, 1], got {slope}")
+    if slope == 0.0:
         return pre * _leaky_relu_factor(pre >= 0.0, slope)
     out = pre * slope
-    (np.maximum if slope <= 1.0 else np.minimum)(out, pre, out=out)
+    np.maximum(out, pre, out=out)
     return out
 
 

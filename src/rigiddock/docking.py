@@ -73,6 +73,9 @@ class DockResult:
     ligand_pose: ad.Tensor  # predicted ligand coordinates, 3 x n1
 
     def transform(self) -> RigidTransform:
+        """The predicted rigid motion; a non-finite R or t raises ``NonFiniteError``."""
+        if not (np.isfinite(self.R.data).all() and np.isfinite(self.t.data).all()):
+            raise ad.NonFiniteError("dock: the predicted motion has non-finite entries")
         return RigidTransform(self.R.data, self.t.data.ravel())
 
 

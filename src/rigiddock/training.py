@@ -6,7 +6,8 @@ every step, and validation scores the median unaligned pose error on the
 held-out pairs. Checkpoints are written only when validation improves by
 a real margin, and training stops after a patience window without one.
 A pair the network cannot dock (degenerate keypoints, NaN or Inf) is
-scored at its input pose, or its step skipped, and the run goes on.
+scored at its input pose, or its step skipped, and the run goes on; a
+non-finite loss (caught before backward) or gradient takes that one path.
 There is one recipe, Adam without weight decay on the unweighted loss
 sum; ``TrainConfig`` holds only what the ``train`` command has flags for.
 """
@@ -255,10 +256,10 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
 
     Pairs whose bound complex has no contacts are skipped with a warning;
     if every training pair is skipped that is a ``DatasetError``. A step that
-    raises either error ``_docked_or_input`` falls back on, or whose loss or
-    gradient is not finite, changes nothing and logs a warning naming the
-    pair, direction and failure that ends in "step skipped". The loss CSV is
-    written atomically, so it appears only if the call returns.
+    raises either error ``_docked_or_input`` falls back on, or whose loss
+    (checked before backward) or gradient is not finite, changes nothing and
+    logs one warning, "<error> on <pair> (swap=<dir>): <reason>; step skipped".
+    The loss CSV is written atomically, so it appears only if the call returns.
     """
     skipped: list[str] = []
     prepped: list[PreparedPair] = []
@@ -302,18 +303,15 @@ def train(model: DockingModel, train_pairs: list[DockingPair],
                     try:
                         with ad.Tape() as tape:
                             loss, parts = _training_step(model, prep, swap, move)
+                            if not math.isfinite(parts["total"]):
+                                raise ad.NonFiniteError("the loss is not finite")
                             tape.backward(loss)
+                        if not optimizer.step():
+                            raise ad.NonFiniteError(
+                                f"the gradient of {optimizer.first_non_finite()} is not finite")
                     except (DegenerateKeypointsError, ad.NonFiniteError) as exc:
                         logger.warning("%s on %s (swap=%s): %s; step skipped",
                                        type(exc).__name__, prep.pair_id, swap, exc)
-                        continue
-                    # step() itself refuses a non-finite gradient.
-                    finite_loss = math.isfinite(parts["total"])
-                    if not (finite_loss and optimizer.step()):
-                        logger.warning("non-finite %s on %s (swap=%s, first non-finite "
-                                       "gradient: %s); step skipped",
-                                       "gradient" if finite_loss else "loss", prep.pair_id,
-                                       swap, optimizer.first_non_finite())
                         continue
                     steps += 1
                     epoch_steps += 1

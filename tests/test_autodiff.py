@@ -323,7 +323,7 @@ def test_grad_check_through_transposed_view():
 # --- one-pass LeakyReLU --------------------------------------------------------
 
 
-@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.5, -0.3])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
 def test_leaky_relu_matches_masked_product_bit_for_bit(slope):
     rng = np.random.default_rng(22)
     specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]
@@ -344,6 +344,12 @@ def test_leaky_relu_matches_masked_product_bit_for_bit(slope):
                 factor = np.where(pre >= 0, 1.0, slope)
                 assert np.array_equal(out.data.view(np.uint64), (pre * factor).view(np.uint64))
                 assert np.array_equal(x.grad.view(np.uint64), (g * factor).view(np.uint64))
+
+
+@pytest.mark.parametrize("slope", [-0.3, 2.5, np.inf, np.nan])
+def test_leaky_relu_refuses_a_slope_outside_zero_to_one(slope):
+    with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
+        ad.leaky_relu(ad.constant([-1.0, 2.0]), slope)
 
 
 # --- fused cross-attention ----------------------------------------------------

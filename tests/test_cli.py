@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigiddock import cli, synthetic
+from rigiddock import autodiff as ad
+from rigiddock import cli, docking, synthetic
 from rigiddock.atomic import atomic_open
 from rigiddock.checkpoint import load_named_tensors, save_named_tensors
 from rigiddock.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
@@ -509,6 +510,23 @@ class TestExitCodes:
         assert main(argv + ["--copy-full-atoms"] * copy_full_atoms) == EXIT_NUMERICAL
         assert "does not fit the 8-column PDB field" in capsys.readouterr().err
         assert not out_pdb.exists() and not out_json.exists()
+
+    def test_dock_non_finite_predicted_motion(self, workdir, ligand_pdb, receptor_pdb,
+                                              model_path, monkeypatch, capsys):
+        kabsch_tensors = docking.kabsch_tensors
+
+        def infinite_shift(Y1, Y2):
+            R, t = kabsch_tensors(Y1, Y2)
+            return R, ad.constant([[np.inf], [0.0], [0.0]])
+
+        monkeypatch.setattr(docking, "kabsch_tensors", infinite_shift)
+        out_pdb = workdir / "inf.pdb"
+        code = main(["dock", "--ligand", str(ligand_pdb), "--receptor", str(receptor_pdb),
+                     "--model", str(model_path), "--out-pdb", str(out_pdb)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: dock: the predicted motion has non-finite entries\n")
+        assert not out_pdb.exists()
 
     def test_missing_input_file(self, workdir, model_path):
         code = main(["dock", "--ligand", str(workdir / "nope.pdb"),

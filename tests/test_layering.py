@@ -156,6 +156,19 @@ def test_one_fallback_for_a_pair_the_network_cannot_dock():
     assert users(catches) == {"training._docked_or_input", "training.train", "cli.main"}
 
 
+def test_one_skip_warning_in_the_training_loop():
+    """``training.train`` logs exactly one warning whose format ends in "step skipped",
+    so every skipped step, whatever failed, goes through the step's one handler."""
+    tree = ast.parse((PACKAGE_DIR / "training.py").read_text())
+    [train] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "train"]
+    skips = [node for node in ast.walk(train) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "logger.warning" and node.args
+             and isinstance(node.args[0], ast.Constant)
+             and str(node.args[0].value).endswith("step skipped")]
+    assert len(skips) == 1
+
+
 def test_only_the_tensor_and_the_optimizer_bind_a_tensors_data():
     """Every assignment to an attribute named ``data`` sits in ``Tensor.__init__`` or
     ``Adam.__init__``, so once the optimizer has made each parameter's data a view of

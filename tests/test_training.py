@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rigiddock import autodiff as ad
-from rigiddock import losses, tiles, training
+from rigiddock import docking, losses, tiles, training
 from rigiddock.checkpoint import load_named_tensors
 from rigiddock.docking import DegenerateKeypointsError
 from rigiddock.geometry import TRANSLATION_SCALE, RigidTransform, random_se3
@@ -361,11 +361,37 @@ class TestTrainLoop:
         assert result.steps == 2 * 2 - 1
         assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
         assert math.isfinite(result.history[0]["mean_loss"])
-        [message] = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
-        assert message.endswith("step skipped")
-        assert f"non-finite {poison} on" in message and "swap=True" in message
-        first = "keypoints.w_prime" if poison == "gradient" else next(iter(model.params))
-        assert f"first non-finite gradient: {first})" in message
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.getMessage().endswith("step skipped")]
+        reason = ("the loss is not finite" if poison == "loss"
+                  else "the gradient of keypoints.w_prime is not finite")
+        assert message.startswith("NonFiniteError on ") and "(swap=True)" in message
+        assert message.endswith(f": {reason}; step skipped")
+
+    def test_non_finite_loss_runs_no_backward(self, monkeypatch, caplog):
+        step = training._training_step
+        backward = ad.Tape.backward
+        steps, backwards = [], []
+
+        def poisoned_step(*args):
+            loss, parts = step(*args)
+            steps.append(None)
+            if len(steps) == 2:
+                return ad.scale(loss, np.nan), {**parts, "total": np.nan}
+            return loss, parts
+
+        def counted_backward(tape, loss):
+            backwards.append(None)
+            backward(tape, loss)
+
+        monkeypatch.setattr(training, "_training_step", poisoned_step)
+        monkeypatch.setattr(ad.Tape, "backward", counted_backward)
+        model = DockingModel(COMPACT, seed=0)
+        with caplog.at_level("WARNING", logger="rigiddock.training"):
+            result = train(model, make_pairs(20, 2), [], TrainConfig(lr=1e-3, max_epochs=1))
+        assert (len(steps), len(backwards), result.steps) == (4, 3, 3)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.endswith("the loss is not finite; step skipped")
 
     def test_epoch_without_a_step_reports_no_mean_loss(self, monkeypatch, caplog):
         def failing_step(*args):
@@ -482,6 +508,28 @@ class TestEvaluate:
         assert [(r.crmsd, r.irmsd) for r in report.rows] == \
                [(r.crmsd, r.irmsd) for r in at_input.rows]
         assert all(math.isfinite(r.crmsd) and math.isfinite(r.irmsd) for r in report.rows)
+
+    def test_non_finite_predicted_motion_falls_back_to_input(self, monkeypatch):
+        """A motion with an infinite translation is a ``non_finite`` row, scored at its input."""
+        pairs = make_pairs(17, 1)
+        kabsch_tensors = docking.kabsch_tensors
+
+        def infinite_shift(Y1, Y2):
+            R, t = kabsch_tensors(Y1, Y2)
+            return R, ad.constant([[np.inf], [0.0], [0.0]])
+
+        monkeypatch.setattr(docking, "kabsch_tensors", infinite_shift)
+        model = DockingModel(COMPACT, seed=0)
+        [row] = evaluate(model, pairs, seed=0).rows
+        assert row.status == "non_finite"
+
+        def degenerate(*a, **k):
+            raise DegenerateKeypointsError("forced")
+
+        monkeypatch.setattr(training, "predict_dock", degenerate)
+        [at_input] = evaluate(model, pairs, seed=0).rows
+        assert (row.crmsd, row.irmsd) == (at_input.crmsd, at_input.irmsd)
+        assert math.isfinite(row.crmsd) and math.isfinite(row.irmsd)
 
     def test_csv_contains_rows_and_summary(self, tmp_path):
         pairs = make_pairs(18, 2)
